@@ -1,6 +1,7 @@
 #include "core/io.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -50,6 +51,16 @@ class LineReader {
     }
   }
 
+  /// A node, object or transaction id. The all-ones value of each 32-bit
+  /// id type is its invalid sentinel, so ids must lie strictly below it;
+  /// anything wider is a parse error, not a silent truncation.
+  template <class Id>
+  Id to_id(const std::string& tok) const {
+    const std::uint64_t v = to_u64(tok);
+    expect(v < std::numeric_limits<Id>::max(), "id '" + tok + "' out of range");
+    return static_cast<Id>(v);
+  }
+
   std::int64_t to_i64(const std::string& tok) const {
     try {
       std::size_t pos = 0;
@@ -91,8 +102,8 @@ Graph read_graph(std::istream& is) {
   GraphBuilder b(r.to_u64(tok[1]));
   while (r.next(&tok)) {
     r.expect(tok.size() == 4 && tok[0] == "edge", "expected 'edge u v w'");
-    b.add_edge(static_cast<NodeId>(r.to_u64(tok[1])),
-               static_cast<NodeId>(r.to_u64(tok[2])), r.to_i64(tok[3]));
+    b.add_edge(r.to_id<NodeId>(tok[1]), r.to_id<NodeId>(tok[2]),
+               r.to_i64(tok[3]));
   }
   return b.build();
 }
@@ -123,17 +134,15 @@ Instance read_instance(std::istream& is, const Graph& g) {
     if (tok[0] == "object") {
       r.expect(tok.size() == 4 && tok[2] == "home",
                "expected 'object O home V'");
-      b.set_object_home(static_cast<ObjectId>(r.to_u64(tok[1])),
-                        static_cast<NodeId>(r.to_u64(tok[3])));
+      b.set_object_home(r.to_id<ObjectId>(tok[1]), r.to_id<NodeId>(tok[3]));
     } else if (tok[0] == "txn") {
       r.expect(tok.size() >= 4 && tok[1] == "home" && tok[3] == "objs",
                "expected 'txn home V objs ...'");
       std::vector<ObjectId> objs;
       for (std::size_t i = 4; i < tok.size(); ++i) {
-        objs.push_back(static_cast<ObjectId>(r.to_u64(tok[i])));
+        objs.push_back(r.to_id<ObjectId>(tok[i]));
       }
-      b.add_transaction(static_cast<NodeId>(r.to_u64(tok[2])),
-                        std::move(objs));
+      b.add_transaction(r.to_id<NodeId>(tok[2]), std::move(objs));
     } else {
       r.fail("unknown record '" + tok[0] + "'");
     }
@@ -173,10 +182,10 @@ Schedule read_schedule(std::istream& is) {
       s.commit_time[t] = r.to_i64(tok[3]);
     } else if (tok[0] == "order") {
       r.expect(tok.size() >= 2, "expected 'order O t...'");
-      const auto o = r.to_u64(tok[1]);
+      const auto o = r.to_id<ObjectId>(tok[1]);
       if (o >= s.object_order.size()) s.object_order.resize(o + 1);
       for (std::size_t i = 2; i < tok.size(); ++i) {
-        s.object_order[o].push_back(static_cast<TxnId>(r.to_u64(tok[i])));
+        s.object_order[o].push_back(r.to_id<TxnId>(tok[i]));
       }
     } else {
       r.fail("unknown record '" + tok[0] + "'");

@@ -19,8 +19,7 @@ void GraphBuilder::add_edge(NodeId u, NodeId v, Weight weight) {
 }
 
 Graph GraphBuilder::build() const {
-  Graph g;
-  g.offsets_.assign(num_nodes_ + 1, 0);
+  Graph g = Graph::with_node_count(num_nodes_);
   for (const Edge& e : edges_) {
     ++g.offsets_[e.u + 1];
     ++g.offsets_[e.v + 1];
@@ -44,6 +43,42 @@ Graph GraphBuilder::build() const {
     });
   }
   return g;
+}
+
+std::size_t checked_node_count(std::size_t a, std::size_t b) {
+  DTM_REQUIRE(b == 0 || a <= (kInvalidNode - 1) / b,
+              "too many nodes: " << a << " x " << b);
+  return a * b;
+}
+
+Graph Graph::with_node_count(std::size_t num_nodes) {
+  DTM_REQUIRE(num_nodes > 0, "graph must have at least one node");
+  DTM_REQUIRE(num_nodes < kInvalidNode, "too many nodes");
+  Graph g;
+  g.offsets_.assign(num_nodes + 1, 0);
+  return g;
+}
+
+void Graph::check_row(NodeId u) {
+  const Arc* begin = arcs_.data() + offsets_[u];
+  const Arc* end = arcs_.data() + arcs_.size();
+  DTM_REQUIRE(arcs_.size() == offsets_[u + 1],
+              "node " << u << " wrote " << (end - begin) << " arcs, degree "
+                      << offsets_[u + 1] - offsets_[u]);
+  const std::size_t n = num_nodes();
+  for (const Arc* a = begin; a != end; ++a) {
+    DTM_REQUIRE(a->to < n, "edge endpoint out of range: {"
+                               << u << ',' << a->to << "} with " << n
+                               << " nodes");
+    DTM_REQUIRE(a->to != u, "self-loops are not allowed (node " << u << ")");
+    DTM_REQUIRE(a->weight > 0,
+                "edge weight must be positive, got " << a->weight);
+    DTM_REQUIRE(a == begin || a[-1].to < a->to ||
+                    (a[-1].to == a->to && a[-1].weight <= a->weight),
+                "row of node " << u << " is not sorted by (to, weight)");
+    unit_weights_ = unit_weights_ && a->weight == 1;
+    max_weight_ = std::max(max_weight_, a->weight);
+  }
 }
 
 bool Graph::connected() const {

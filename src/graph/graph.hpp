@@ -32,7 +32,9 @@ struct Arc {
 
 class Graph;
 
-/// Incremental edge-list builder; finalize with build().
+/// Incremental edge-list builder; finalize with build(). For edge-list
+/// input (files, graph transforms); families whose adjacency is a closed
+/// form build their rows directly with Graph::from_rows.
 class GraphBuilder {
  public:
   explicit GraphBuilder(std::size_t num_nodes);
@@ -56,10 +58,45 @@ class GraphBuilder {
   std::vector<Edge> edges_;
 };
 
-/// Immutable CSR graph. Construct via GraphBuilder.
+/// Receives one node's arcs inside Graph::from_rows. Writing more arcs
+/// than the row's declared degree throws dtm::Error.
+class RowWriter {
+ public:
+  void add(NodeId to, Weight weight = 1) {
+    DTM_REQUIRE(arcs_->size() < row_end_,
+                "node " << node_ << " wrote more arcs than its degree");
+    arcs_->push_back({to, weight});
+  }
+
+ private:
+  friend class Graph;
+  RowWriter(NodeId node, std::vector<Arc>* arcs, std::size_t row_end)
+      : node_(node), arcs_(arcs), row_end_(row_end) {}
+  NodeId node_;
+  std::vector<Arc>* arcs_;
+  std::size_t row_end_;
+};
+
+/// Returns a * b, throwing dtm::Error instead of multiplying when the
+/// product would not be a valid node count (below kInvalidNode).
+std::size_t checked_node_count(std::size_t a, std::size_t b);
+
+/// Immutable CSR graph. Construct via GraphBuilder or from_rows.
 class Graph {
  public:
   Graph() = default;
+
+  /// Builds the CSR straight from rows, with no edge list and no sort:
+  /// `degree(u)` gives node u's arc count and `fill(u, out)` writes its
+  /// arcs through `out.add(to, weight)` in ascending (to, weight) order.
+  /// Every arc must be in range, not a self-loop and of positive weight,
+  /// and every row must be sorted and exactly `degree(u)` long; any
+  /// violation throws dtm::Error. Symmetry (each arc u→v matched by v→u)
+  /// is the caller's contract and is not checked. The result equals
+  /// (`==`) what GraphBuilder builds from the same edges.
+  template <class DegreeFn, class FillFn>
+  static Graph from_rows(std::size_t num_nodes, DegreeFn&& degree,
+                         FillFn&& fill);
 
   std::size_t num_nodes() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   std::size_t num_edges() const { return arcs_.size() / 2; }
@@ -89,10 +126,34 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+
+  // Construction steps shared by GraphBuilder and from_rows; check_row
+  // validates the row from_rows just appended for node u.
+  static Graph with_node_count(std::size_t num_nodes);
+  void check_row(NodeId u);
+
   std::vector<std::size_t> offsets_;  // size num_nodes+1
   std::vector<Arc> arcs_;
   bool unit_weights_ = true;
   Weight max_weight_ = 0;
 };
+
+template <class DegreeFn, class FillFn>
+Graph Graph::from_rows(std::size_t num_nodes, DegreeFn&& degree,
+                       FillFn&& fill) {
+  Graph g = with_node_count(num_nodes);
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    g.offsets_[u + 1] = g.offsets_[u] + degree(u);
+  }
+  DTM_REQUIRE(g.offsets_.back() % 2 == 0,
+              "rows hold an odd number of arcs: " << g.offsets_.back());
+  g.arcs_.reserve(g.offsets_.back());
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    RowWriter out(u, &g.arcs_, g.offsets_[u + 1]);
+    fill(u, out);
+    g.check_row(u);
+  }
+  return g;
+}
 
 }  // namespace dtm

@@ -16,20 +16,27 @@ BlockGrid::BlockGrid(std::size_t s_in)
     : s(s_in),
       sqrt_s(integer_sqrt(s_in)),
       rows(s_in),
-      cols(s_in * sqrt_s) {
+      cols(checked_node_count(s_in, sqrt_s)) {
   DTM_REQUIRE(s >= 1, "block grid needs s >= 1");
-  GraphBuilder b(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (r + 1 < rows) b.add_edge(node_at(r, c), node_at(r + 1, c), 1);
-      if (c + 1 < cols) {
-        const bool crosses_blocks = (c + 1) % sqrt_s == 0;
-        b.add_edge(node_at(r, c), node_at(r, c + 1),
-                   crosses_blocks ? static_cast<Weight>(s) : 1);
-      }
-    }
-  }
-  graph = b.build();
+  // A horizontal edge {c, c+1} weighs s when it crosses a block boundary.
+  const auto right_weight = [&](std::size_t c) {
+    return (c + 1) % sqrt_s == 0 ? static_cast<Weight>(s) : 1;
+  };
+  // Row of (r, c) in ascending id order: up, left, right, down.
+  graph = Graph::from_rows(
+      checked_node_count(rows, cols),
+      [&](NodeId v) {
+        const std::size_t r = row_of(v), c = col_of(v);
+        return std::size_t{r > 0} + (c > 0) + (c + 1 < cols) +
+               (r + 1 < rows);
+      },
+      [&](NodeId v, RowWriter& out) {
+        const std::size_t r = row_of(v), c = col_of(v);
+        if (r > 0) out.add(node_at(r - 1, c), 1);
+        if (c > 0) out.add(node_at(r, c - 1), right_weight(c - 1));
+        if (c + 1 < cols) out.add(node_at(r, c + 1), right_weight(c));
+        if (r + 1 < rows) out.add(node_at(r + 1, c), 1);
+      });
 }
 
 std::vector<NodeId> BlockGrid::block_nodes(std::size_t block) const {

@@ -17,28 +17,41 @@ BlockTree::BlockTree(std::size_t s_in)
     : s(s_in),
       sqrt_s(integer_sqrt(s_in)),
       rows(s_in),
-      cols(s_in * sqrt_s) {
+      cols(checked_node_count(s_in, sqrt_s)) {
   DTM_REQUIRE(s >= 1, "block tree needs s >= 1");
-  GraphBuilder b(rows * cols);
-  for (std::size_t block = 0; block < s; ++block) {
-    const std::size_t c0 = block * sqrt_s;
-    // Spine: the block's leftmost column.
-    for (std::size_t r = 0; r + 1 < rows; ++r) {
-      b.add_edge(node_at(r, c0), node_at(r + 1, c0), 1);
-    }
-    // Rows: horizontal paths hanging off the spine.
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = c0; c + 1 < c0 + sqrt_s; ++c) {
-        b.add_edge(node_at(r, c), node_at(r, c + 1), 1);
-      }
-    }
-    // One weight-s edge to the next block, through the topmost row.
-    if (block + 1 < s) {
-      b.add_edge(node_at(0, c0 + sqrt_s - 1), node_at(0, c0 + sqrt_s),
-                 static_cast<Weight>(s));
-    }
-  }
-  graph = b.build();
+  // Inside a block, rows are paths and the leftmost column is the spine.
+  // The weight-s edges join a block's top-right node to the next block's
+  // top-left one. Row of (r, c) in ascending id order: spine up, left,
+  // right, spine down.
+  const auto on_spine = [&](std::size_t c) { return c % sqrt_s == 0; };
+  const auto on_right_edge = [&](std::size_t c) {
+    return (c + 1) % sqrt_s == 0;
+  };
+  const auto has_left = [&](std::size_t r, std::size_t c) {
+    return !on_spine(c) || (r == 0 && c > 0);
+  };
+  const auto has_right = [&](std::size_t r, std::size_t c) {
+    return !on_right_edge(c) || (r == 0 && c + 1 < cols);
+  };
+  graph = Graph::from_rows(
+      checked_node_count(rows, cols),
+      [&](NodeId v) {
+        const std::size_t r = row_of(v), c = col_of(v);
+        return std::size_t{on_spine(c) && r > 0} + has_left(r, c) +
+               has_right(r, c) + (on_spine(c) && r + 1 < rows);
+      },
+      [&](NodeId v, RowWriter& out) {
+        const std::size_t r = row_of(v), c = col_of(v);
+        const auto weight_s = static_cast<Weight>(s);
+        if (on_spine(c) && r > 0) out.add(node_at(r - 1, c), 1);
+        if (has_left(r, c)) {
+          out.add(node_at(r, c - 1), on_spine(c) ? weight_s : 1);
+        }
+        if (has_right(r, c)) {
+          out.add(node_at(r, c + 1), on_right_edge(c) ? weight_s : 1);
+        }
+        if (on_spine(c) && r + 1 < rows) out.add(node_at(r + 1, c), 1);
+      });
 }
 
 Weight BlockTree::distance_for(std::size_t s, std::size_t sqrt_s,

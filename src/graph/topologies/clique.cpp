@@ -4,13 +4,13 @@ namespace dtm {
 
 Clique::Clique(std::size_t n_in) : n(n_in) {
   DTM_REQUIRE(n >= 1, "clique needs at least 1 node");
-  GraphBuilder b(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      b.add_edge(u, v, 1);
-    }
-  }
-  graph = b.build();
+  graph = Graph::from_rows(
+      n, [&](NodeId) { return n - 1; },
+      [&](NodeId u, RowWriter& out) {
+        for (NodeId v = 0; v < n; ++v) {
+          if (v != u) out.add(v, 1);
+        }
+      });
 }
 
 }  // namespace dtm

@@ -8,20 +8,26 @@ ClusterGraph::ClusterGraph(std::size_t alpha_in, std::size_t beta_in,
   DTM_REQUIRE(alpha >= 1, "cluster graph needs at least one cluster");
   DTM_REQUIRE(beta >= 1, "clusters need at least one node");
   DTM_REQUIRE(gamma >= 1, "bridge weight must be positive");
-  GraphBuilder b(alpha * beta);
-  for (std::size_t c = 0; c < alpha; ++c) {
-    for (std::size_t i = 0; i < beta; ++i) {
-      for (std::size_t j = i + 1; j < beta; ++j) {
-        b.add_edge(node_at(c, i), node_at(c, j), 1);
-      }
-    }
-  }
-  for (std::size_t c = 0; c < alpha; ++c) {
-    for (std::size_t d = c + 1; d < alpha; ++d) {
-      b.add_edge(bridge_of(c), bridge_of(d), gamma);
-    }
-  }
-  graph = b.build();
+  // Row of node v in cluster c: the bridges of clusters before c (weight
+  // γ, bridges only), the rest of cluster c (weight 1), then the bridges
+  // of clusters after c — already in ascending id order.
+  graph = Graph::from_rows(
+      checked_node_count(alpha, beta),
+      [&](NodeId v) { return (beta - 1) + (is_bridge(v) ? alpha - 1 : 0); },
+      [&](NodeId v, RowWriter& out) {
+        const std::size_t c = cluster_of(v);
+        const NodeId first = bridge_of(c);
+        if (is_bridge(v)) {
+          for (std::size_t d = 0; d < c; ++d) out.add(bridge_of(d), gamma);
+        }
+        for (NodeId w = first; w < v; ++w) out.add(w, 1);
+        for (NodeId w = v + 1; w < first + beta; ++w) out.add(w, 1);
+        if (is_bridge(v)) {
+          for (std::size_t d = c + 1; d < alpha; ++d) {
+            out.add(bridge_of(d), gamma);
+          }
+        }
+      });
 }
 
 }  // namespace dtm

@@ -4,11 +4,12 @@ namespace dtm {
 
 Line::Line(std::size_t n_in) : n(n_in) {
   DTM_REQUIRE(n >= 1, "line needs at least 1 node");
-  GraphBuilder b(n);
-  for (NodeId u = 0; u + 1 < n; ++u) {
-    b.add_edge(u, u + 1, 1);
-  }
-  graph = b.build();
+  graph = Graph::from_rows(
+      n, [&](NodeId u) { return std::size_t{u > 0} + (u + 1 < n); },
+      [&](NodeId u, RowWriter& out) {
+        if (u > 0) out.add(u - 1, 1);
+        if (u + 1 < n) out.add(u + 1, 1);
+      });
 }
 
 }  // namespace dtm

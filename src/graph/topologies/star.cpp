@@ -9,14 +9,21 @@ Star::Star(std::size_t alpha_in, std::size_t beta_in)
     : alpha(alpha_in), beta(beta_in) {
   DTM_REQUIRE(alpha >= 1, "star needs at least one ray");
   DTM_REQUIRE(beta >= 1, "rays need at least one node");
-  GraphBuilder b(num_nodes());
-  for (std::size_t r = 0; r < alpha; ++r) {
-    b.add_edge(center(), node_at(r, 1), 1);
-    for (std::size_t p = 1; p < beta; ++p) {
-      b.add_edge(node_at(r, p), node_at(r, p + 1), 1);
-    }
-  }
-  graph = b.build();
+  // The center's row is the first node of every ray; a ray node's row is
+  // its inner neighbor (the center at position 1), then its outer one.
+  graph = Graph::from_rows(
+      checked_node_count(alpha, beta) + 1,
+      [&](NodeId v) -> std::size_t {
+        return is_center(v) ? alpha : 1 + (pos_of(v) < beta);
+      },
+      [&](NodeId v, RowWriter& out) {
+        if (is_center(v)) {
+          for (std::size_t r = 0; r < alpha; ++r) out.add(node_at(r, 1), 1);
+          return;
+        }
+        out.add(pos_of(v) == 1 ? center() : v - 1, 1);
+        if (pos_of(v) < beta) out.add(v + 1, 1);
+      });
 }
 
 std::size_t Star::num_segments() const {

@@ -228,6 +228,68 @@ TEST(Io, RejectsMalformedInput) {
     std::stringstream buf("dtm-graph v1\nnodes two\n");
     EXPECT_THROW(read_graph(buf), Error);  // non-numeric
   }
+  // Ids wider than 32 bits are parse errors, not truncated: 2^32 must not
+  // be read as node 0, nor 2^32 + 1 as node 1.
+  {
+    std::stringstream buf("dtm-graph v1\nnodes 2\nedge 4294967296 1 1\n");
+    EXPECT_THROW(read_graph(buf), Error);
+  }
+  {
+    std::stringstream buf("dtm-graph v1\nnodes 2\nedge 0 4294967297 1\n");
+    EXPECT_THROW(read_graph(buf), Error);
+  }
+  {
+    std::stringstream buf("dtm-graph v1\nnodes 2\nedge -1 1 1\n");
+    EXPECT_THROW(read_graph(buf), Error);
+  }
+  {
+    const Grid g(3);
+    std::stringstream buf(
+        "dtm-instance v1\nobjects 1\nobject 4294967296 home 0\n");
+    EXPECT_THROW(read_instance(buf, g.graph), Error);
+  }
+  {
+    const Grid g(3);
+    std::stringstream buf(
+        "dtm-instance v1\nobjects 1\nobject 0 home 4294967296\n");
+    EXPECT_THROW(read_instance(buf, g.graph), Error);
+  }
+  {
+    const Grid g(3);
+    std::stringstream buf(
+        "dtm-instance v1\nobjects 1\nobject 0 home 0\n"
+        "txn home 4294967296 objs 0\n");
+    EXPECT_THROW(read_instance(buf, g.graph), Error);
+  }
+  {
+    const Grid g(3);
+    std::stringstream buf(
+        "dtm-instance v1\nobjects 1\nobject 0 home 0\n"
+        "txn home 0 objs 4294967296\n");
+    EXPECT_THROW(read_instance(buf, g.graph), Error);
+  }
+  {
+    // o + 1 used to wrap to 0 and index an empty order table.
+    std::stringstream buf(
+        "dtm-schedule v1\ncommits 1\norder 18446744073709551615 0\n");
+    EXPECT_THROW(read_schedule(buf), Error);
+  }
+  {
+    std::stringstream buf("dtm-schedule v1\ncommits 1\norder 0 4294967296\n");
+    EXPECT_THROW(read_schedule(buf), Error);
+  }
+}
+
+TEST(Io, WideIdErrorsCarryLineNumbers) {
+  std::stringstream buf("dtm-graph v1\nnodes 2\nedge 4294967296 1 1\n");
+  try {
+    read_graph(buf);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("parse error at line 3"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Io, ErrorsCarryLineNumbers) {

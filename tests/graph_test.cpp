@@ -1,6 +1,9 @@
 // Unit tests for the CSR graph and single-source shortest paths.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/graph.hpp"
 #include "graph/shortest_paths.hpp"
 #include "graph/topologies/clique.hpp"
@@ -66,6 +69,78 @@ TEST(Graph, ConnectedDetection) {
 TEST(Graph, SingleNodeIsConnected) {
   GraphBuilder b(1);
   EXPECT_TRUE(b.build().connected());
+}
+
+// Builds a graph through Graph::from_rows from explicit rows; `degrees`
+// overrides each row's declared length (defaults to the row's size).
+Graph from_arc_rows(const std::vector<std::vector<Arc>>& rows,
+                    std::vector<std::size_t> degrees = {}) {
+  if (degrees.empty()) {
+    for (const auto& row : rows) degrees.push_back(row.size());
+  }
+  return Graph::from_rows(
+      rows.size(), [&](NodeId u) { return degrees[u]; },
+      [&](NodeId u, RowWriter& out) {
+        for (const Arc& a : rows[u]) out.add(a.to, a.weight);
+      });
+}
+
+// Expects from_arc_rows to throw dtm::Error whose message names `what`.
+void expect_rows_rejected(const std::vector<std::vector<Arc>>& rows,
+                          const std::string& what,
+                          std::vector<std::size_t> degrees = {}) {
+  try {
+    from_arc_rows(rows, std::move(degrees));
+    ADD_FAILURE() << "expected an Error mentioning '" << what << "'";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FromRows, MatchesGraphBuilder) {
+  // The rows of triangle_with_tail(), sorted by (to, weight).
+  const Graph g = from_arc_rows({{{1, 1}, {2, 4}},
+                                 {{0, 1}, {2, 2}},
+                                 {{0, 4}, {1, 2}, {3, 1}},
+                                 {{2, 1}}});
+  EXPECT_EQ(g, triangle_with_tail());
+  EXPECT_FALSE(g.unit_weights());
+  EXPECT_EQ(g.max_weight(), 4);
+  EXPECT_EQ(from_arc_rows({{}}), GraphBuilder(1).build());
+}
+
+TEST(FromRows, KeepsParallelArcsSortedByWeight) {
+  GraphBuilder b(2);
+  b.add_edge(0, 1, 3);
+  b.add_edge(1, 0, 2);
+  EXPECT_EQ(from_arc_rows({{{1, 2}, {1, 3}}, {{0, 2}, {0, 3}}}), b.build());
+  expect_rows_rejected({{{1, 3}, {1, 2}}, {{0, 2}, {0, 3}}}, "not sorted");
+}
+
+TEST(FromRows, RejectsMalformedRows) {
+  // Path 0-1-2 with node 1's row replaced.
+  const auto path_with = [](std::vector<Arc> row1) {
+    return std::vector<std::vector<Arc>>{{{1, 1}}, std::move(row1), {{1, 1}}};
+  };
+  expect_rows_rejected(path_with({{0, 1}, {2, 1}}), "wrote 2 arcs, degree 3",
+                       {1, 3, 2});
+  expect_rows_rejected(path_with({{0, 1}, {2, 1}}), "more arcs than its degree",
+                       {1, 1, 2});
+  expect_rows_rejected(path_with({{2, 1}, {0, 1}}), "not sorted");
+  expect_rows_rejected(path_with({{0, 1}, {1, 1}}), "self-loops");
+  expect_rows_rejected(path_with({{0, 1}, {3, 1}}), "out of range");
+  expect_rows_rejected(path_with({{0, 0}, {2, 1}}), "must be positive");
+  expect_rows_rejected(path_with({{0, -2}, {2, 1}}), "must be positive");
+  expect_rows_rejected(path_with({{0, 1}}), "odd number of arcs");
+  EXPECT_THROW(from_arc_rows({}), Error);  // no nodes
+}
+
+TEST(FromRows, CheckedNodeCount) {
+  EXPECT_EQ(checked_node_count(3, 4), 12u);
+  EXPECT_EQ(checked_node_count(kInvalidNode - 1, 1), kInvalidNode - 1);
+  EXPECT_THROW(checked_node_count(65535, 65537), Error);  // = kInvalidNode
+  EXPECT_THROW(checked_node_count((std::size_t{1} << 63) + 1, 2), Error);
 }
 
 TEST(Dijkstra, WeightedDistances) {

@@ -2,6 +2,8 @@
 // checks that the closed-form distance helpers agree with graph search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/metric.hpp"
 #include "graph/shortest_paths.hpp"
 #include "graph/topologies/block_grid.hpp"
@@ -294,6 +296,250 @@ TEST(BlockTreeTopo, InterBlockDistanceAtLeastS) {
       EXPECT_GE(m.distance(u, v), 4);
     }
   }
+}
+
+// ------------------------------------------------- row-built vs edge list
+//
+// The families below build their CSR rows directly (Graph::from_rows). The
+// edge loops they used to feed GraphBuilder are kept here as references:
+// each row-built graph must equal (`==`) the edge-list graph, and its arcs
+// must be symmetric, which the row path does not check at runtime.
+
+Graph reference_clique(std::size_t n) {
+  GraphBuilder b(n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) b.add_edge(u, v, 1);
+  }
+  return b.build();
+}
+
+Graph reference_line(std::size_t n) {
+  GraphBuilder b(n);
+  for (NodeId u = 0; u + 1 < n; ++u) b.add_edge(u, u + 1, 1);
+  return b.build();
+}
+
+Graph reference_grid(std::size_t rows, std::size_t cols) {
+  GraphBuilder b(rows * cols);
+  const auto at = [cols](std::size_t r, std::size_t c) {
+    return static_cast<NodeId>(r * cols + c);
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (c + 1 < cols) b.add_edge(at(r, c), at(r, c + 1), 1);
+      if (r + 1 < rows) b.add_edge(at(r, c), at(r + 1, c), 1);
+    }
+  }
+  return b.build();
+}
+
+Graph reference_cluster(std::size_t alpha, std::size_t beta, Weight gamma) {
+  GraphBuilder b(alpha * beta);
+  const auto at = [beta](std::size_t c, std::size_t i) {
+    return static_cast<NodeId>(c * beta + i);
+  };
+  for (std::size_t c = 0; c < alpha; ++c) {
+    for (std::size_t i = 0; i < beta; ++i) {
+      for (std::size_t j = i + 1; j < beta; ++j) {
+        b.add_edge(at(c, i), at(c, j), 1);
+      }
+    }
+  }
+  for (std::size_t c = 0; c < alpha; ++c) {
+    for (std::size_t d = c + 1; d < alpha; ++d) {
+      b.add_edge(at(c, 0), at(d, 0), gamma);
+    }
+  }
+  return b.build();
+}
+
+Graph reference_hypercube(std::size_t dim) {
+  const std::size_t n = std::size_t{1} << dim;
+  GraphBuilder b(n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (std::size_t bit = 0; bit < dim; ++bit) {
+      const NodeId v = u ^ (NodeId{1} << bit);
+      if (u < v) b.add_edge(u, v, 1);
+    }
+  }
+  return b.build();
+}
+
+Graph reference_star(std::size_t alpha, std::size_t beta) {
+  GraphBuilder b(alpha * beta + 1);
+  const auto at = [beta](std::size_t ray, std::size_t pos) {
+    return static_cast<NodeId>(1 + ray * beta + (pos - 1));
+  };
+  for (std::size_t r = 0; r < alpha; ++r) {
+    b.add_edge(0, at(r, 1), 1);
+    for (std::size_t p = 1; p < beta; ++p) {
+      b.add_edge(at(r, p), at(r, p + 1), 1);
+    }
+  }
+  return b.build();
+}
+
+Graph reference_block_grid(std::size_t s, std::size_t sqrt_s) {
+  const std::size_t rows = s, cols = s * sqrt_s;
+  GraphBuilder b(rows * cols);
+  const auto at = [cols](std::size_t r, std::size_t c) {
+    return static_cast<NodeId>(r * cols + c);
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (r + 1 < rows) b.add_edge(at(r, c), at(r + 1, c), 1);
+      if (c + 1 < cols) {
+        const bool crosses_blocks = (c + 1) % sqrt_s == 0;
+        b.add_edge(at(r, c), at(r, c + 1),
+                   crosses_blocks ? static_cast<Weight>(s) : 1);
+      }
+    }
+  }
+  return b.build();
+}
+
+Graph reference_block_tree(std::size_t s, std::size_t sqrt_s) {
+  const std::size_t rows = s, cols = s * sqrt_s;
+  GraphBuilder b(rows * cols);
+  const auto at = [cols](std::size_t r, std::size_t c) {
+    return static_cast<NodeId>(r * cols + c);
+  };
+  for (std::size_t block = 0; block < s; ++block) {
+    const std::size_t c0 = block * sqrt_s;
+    for (std::size_t r = 0; r + 1 < rows; ++r) {
+      b.add_edge(at(r, c0), at(r + 1, c0), 1);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = c0; c + 1 < c0 + sqrt_s; ++c) {
+        b.add_edge(at(r, c), at(r, c + 1), 1);
+      }
+    }
+    if (block + 1 < s) {
+      b.add_edge(at(0, c0 + sqrt_s - 1), at(0, c0 + sqrt_s),
+                 static_cast<Weight>(s));
+    }
+  }
+  return b.build();
+}
+
+// Every arc u→v of weight w is matched by an arc v→u of weight w, counted
+// with multiplicity (rows are sorted, so equal_range finds the matches).
+::testing::AssertionResult arcs_symmetric(const Graph& g) {
+  const auto by_arc = [](const Arc& a, const Arc& b) {
+    return a.to != b.to ? a.to < b.to : a.weight < b.weight;
+  };
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto row = g.neighbors(u);
+    for (const Arc& a : row) {
+      const auto forward = std::equal_range(row.begin(), row.end(), a, by_arc);
+      const auto back_row = g.neighbors(a.to);
+      const auto back = std::equal_range(back_row.begin(), back_row.end(),
+                                         Arc{u, a.weight}, by_arc);
+      if (forward.second - forward.first != back.second - back.first) {
+        return ::testing::AssertionFailure()
+               << "arc " << u << "->" << a.to << " (w=" << a.weight
+               << ") has no matching reverse arc";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(RowBuiltTopologies, CliqueMatchesEdgeList) {
+  for (std::size_t n : {1, 2, 3, 7, 16}) {
+    const Clique c(n);
+    EXPECT_EQ(c.graph, reference_clique(n)) << "n=" << n;
+    EXPECT_TRUE(arcs_symmetric(c.graph)) << "n=" << n;
+  }
+}
+
+TEST(RowBuiltTopologies, LineMatchesEdgeList) {
+  for (std::size_t n : {1, 2, 3, 10, 64}) {
+    const Line l(n);
+    EXPECT_EQ(l.graph, reference_line(n)) << "n=" << n;
+    EXPECT_TRUE(arcs_symmetric(l.graph)) << "n=" << n;
+  }
+}
+
+TEST(RowBuiltTopologies, GridMatchesEdgeList) {
+  for (std::size_t rows : {1, 2, 3, 7}) {
+    for (std::size_t cols : {1, 2, 5, 9}) {
+      const Grid g(rows, cols);
+      EXPECT_EQ(g.graph, reference_grid(rows, cols)) << rows << "x" << cols;
+      EXPECT_TRUE(arcs_symmetric(g.graph)) << rows << "x" << cols;
+    }
+  }
+}
+
+TEST(RowBuiltTopologies, ClusterMatchesEdgeList) {
+  for (std::size_t alpha : {1, 2, 3, 6}) {
+    for (std::size_t beta : {1, 2, 5, 8}) {
+      for (Weight gamma : {1, 3, 9}) {
+        const ClusterGraph cg(alpha, beta, gamma);
+        EXPECT_EQ(cg.graph, reference_cluster(alpha, beta, gamma))
+            << alpha << "x" << beta << " gamma=" << gamma;
+        EXPECT_TRUE(arcs_symmetric(cg.graph))
+            << alpha << "x" << beta << " gamma=" << gamma;
+      }
+    }
+  }
+}
+
+TEST(RowBuiltTopologies, HypercubeMatchesEdgeList) {
+  for (std::size_t dim : {1, 2, 3, 6}) {
+    const Hypercube h(dim);
+    EXPECT_EQ(h.graph, reference_hypercube(dim)) << "dim=" << dim;
+    EXPECT_TRUE(arcs_symmetric(h.graph)) << "dim=" << dim;
+  }
+}
+
+TEST(RowBuiltTopologies, StarMatchesEdgeList) {
+  for (std::size_t alpha : {1, 2, 5}) {
+    for (std::size_t beta : {1, 2, 3, 8}) {
+      const Star st(alpha, beta);
+      EXPECT_EQ(st.graph, reference_star(alpha, beta)) << alpha << "x" << beta;
+      EXPECT_TRUE(arcs_symmetric(st.graph)) << alpha << "x" << beta;
+    }
+  }
+}
+
+TEST(RowBuiltTopologies, BlockGridMatchesEdgeList) {
+  for (std::size_t t : {1, 2, 3}) {
+    const BlockGrid g(t * t);
+    EXPECT_EQ(g.graph, reference_block_grid(t * t, t)) << "s=" << t * t;
+    EXPECT_TRUE(arcs_symmetric(g.graph)) << "s=" << t * t;
+  }
+}
+
+TEST(RowBuiltTopologies, BlockTreeMatchesEdgeList) {
+  for (std::size_t t : {1, 2, 3}) {
+    const BlockTree bt(t * t);
+    EXPECT_EQ(bt.graph, reference_block_tree(t * t, t)) << "s=" << t * t;
+    EXPECT_TRUE(arcs_symmetric(bt.graph)) << "s=" << t * t;
+  }
+}
+
+// An overflowing node-count product throws dtm::Error before anything is
+// allocated, instead of wrapping around or running out of memory.
+TEST(RowBuiltTopologies, OverflowingSizesThrow) {
+  const std::size_t huge = (std::size_t{1} << 63) + 1;
+  EXPECT_THROW(ClusterGraph(huge, 2, 1), Error);
+  EXPECT_THROW(ClusterGraph(2, huge, 1), Error);
+  EXPECT_THROW(ClusterGraph(std::size_t{1} << 32, std::size_t{1} << 32, 1),
+               Error);
+  EXPECT_THROW(ClusterGraph(70000, 70000, 1), Error);  // > 2^32 nodes
+  EXPECT_THROW(Grid(huge, 2), Error);
+  EXPECT_THROW(Grid(std::size_t{1} << 32, std::size_t{1} << 32), Error);
+  EXPECT_THROW(Grid(70000, 70000), Error);
+  EXPECT_THROW(Star(huge, 2), Error);
+  EXPECT_THROW(Star(70000, 70000), Error);
+  EXPECT_THROW(Line{kInvalidNode}, Error);
+  // s = 2^62 is a perfect square whose s·√s already overflows.
+  EXPECT_THROW(BlockGrid(std::size_t{1} << 62), Error);
+  EXPECT_THROW(BlockTree(std::size_t{1} << 62), Error);
+  // s = 10^4: s·√s fits, but s^{5/2} = 10^10 nodes does not.
+  EXPECT_THROW(BlockGrid(10000), Error);
+  EXPECT_THROW(BlockTree(10000), Error);
 }
 
 // Parameterized: every topology is connected, has the right node count and
