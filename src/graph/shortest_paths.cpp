@@ -71,9 +71,10 @@ PackedGraph::PackedGraph(const Graph& g) {
   }
   arcs_.resize(arcs);
   if (layout_ == Layout::kSplit) weights_.resize(arcs);
+  const Graph::Adjacency adj = g.adjacency();
   std::size_t idx = 0;
   for (NodeId u = 0; u < n; ++u) {
-    for (const Arc& a : g.neighbors(u)) {
+    for (const Arc& a : adj.neighbors(u)) {
       const auto w = static_cast<std::uint32_t>(a.weight);
       switch (layout_) {
         case Layout::kUnit:
@@ -170,6 +171,7 @@ void DijkstraWorkspace::run_dijkstra(const Graph& g, NodeId source,
                                      Weight* dist, NodeId* parent) {
   const std::size_t n = g.num_nodes();
   DTM_REQUIRE(source < n, "dijkstra: source out of range");
+  const Graph::Adjacency adj = g.adjacency();
   std::fill_n(dist, n, kInfiniteWeight);
   if (parent != nullptr) std::fill_n(parent, n, kInvalidNode);
   heap_reset(n);
@@ -178,7 +180,7 @@ void DijkstraWorkspace::run_dijkstra(const Graph& g, NodeId source,
   while (heap_size_ > 0) {
     const NodeId u = heap_pop(dist);
     const Weight du = dist[u];
-    for (const Arc& a : g.neighbors(u)) {
+    for (const Arc& a : adj.neighbors(u)) {
       const Weight nd = du + a.weight;
       if (nd < dist[a.to]) {
         dist[a.to] = nd;
@@ -198,6 +200,7 @@ void DijkstraWorkspace::run_bfs(const Graph& g, NodeId source, Weight* dist,
   const std::size_t n = g.num_nodes();
   DTM_REQUIRE(source < n, "bfs: source out of range");
   DTM_REQUIRE(g.unit_weights(), "bfs requires unit edge weights");
+  const Graph::Adjacency adj = g.adjacency();
   std::fill_n(dist, n, kInfiniteWeight);
   if (parent != nullptr) std::fill_n(parent, n, kInvalidNode);
   fifo_.clear();
@@ -205,7 +208,7 @@ void DijkstraWorkspace::run_bfs(const Graph& g, NodeId source, Weight* dist,
   dist[source] = 0;
   for (std::size_t head = 0; head < fifo_.size(); ++head) {
     const NodeId u = fifo_[head];
-    for (const Arc& a : g.neighbors(u)) {
+    for (const Arc& a : adj.neighbors(u)) {
       if (dist[a.to] == kInfiniteWeight) {
         dist[a.to] = dist[u] + 1;
         if (parent != nullptr) parent[a.to] = u;

@@ -18,25 +18,33 @@ BlockGrid::BlockGrid(std::size_t s_in)
       rows(s_in),
       cols(checked_node_count(s_in, sqrt_s)) {
   DTM_REQUIRE(s >= 1, "block grid needs s >= 1");
-  // A horizontal edge {c, c+1} weighs s when it crosses a block boundary.
-  const auto right_weight = [&](std::size_t c) {
-    return (c + 1) % sqrt_s == 0 ? static_cast<Weight>(s) : 1;
-  };
   // Row of (r, c) in ascending id order: up, left, right, down.
   graph = Graph::from_rows(
-      checked_node_count(rows, cols),
+      checked_node_count(rows, cols), static_cast<Weight>(s),
       [&](NodeId v) {
         const std::size_t r = row_of(v), c = col_of(v);
         return std::size_t{r > 0} + (c > 0) + (c + 1 < cols) +
                (r + 1 < rows);
       },
-      [&](NodeId v, RowWriter& out) {
-        const std::size_t r = row_of(v), c = col_of(v);
-        if (r > 0) out.add(node_at(r - 1, c), 1);
-        if (c > 0) out.add(node_at(r, c - 1), right_weight(c - 1));
-        if (c + 1 < cols) out.add(node_at(r, c + 1), right_weight(c));
-        if (r + 1 < rows) out.add(node_at(r + 1, c), 1);
-      });
+      [s = s, sqrt_s = sqrt_s, rows = rows, cols = cols](NodeId v,
+                                                         RowWriter& out) {
+        // A horizontal edge {c, c+1} weighs s when it crosses a block
+        // boundary.
+        const auto right_weight = [&](std::size_t c) {
+          return (c + 1) % sqrt_s == 0 ? static_cast<Weight>(s) : 1;
+        };
+        const std::size_t r = BlockGrid::row_of(cols, v);
+        const std::size_t c = BlockGrid::col_of(cols, v);
+        if (r > 0) out.add(BlockGrid::node_at(cols, r - 1, c), 1);
+        if (c > 0) {
+          out.add(BlockGrid::node_at(cols, r, c - 1), right_weight(c - 1));
+        }
+        if (c + 1 < cols) {
+          out.add(BlockGrid::node_at(cols, r, c + 1), right_weight(c));
+        }
+        if (r + 1 < rows) out.add(BlockGrid::node_at(cols, r + 1, c), 1);
+      },
+      FamilyKey{TopologyKind::kBlockGrid, {s}});
 }
 
 std::vector<NodeId> BlockGrid::block_nodes(std::size_t block) const {

@@ -30,10 +30,18 @@ struct BlockGrid {
 
   NodeId node_at(std::size_t r, std::size_t c) const {
     DTM_ASSERT(r < rows && c < cols);
+    return node_at(cols, r, c);
+  }
+  std::size_t row_of(NodeId v) const { return row_of(cols, v); }
+  std::size_t col_of(NodeId v) const { return col_of(cols, v); }
+
+  // The layout as functions of the family parameters alone, for code that
+  // outlives this object (the graph's row source).
+  static NodeId node_at(std::size_t cols, std::size_t r, std::size_t c) {
     return static_cast<NodeId>(r * cols + c);
   }
-  std::size_t row_of(NodeId v) const { return v / cols; }
-  std::size_t col_of(NodeId v) const { return v % cols; }
+  static std::size_t row_of(std::size_t cols, NodeId v) { return v / cols; }
+  static std::size_t col_of(std::size_t cols, NodeId v) { return v % cols; }
 
   /// 0-based block index of a node (paper's H_{i+1}).
   std::size_t block_of(NodeId v) const { return col_of(v) / sqrt_s; }

@@ -23,35 +23,41 @@ BlockTree::BlockTree(std::size_t s_in)
   // The weight-s edges join a block's top-right node to the next block's
   // top-left one. Row of (r, c) in ascending id order: spine up, left,
   // right, spine down.
-  const auto on_spine = [&](std::size_t c) { return c % sqrt_s == 0; };
-  const auto on_right_edge = [&](std::size_t c) {
-    return (c + 1) % sqrt_s == 0;
+  // The helpers capture by value: the row source outlives this object.
+  const auto on_spine = [w = sqrt_s](std::size_t c) { return c % w == 0; };
+  const auto on_right_edge = [w = sqrt_s](std::size_t c) {
+    return (c + 1) % w == 0;
   };
-  const auto has_left = [&](std::size_t r, std::size_t c) {
+  const auto has_left = [on_spine](std::size_t r, std::size_t c) {
     return !on_spine(c) || (r == 0 && c > 0);
   };
-  const auto has_right = [&](std::size_t r, std::size_t c) {
+  const auto has_right = [on_right_edge, cols = cols](std::size_t r,
+                                                      std::size_t c) {
     return !on_right_edge(c) || (r == 0 && c + 1 < cols);
   };
+  const auto weight_s = static_cast<Weight>(s);
   graph = Graph::from_rows(
-      checked_node_count(rows, cols),
+      checked_node_count(rows, cols), weight_s,
       [&](NodeId v) {
         const std::size_t r = row_of(v), c = col_of(v);
         return std::size_t{on_spine(c) && r > 0} + has_left(r, c) +
                has_right(r, c) + (on_spine(c) && r + 1 < rows);
       },
-      [&](NodeId v, RowWriter& out) {
-        const std::size_t r = row_of(v), c = col_of(v);
-        const auto weight_s = static_cast<Weight>(s);
-        if (on_spine(c) && r > 0) out.add(node_at(r - 1, c), 1);
-        if (has_left(r, c)) {
-          out.add(node_at(r, c - 1), on_spine(c) ? weight_s : 1);
-        }
+      [on_spine, on_right_edge, has_left, has_right, weight_s, rows = rows,
+       cols = cols](NodeId v, RowWriter& out) {
+        const std::size_t r = BlockTree::row_of(cols, v);
+        const std::size_t c = BlockTree::col_of(cols, v);
+        const auto at = [cols](std::size_t row, std::size_t col) {
+          return BlockTree::node_at(cols, row, col);
+        };
+        if (on_spine(c) && r > 0) out.add(at(r - 1, c), 1);
+        if (has_left(r, c)) out.add(at(r, c - 1), on_spine(c) ? weight_s : 1);
         if (has_right(r, c)) {
-          out.add(node_at(r, c + 1), on_right_edge(c) ? weight_s : 1);
+          out.add(at(r, c + 1), on_right_edge(c) ? weight_s : 1);
         }
-        if (on_spine(c) && r + 1 < rows) out.add(node_at(r + 1, c), 1);
-      });
+        if (on_spine(c) && r + 1 < rows) out.add(at(r + 1, c), 1);
+      },
+      FamilyKey{TopologyKind::kBlockTree, {s}});
 }
 
 Weight BlockTree::distance_for(std::size_t s, std::size_t sqrt_s,

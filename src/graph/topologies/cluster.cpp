@@ -12,22 +12,28 @@ ClusterGraph::ClusterGraph(std::size_t alpha_in, std::size_t beta_in,
   // γ, bridges only), the rest of cluster c (weight 1), then the bridges
   // of clusters after c — already in ascending id order.
   graph = Graph::from_rows(
-      checked_node_count(alpha, beta),
+      checked_node_count(alpha, beta), alpha > 1 ? gamma : 1,
       [&](NodeId v) { return (beta - 1) + (is_bridge(v) ? alpha - 1 : 0); },
-      [&](NodeId v, RowWriter& out) {
-        const std::size_t c = cluster_of(v);
-        const NodeId first = bridge_of(c);
-        if (is_bridge(v)) {
-          for (std::size_t d = 0; d < c; ++d) out.add(bridge_of(d), gamma);
-        }
-        for (NodeId w = first; w < v; ++w) out.add(w, 1);
-        for (NodeId w = v + 1; w < first + beta; ++w) out.add(w, 1);
-        if (is_bridge(v)) {
-          for (std::size_t d = c + 1; d < alpha; ++d) {
-            out.add(bridge_of(d), gamma);
+      [alpha = alpha, beta = beta, gamma = gamma](NodeId v, RowWriter& out) {
+        const std::size_t c = ClusterGraph::cluster_of(beta, v);
+        const bool bridge = ClusterGraph::is_bridge(beta, v);
+        if (bridge) {
+          for (std::size_t d = 0; d < c; ++d) {
+            out.add(ClusterGraph::bridge_of(beta, d), gamma);
           }
         }
-      });
+        for (std::size_t i = 0; i < beta; ++i) {
+          const NodeId w = ClusterGraph::node_at(beta, c, i);
+          if (w != v) out.add(w, 1);
+        }
+        if (bridge) {
+          for (std::size_t d = c + 1; d < alpha; ++d) {
+            out.add(ClusterGraph::bridge_of(beta, d), gamma);
+          }
+        }
+      },
+      FamilyKey{TopologyKind::kCluster,
+                {alpha, beta, static_cast<std::uint64_t>(gamma)}});
 }
 
 }  // namespace dtm

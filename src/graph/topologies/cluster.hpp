@@ -21,11 +21,22 @@ struct ClusterGraph {
 
   NodeId node_at(std::size_t cluster, std::size_t i) const {
     DTM_ASSERT(cluster < alpha && i < beta);
+    return node_at(beta, cluster, i);
+  }
+  std::size_t cluster_of(NodeId v) const { return cluster_of(beta, v); }
+  NodeId bridge_of(std::size_t cluster) const { return node_at(cluster, 0); }
+  bool is_bridge(NodeId v) const { return is_bridge(beta, v); }
+
+  // The layout as functions of the family parameters alone, for code that
+  // outlives this object (the graph's row source).
+  static NodeId node_at(std::size_t beta, std::size_t cluster, std::size_t i) {
     return static_cast<NodeId>(cluster * beta + i);
   }
-  std::size_t cluster_of(NodeId v) const { return v / beta; }
-  NodeId bridge_of(std::size_t cluster) const { return node_at(cluster, 0); }
-  bool is_bridge(NodeId v) const { return v % beta == 0; }
+  static std::size_t cluster_of(std::size_t beta, NodeId v) { return v / beta; }
+  static NodeId bridge_of(std::size_t beta, std::size_t cluster) {
+    return node_at(beta, cluster, 0);
+  }
+  static bool is_bridge(std::size_t beta, NodeId v) { return v % beta == 0; }
 
   /// Closed-form shortest distance (1 inside a cluster; through the two
   /// bridges otherwise).

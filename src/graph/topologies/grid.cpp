@@ -7,19 +7,20 @@ Grid::Grid(std::size_t rows_in, std::size_t cols_in)
   DTM_REQUIRE(rows >= 1 && cols >= 1, "grid needs positive dimensions");
   // Row of (r, c) in ascending id order: up, left, right, down.
   graph = Graph::from_rows(
-      checked_node_count(rows, cols),
+      checked_node_count(rows, cols), 1,
       [&](NodeId v) {
         const std::size_t r = row_of(v), c = col_of(v);
         return std::size_t{r > 0} + (c > 0) + (c + 1 < cols) +
                (r + 1 < rows);
       },
-      [&](NodeId v, RowWriter& out) {
-        const std::size_t r = row_of(v), c = col_of(v);
-        if (r > 0) out.add(node_at(r - 1, c), 1);
-        if (c > 0) out.add(node_at(r, c - 1), 1);
-        if (c + 1 < cols) out.add(node_at(r, c + 1), 1);
-        if (r + 1 < rows) out.add(node_at(r + 1, c), 1);
-      });
+      [rows = rows, cols = cols](NodeId v, RowWriter& out) {
+        const std::size_t r = Grid::row_of(cols, v), c = Grid::col_of(cols, v);
+        if (r > 0) out.add(Grid::node_at(cols, r - 1, c), 1);
+        if (c > 0) out.add(Grid::node_at(cols, r, c - 1), 1);
+        if (c + 1 < cols) out.add(Grid::node_at(cols, r, c + 1), 1);
+        if (r + 1 < rows) out.add(Grid::node_at(cols, r + 1, c), 1);
+      },
+      FamilyKey{TopologyKind::kGrid, {rows, cols}});
 }
 
 }  // namespace dtm

@@ -20,10 +20,18 @@ struct Grid {
 
   NodeId node_at(std::size_t r, std::size_t c) const {
     DTM_ASSERT(r < rows && c < cols);
+    return node_at(cols, r, c);
+  }
+  std::size_t row_of(NodeId v) const { return row_of(cols, v); }
+  std::size_t col_of(NodeId v) const { return col_of(cols, v); }
+
+  // The layout as functions of the family parameters alone, for code that
+  // outlives this object (the graph's row source).
+  static NodeId node_at(std::size_t cols, std::size_t r, std::size_t c) {
     return static_cast<NodeId>(r * cols + c);
   }
-  std::size_t row_of(NodeId v) const { return v / cols; }
-  std::size_t col_of(NodeId v) const { return v % cols; }
+  static std::size_t row_of(std::size_t cols, NodeId v) { return v / cols; }
+  static std::size_t col_of(std::size_t cols, NodeId v) { return v % cols; }
 
   /// Manhattan distance (closed form; equals graph shortest distance).
   static Weight distance_for(std::size_t cols, NodeId u, NodeId v) {

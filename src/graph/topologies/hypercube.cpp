@@ -8,8 +8,8 @@ Hypercube::Hypercube(std::size_t dim_in) : dim(dim_in) {
   // bits from the highest down, then clear bits from the lowest up, give
   // the row in ascending id order.
   graph = Graph::from_rows(
-      num_nodes(), [&](NodeId) { return dim; },
-      [&](NodeId u, RowWriter& out) {
+      num_nodes(), 1, [&](NodeId) { return dim; },
+      [dim = dim](NodeId u, RowWriter& out) {
         for (std::size_t bit = dim; bit-- > 0;) {
           const NodeId mask = NodeId{1} << bit;
           if (u & mask) out.add(u ^ mask, 1);
@@ -18,7 +18,8 @@ Hypercube::Hypercube(std::size_t dim_in) : dim(dim_in) {
           const NodeId mask = NodeId{1} << bit;
           if (!(u & mask)) out.add(u ^ mask, 1);
         }
-      });
+      },
+      FamilyKey{TopologyKind::kHypercube, {dim}});
 }
 
 }  // namespace dtm

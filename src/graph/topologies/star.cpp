@@ -12,18 +12,23 @@ Star::Star(std::size_t alpha_in, std::size_t beta_in)
   // The center's row is the first node of every ray; a ray node's row is
   // its inner neighbor (the center at position 1), then its outer one.
   graph = Graph::from_rows(
-      checked_node_count(alpha, beta) + 1,
+      checked_node_count(alpha, beta) + 1, 1,
       [&](NodeId v) -> std::size_t {
         return is_center(v) ? alpha : 1 + (pos_of(v) < beta);
       },
-      [&](NodeId v, RowWriter& out) {
-        if (is_center(v)) {
-          for (std::size_t r = 0; r < alpha; ++r) out.add(node_at(r, 1), 1);
+      [alpha = alpha, beta = beta](NodeId v, RowWriter& out) {
+        if (v == 0) {
+          for (std::size_t r = 0; r < alpha; ++r) {
+            out.add(Star::node_at(beta, r, 1), 1);
+          }
           return;
         }
-        out.add(pos_of(v) == 1 ? center() : v - 1, 1);
-        if (pos_of(v) < beta) out.add(v + 1, 1);
-      });
+        const std::size_t ray = Star::ray_of(beta, v);
+        const std::size_t pos = Star::pos_of(beta, v);
+        out.add(pos == 1 ? 0 : Star::node_at(beta, ray, pos - 1), 1);
+        if (pos < beta) out.add(Star::node_at(beta, ray, pos + 1), 1);
+      },
+      FamilyKey{TopologyKind::kStar, {alpha, beta}});
 }
 
 std::size_t Star::num_segments() const {
@@ -53,15 +58,16 @@ std::pair<std::size_t, std::size_t> Star::segment_range(
 
 Weight Star::distance_for(std::size_t beta, NodeId u, NodeId v) {
   if (u == v) return 0;
-  const auto pos = [beta](NodeId x) { return (x - 1) % beta + 1; };
-  if (u == 0) return static_cast<Weight>(pos(v));
-  if (v == 0) return static_cast<Weight>(pos(u));
-  if ((u - 1) / beta == (v - 1) / beta) {
-    const auto pu = static_cast<Weight>(pos(u));
-    const auto pv = static_cast<Weight>(pos(v));
+  const auto pos = [beta](NodeId x) {
+    return static_cast<Weight>(pos_of(beta, x));
+  };
+  if (u == 0) return pos(v);
+  if (v == 0) return pos(u);
+  if (ray_of(beta, u) == ray_of(beta, v)) {
+    const Weight pu = pos(u), pv = pos(v);
     return pu > pv ? pu - pv : pv - pu;
   }
-  return static_cast<Weight>(pos(u) + pos(v));
+  return pos(u) + pos(v);
 }
 
 }  // namespace dtm

@@ -26,16 +26,28 @@ struct Star {
 
   NodeId node_at(std::size_t ray, std::size_t pos) const {
     DTM_ASSERT(ray < alpha && pos >= 1 && pos <= beta);
-    return static_cast<NodeId>(1 + ray * beta + (pos - 1));
+    return node_at(beta, ray, pos);
   }
   bool is_center(NodeId v) const { return v == 0; }
   std::size_t ray_of(NodeId v) const {
     DTM_ASSERT(v != 0);
-    return (v - 1) / beta;
+    return ray_of(beta, v);
   }
   /// Distance from the center, in [1, β].
   std::size_t pos_of(NodeId v) const {
     DTM_ASSERT(v != 0);
+    return pos_of(beta, v);
+  }
+
+  // The layout as functions of the family parameters alone, for code that
+  // outlives this object (the graph's row source).
+  static NodeId node_at(std::size_t beta, std::size_t ray, std::size_t pos) {
+    return static_cast<NodeId>(1 + ray * beta + (pos - 1));
+  }
+  static std::size_t ray_of(std::size_t beta, NodeId v) {
+    return (v - 1) / beta;
+  }
+  static std::size_t pos_of(std::size_t beta, NodeId v) {
     return (v - 1) % beta + 1;
   }
 

@@ -71,9 +71,10 @@ TwinClasses compute_twin_classes(const Graph& g) {
   // only group candidates — membership is verified exactly, so a
   // collision can cost time but never merge non-twins.
   std::vector<std::uint64_t> sig_true(n), sig_false(n);
+  const Graph::Adjacency adj = g.adjacency();
   for (NodeId u = 0; u < n; ++u) {
     std::uint64_t ids = 0, weights = 0;
-    for (const Arc& a : g.neighbors(u)) {
+    for (const Arc& a : adj.neighbors(u)) {
       ids += mix(a.to);
       weights += mix(0x517cc1b727220a95ull ^ static_cast<std::uint64_t>(a.weight));
     }

@@ -34,6 +34,7 @@ std::vector<NodeId> reroute_path(const Graph& g, const FaultModel& model,
   const std::size_t n = g.num_nodes();
   std::vector<Weight> dist(n, kInfiniteWeight);
   std::vector<NodeId> parent(n, kInvalidNode);
+  const Graph::Adjacency adj = g.adjacency();
   using Item = std::pair<Weight, NodeId>;
   std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
   dist[from] = 0;
@@ -43,7 +44,7 @@ std::vector<NodeId> reroute_path(const Graph& g, const FaultModel& model,
     heap.pop();
     if (d != dist[u]) continue;
     if (u == to) break;
-    for (const Arc& arc : g.neighbors(u)) {
+    for (const Arc& arc : adj.neighbors(u)) {
       if (model.link_down(u, arc.to, now)) continue;
       const Weight nd = d + arc.weight;
       if (nd < dist[arc.to]) {

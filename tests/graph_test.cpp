@@ -1,6 +1,7 @@
 // Unit tests for the CSR graph and single-source shortest paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -9,10 +10,13 @@
 #include "graph/topologies/clique.hpp"
 #include "graph/topologies/grid.hpp"
 #include "graph/topologies/line.hpp"
+#include "test_util.hpp"
 #include "util/error.hpp"
 
 namespace dtm {
 namespace {
+
+using test::materialized_count;
 
 Graph triangle_with_tail() {
   // 0-1 (1), 1-2 (2), 0-2 (4), 2-3 (1)
@@ -72,25 +76,36 @@ TEST(Graph, SingleNodeIsConnected) {
 }
 
 // Builds a graph through Graph::from_rows from explicit rows; `degrees`
-// overrides each row's declared length (defaults to the row's size).
-Graph from_arc_rows(const std::vector<std::vector<Arc>>& rows,
-                    std::vector<std::size_t> degrees = {}) {
+// overrides each row's declared length (defaults to the row's size) and
+// `max_weight` the declared heaviest weight (defaults to the rows' own).
+// The row source owns its rows: from_rows graphs write them on first read.
+Graph from_arc_rows(std::vector<std::vector<Arc>> rows,
+                    std::vector<std::size_t> degrees = {},
+                    Weight max_weight = 0) {
   if (degrees.empty()) {
     for (const auto& row : rows) degrees.push_back(row.size());
   }
+  if (max_weight == 0) {
+    for (const auto& row : rows) {
+      for (const Arc& a : row) max_weight = std::max(max_weight, a.weight);
+    }
+  }
+  const std::size_t n = rows.size();
   return Graph::from_rows(
-      rows.size(), [&](NodeId u) { return degrees[u]; },
-      [&](NodeId u, RowWriter& out) {
+      n, max_weight, [&](NodeId u) { return degrees[u]; },
+      [rows = std::move(rows)](NodeId u, RowWriter& out) {
         for (const Arc& a : rows[u]) out.add(a.to, a.weight);
       });
 }
 
-// Expects from_arc_rows to throw dtm::Error whose message names `what`.
+// Expects building `rows` and reading them to throw dtm::Error whose
+// message names `what`.
 void expect_rows_rejected(const std::vector<std::vector<Arc>>& rows,
                           const std::string& what,
-                          std::vector<std::size_t> degrees = {}) {
+                          std::vector<std::size_t> degrees = {},
+                          Weight max_weight = 0) {
   try {
-    from_arc_rows(rows, std::move(degrees));
+    from_arc_rows(rows, std::move(degrees), max_weight).neighbors(0);
     ADD_FAILURE() << "expected an Error mentioning '" << what << "'";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
@@ -141,6 +156,92 @@ TEST(FromRows, CheckedNodeCount) {
   EXPECT_EQ(checked_node_count(kInvalidNode - 1, 1), kInvalidNode - 1);
   EXPECT_THROW(checked_node_count(65535, 65537), Error);  // = kInvalidNode
   EXPECT_THROW(checked_node_count((std::size_t{1} << 63) + 1, 2), Error);
+}
+
+TEST(LazyRows, CountsAndWeightsDoNotWriteRows) {
+  const auto before = materialized_count();
+  const Graph g = from_arc_rows({{{1, 1}, {2, 4}},
+                                 {{0, 1}, {2, 2}},
+                                 {{0, 4}, {1, 2}, {3, 1}},
+                                 {{2, 1}}});
+  EXPECT_EQ(g.num_nodes(), 4u);
+  EXPECT_EQ(g.num_edges(), 4u);
+  EXPECT_EQ(g.degree(2), 3u);
+  EXPECT_EQ(g.max_weight(), 4);
+  EXPECT_FALSE(g.unit_weights());
+  EXPECT_EQ(materialized_count(), before);
+  EXPECT_EQ(g.neighbors(2).size(), 3u);
+  EXPECT_EQ(materialized_count(), before + 1);
+}
+
+TEST(LazyRows, BadRowSourceThrowsOnFirstRead) {
+  // The row writes 2 where degree() promised 1: not seen until first read.
+  const Graph g = from_arc_rows({{{1, 1}, {1, 1}}, {{0, 1}}}, {1, 1});
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_THROW(g.neighbors(0), Error);
+  EXPECT_THROW(g.neighbors(1), Error);  // a failed write is not kept
+  GraphBuilder edge(2);
+  edge.add_edge(0, 1);
+  EXPECT_THROW((void)(g == edge.build()), Error);
+}
+
+TEST(LazyRows, DeclaredMaxWeightMustMatchRows) {
+  const std::vector<std::vector<Arc>> weighted = {{{1, 4}}, {{0, 4}}};
+  EXPECT_EQ(from_arc_rows(weighted, {}, 7).max_weight(), 7);
+  expect_rows_rejected(weighted, "declared 7", {}, 7);
+  // Declaring unit weights for rows that carry a weight-4 arc.
+  EXPECT_TRUE(from_arc_rows(weighted, {}, 1).unit_weights());
+  expect_rows_rejected(weighted, "declared 1", {}, 1);
+  expect_rows_rejected({{{1, 1}}, {{0, 1}}}, "declared 2", {}, 2);
+  EXPECT_THROW(from_arc_rows(weighted, {}, -1), Error);
+}
+
+TEST(LazyRows, CopiesShareOneMaterialization) {
+  const Graph a = from_arc_rows({{{1, 2}}, {{0, 2}, {2, 1}}, {{1, 1}}});
+  const Graph b = a;
+  Graph c;
+  c = b;
+  const auto before = materialized_count();
+  EXPECT_EQ(b.neighbors(1).size(), 2u);
+  EXPECT_EQ(a.neighbors(0).data(), b.neighbors(0).data());
+  EXPECT_EQ(c.neighbors(2)[0].to, 1u);
+  EXPECT_EQ(materialized_count(), before + 1);
+  EXPECT_EQ(a, c);
+  EXPECT_EQ(materialized_count(), before + 1);
+}
+
+TEST(LazyRows, AdjacencyViewWritesOnceAndMatchesNeighbors) {
+  const Graph g = from_arc_rows({{{1, 1}, {2, 4}},
+                                 {{0, 1}, {2, 2}},
+                                 {{0, 4}, {1, 2}, {3, 1}},
+                                 {{2, 1}}});
+  const auto before = materialized_count();
+  const Graph::Adjacency adj = g.adjacency();
+  EXPECT_EQ(materialized_count(), before + 1);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto view = adj.neighbors(u);
+    const auto row = g.neighbors(u);
+    EXPECT_EQ(view.data(), row.data()) << u;
+    EXPECT_EQ(view.size(), row.size()) << u;
+  }
+  (void)g.adjacency();
+  EXPECT_EQ(materialized_count(), before + 1);
+  // A bad row source throws from adjacency() as from neighbors().
+  const Graph bad = from_arc_rows({{{1, 1}, {1, 1}}, {{0, 1}}}, {1, 1});
+  EXPECT_THROW((void)bad.adjacency(), Error);
+  // A default graph has no block; its view is empty and writes nothing.
+  (void)Graph().adjacency();
+  EXPECT_EQ(materialized_count(), before + 1);
+}
+
+TEST(LazyRows, UnkeyedGraphsCompareByArcs) {
+  const auto rows = std::vector<std::vector<Arc>>{{{1, 1}}, {{0, 1}}};
+  const Graph a = from_arc_rows(rows);
+  const Graph b = from_arc_rows(rows);
+  const auto before = materialized_count();
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(materialized_count(), before + 2);
+  EXPECT_NE(a, from_arc_rows({{{1, 1}}, {{0, 1}}, {}}));  // node count
 }
 
 TEST(Dijkstra, WeightedDistances) {

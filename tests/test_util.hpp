@@ -11,6 +11,7 @@
 #include "graph/metric.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
+#include "util/telemetry.hpp"
 
 namespace dtm::test {
 
@@ -30,6 +31,11 @@ inline Schedule run_and_check(Scheduler& sched, const Instance& inst,
     EXPECT_EQ(sim.realized_makespan, s.makespan()) << sched.name();
   }
   return s;
+}
+
+/// Row arrays written so far by row-built graphs (see Graph::from_rows).
+inline std::uint64_t materialized_count() {
+  return telemetry::counter("graph.materialized").value();
 }
 
 }  // namespace dtm::test

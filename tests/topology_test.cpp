@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
+#include <vector>
 
 #include "graph/metric.hpp"
 #include "graph/shortest_paths.hpp"
@@ -16,9 +18,12 @@
 #include "graph/topologies/line.hpp"
 #include "graph/topologies/star.hpp"
 #include "graph/topologies/topology.hpp"
+#include "test_util.hpp"
 
 namespace dtm {
 namespace {
+
+using test::materialized_count;
 
 TEST(TopologyKind, Names) {
   EXPECT_STREQ(to_string(TopologyKind::kClique), "clique");
@@ -422,6 +427,38 @@ Graph reference_block_tree(std::size_t s, std::size_t sqrt_s) {
   return b.build();
 }
 
+Graph reference_butterfly(std::size_t dim) {
+  const std::size_t rows = std::size_t{1} << dim;
+  GraphBuilder b((dim + 1) * rows);
+  const auto at = [rows](std::size_t l, std::size_t r) {
+    return static_cast<NodeId>(l * rows + r);
+  };
+  for (std::size_t l = 0; l < dim; ++l) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      b.add_edge(at(l, r), at(l + 1, r), 1);
+      b.add_edge(at(l, r), at(l + 1, r ^ (std::size_t{1} << l)), 1);
+    }
+  }
+  return b.build();
+}
+
+// A fresh row-built graph equals its edge-list reference, and the
+// comparison writes its rows exactly once (the reference is already
+// written, and keys cannot settle a comparison with it).
+::testing::AssertionResult equals_reference(const Graph& lazy,
+                                            const Graph& reference) {
+  const auto before = materialized_count();
+  if (!(lazy == reference)) {
+    return ::testing::AssertionFailure() << "differs from the edge list";
+  }
+  const auto written = materialized_count() - before;
+  if (written != 1) {
+    return ::testing::AssertionFailure()
+           << "comparison wrote " << written << " row arrays, expected 1";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // Every arc u→v of weight w is matched by an arc v→u of weight w, counted
 // with multiplicity (rows are sorted, so equal_range finds the matches).
 ::testing::AssertionResult arcs_symmetric(const Graph& g) {
@@ -448,7 +485,8 @@ Graph reference_block_tree(std::size_t s, std::size_t sqrt_s) {
 TEST(RowBuiltTopologies, CliqueMatchesEdgeList) {
   for (std::size_t n : {1, 2, 3, 7, 16}) {
     const Clique c(n);
-    EXPECT_EQ(c.graph, reference_clique(n)) << "n=" << n;
+    EXPECT_TRUE(equals_reference(c.graph, reference_clique(n)))
+        << "n=" << n;
     EXPECT_TRUE(arcs_symmetric(c.graph)) << "n=" << n;
   }
 }
@@ -456,7 +494,8 @@ TEST(RowBuiltTopologies, CliqueMatchesEdgeList) {
 TEST(RowBuiltTopologies, LineMatchesEdgeList) {
   for (std::size_t n : {1, 2, 3, 10, 64}) {
     const Line l(n);
-    EXPECT_EQ(l.graph, reference_line(n)) << "n=" << n;
+    EXPECT_TRUE(equals_reference(l.graph, reference_line(n)))
+        << "n=" << n;
     EXPECT_TRUE(arcs_symmetric(l.graph)) << "n=" << n;
   }
 }
@@ -465,7 +504,8 @@ TEST(RowBuiltTopologies, GridMatchesEdgeList) {
   for (std::size_t rows : {1, 2, 3, 7}) {
     for (std::size_t cols : {1, 2, 5, 9}) {
       const Grid g(rows, cols);
-      EXPECT_EQ(g.graph, reference_grid(rows, cols)) << rows << "x" << cols;
+      EXPECT_TRUE(equals_reference(g.graph, reference_grid(rows, cols)))
+          << rows << "x" << cols;
       EXPECT_TRUE(arcs_symmetric(g.graph)) << rows << "x" << cols;
     }
   }
@@ -476,7 +516,8 @@ TEST(RowBuiltTopologies, ClusterMatchesEdgeList) {
     for (std::size_t beta : {1, 2, 5, 8}) {
       for (Weight gamma : {1, 3, 9}) {
         const ClusterGraph cg(alpha, beta, gamma);
-        EXPECT_EQ(cg.graph, reference_cluster(alpha, beta, gamma))
+        EXPECT_TRUE(equals_reference(cg.graph,
+                                     reference_cluster(alpha, beta, gamma)))
             << alpha << "x" << beta << " gamma=" << gamma;
         EXPECT_TRUE(arcs_symmetric(cg.graph))
             << alpha << "x" << beta << " gamma=" << gamma;
@@ -488,7 +529,8 @@ TEST(RowBuiltTopologies, ClusterMatchesEdgeList) {
 TEST(RowBuiltTopologies, HypercubeMatchesEdgeList) {
   for (std::size_t dim : {1, 2, 3, 6}) {
     const Hypercube h(dim);
-    EXPECT_EQ(h.graph, reference_hypercube(dim)) << "dim=" << dim;
+    EXPECT_TRUE(equals_reference(h.graph, reference_hypercube(dim)))
+        << "dim=" << dim;
     EXPECT_TRUE(arcs_symmetric(h.graph)) << "dim=" << dim;
   }
 }
@@ -497,7 +539,8 @@ TEST(RowBuiltTopologies, StarMatchesEdgeList) {
   for (std::size_t alpha : {1, 2, 5}) {
     for (std::size_t beta : {1, 2, 3, 8}) {
       const Star st(alpha, beta);
-      EXPECT_EQ(st.graph, reference_star(alpha, beta)) << alpha << "x" << beta;
+      EXPECT_TRUE(equals_reference(st.graph, reference_star(alpha, beta)))
+          << alpha << "x" << beta;
       EXPECT_TRUE(arcs_symmetric(st.graph)) << alpha << "x" << beta;
     }
   }
@@ -506,7 +549,8 @@ TEST(RowBuiltTopologies, StarMatchesEdgeList) {
 TEST(RowBuiltTopologies, BlockGridMatchesEdgeList) {
   for (std::size_t t : {1, 2, 3}) {
     const BlockGrid g(t * t);
-    EXPECT_EQ(g.graph, reference_block_grid(t * t, t)) << "s=" << t * t;
+    EXPECT_TRUE(equals_reference(g.graph, reference_block_grid(t * t, t)))
+        << "s=" << t * t;
     EXPECT_TRUE(arcs_symmetric(g.graph)) << "s=" << t * t;
   }
 }
@@ -514,9 +558,87 @@ TEST(RowBuiltTopologies, BlockGridMatchesEdgeList) {
 TEST(RowBuiltTopologies, BlockTreeMatchesEdgeList) {
   for (std::size_t t : {1, 2, 3}) {
     const BlockTree bt(t * t);
-    EXPECT_EQ(bt.graph, reference_block_tree(t * t, t)) << "s=" << t * t;
+    EXPECT_TRUE(equals_reference(bt.graph, reference_block_tree(t * t, t)))
+        << "s=" << t * t;
     EXPECT_TRUE(arcs_symmetric(bt.graph)) << "s=" << t * t;
   }
+}
+
+TEST(RowBuiltTopologies, ButterflyMatchesEdgeList) {
+  for (std::size_t dim = 1; dim <= 6; ++dim) {
+    const Butterfly bf(dim);
+    EXPECT_TRUE(equals_reference(bf.graph, reference_butterfly(dim)))
+        << "dim=" << dim;
+    EXPECT_TRUE(arcs_symmetric(bf.graph)) << "dim=" << dim;
+  }
+}
+
+// ------------------------------------------------------------ lazy rows
+
+TEST(LazyRows, SameParametersCompareEqualWithoutRows) {
+  const auto before = materialized_count();
+  EXPECT_EQ(ClusterGraph(3, 4, 5).graph, ClusterGraph(3, 4, 5).graph);
+  EXPECT_EQ(Grid(4, 6).graph, Grid(4, 6).graph);
+  EXPECT_EQ(Butterfly(3).graph, Butterfly(3).graph);
+  EXPECT_EQ(BlockTree(4).graph, BlockTree(4).graph);
+  // Mismatches that node counts, degrees or weights settle read no arcs.
+  EXPECT_NE(ClusterGraph(3, 4, 5).graph, ClusterGraph(3, 4, 6).graph);
+  EXPECT_NE(ClusterGraph(3, 4, 5).graph, ClusterGraph(4, 3, 5).graph);
+  EXPECT_NE(Grid(4, 6).graph, Grid(6, 4).graph);
+  EXPECT_EQ(materialized_count(), before);
+}
+
+TEST(LazyRows, DifferentFamiliesFallBackToArcs) {
+  for (std::size_t n : {1, 2, 5}) {
+    const auto before = materialized_count();
+    EXPECT_EQ(Grid(1, n).graph, Line(n).graph) << "n=" << n;
+    EXPECT_EQ(Grid(n, 1).graph, Line(n).graph) << "n=" << n;
+    EXPECT_EQ(materialized_count(), before + 4) << "n=" << n;
+  }
+  EXPECT_EQ(Hypercube(2).graph, Grid(2, 2).graph);
+  EXPECT_EQ(ClusterGraph(1, 4, 9).graph, Clique(4).graph);
+  // Both 4-cycles, numbered differently.
+  EXPECT_NE(Hypercube(2).graph, Butterfly(1).graph);
+}
+
+TEST(LazyRows, FamilyCopiesOutliveTheirTopology) {
+  // The row source captures parameters by value: a graph copied out of a
+  // temporary topology still writes the right rows.
+  const Graph g = ClusterGraph(3, 4, 5).graph;
+  EXPECT_TRUE(equals_reference(g, reference_cluster(3, 4, 5)));
+  const auto make_grid = [] { return Grid(3, 5); };
+  const Grid moved = make_grid();
+  EXPECT_TRUE(equals_reference(moved.graph, reference_grid(3, 5)));
+}
+
+// Concurrent first readers of one block: every thread sees the same,
+// complete arcs and the rows are written once. Run under ThreadSanitizer
+// in CI.
+TEST(LazyRows, ConcurrentFirstReadsWriteOnce) {
+  const ClusterGraph cg(12, 10, 7);
+  const Graph copy = cg.graph;
+  const auto before = materialized_count();
+  constexpr int kThreads = 8;
+  std::vector<std::vector<Arc>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const Graph& g = t % 2 ? copy : cg.graph;
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        const auto row = g.neighbors(u);
+        seen[t].insert(seen[t].end(), row.begin(), row.end());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(materialized_count(), before + 1);
+  const Graph reference = reference_cluster(12, 10, 7);
+  std::vector<Arc> expected;
+  for (NodeId u = 0; u < reference.num_nodes(); ++u) {
+    const auto row = reference.neighbors(u);
+    expected.insert(expected.end(), row.begin(), row.end());
+  }
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t], expected) << t;
 }
 
 // An overflowing node-count product throws dtm::Error before anything is
