@@ -29,7 +29,7 @@
 #include "lb/bounds.hpp"
 #include "sched/registry.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/capacity_sim.hpp"
+#include "sim/simulator.hpp"
 #include "trial_runner.hpp"
 #include "util/args.hpp"
 #include "util/json_writer.hpp"
@@ -102,18 +102,18 @@ inline std::function<Instance(std::uint64_t)> uniform_workload(
 }
 
 /// Per-trial fault setup for a capacity sweep. Owns the FaultModel so the
-/// non-owning pointer inside CapacitySimOptions stays valid for the whole
-/// trial; a null model is the reliable substrate.
+/// non-owning pointer inside SimOptions stays valid for the whole trial; a
+/// null model is the reliable substrate.
 struct TrialFaults {
   std::unique_ptr<FaultModel> model;
   RecoveryPolicy recovery{};
 
-  CapacitySimOptions options(std::size_t capacity) const {
-    CapacitySimOptions o;
-    o.capacity = capacity;
-    o.faults = model.get();
-    o.recovery = recovery;
-    return o;
+  /// Earliest-commit re-execution of the visit orders at `capacity`.
+  SimOptions options(std::size_t capacity) const {
+    return {.faults = model.get(),
+            .recovery = recovery,
+            .capacity = capacity,
+            .earliest_commit = true};
   }
 };
 
@@ -153,10 +153,10 @@ inline CapacityCellStats run_capacity_cell(
     const Schedule s = sched->run(inst, metric);
     const TrialFaults faults = faults_for ? faults_for(seed) : TrialFaults{};
     for (std::size_t i = 0; i < capacities.size(); ++i) {
-      const CapacitySimResult r =
-          simulate_with_capacity(inst, metric, s, faults.options(capacities[i]));
-      DTM_REQUIRE(r.ok, "capacity sim failed: " << r.error);
-      cell.makespan[i].add(static_cast<double>(r.makespan));
+      const SimResult r =
+          simulate(inst, metric, s, faults.options(capacities[i]));
+      DTM_REQUIRE(r.ok, "capacity sim failed: " << r.summary());
+      cell.makespan[i].add(static_cast<double>(r.realized_makespan));
       cell.queue_wait[i].add(static_cast<double>(r.total_queue_wait));
       cell.injected[i].add(static_cast<double>(r.faults.injected));
       cell.reroutes[i].add(static_cast<double>(r.faults.reroutes));

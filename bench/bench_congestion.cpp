@@ -16,7 +16,6 @@
 #include "graph/topologies/line.hpp"
 #include "graph/topologies/star.hpp"
 #include "sched/registry.hpp"
-#include "sim/capacity_sim.hpp"
 #include "sim/congestion.hpp"
 #include "util/rng.hpp"
 

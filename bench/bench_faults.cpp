@@ -410,12 +410,11 @@ void write_smoke_trace(const std::string& path, const std::string& invocation) {
   fc.loss_rate = 0.025;
   fc.seed = 1;
   const FaultModel model(fc);
-  CapacitySimOptions opts;
-  opts.capacity = 1;
-  opts.faults = &model;
-  const CapacitySimResult r = simulate_with_capacity(inst, metric, s, opts);
+  const SimResult r = simulate(
+      inst, metric, s,
+      {.faults = &model, .capacity = 1, .earliest_commit = true});
   rec.set_enabled(false);
-  DTM_REQUIRE(r.ok, "traced run failed: " << r.error);
+  DTM_REQUIRE(r.ok, "traced run failed: " << r.summary());
 
   std::ofstream out(path);
   DTM_REQUIRE(out.good(), "cannot open --trace-out file " << path);

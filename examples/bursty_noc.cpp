@@ -5,9 +5,9 @@
 // Shows the two model extensions working together:
 //  * online window-batched scheduling (sched/online.hpp) — commits are
 //    fixed without future knowledge;
-//  * capacity-constrained re-execution (sim/capacity_sim.hpp) — the
-//    resulting policy is replayed on serializing links to measure the
-//    congestion stretch.
+//  * capacity-constrained re-execution (simulate() with earliest_commit,
+//    sim/simulator.hpp) — the resulting policy is replayed on serializing
+//    links to measure the congestion stretch.
 #include <iostream>
 
 #include "core/generators.hpp"
@@ -15,8 +15,7 @@
 #include "graph/metric.hpp"
 #include "graph/topologies/grid.hpp"
 #include "sched/online.hpp"
-#include "sim/capacity_sim.hpp"
-#include "sim/congestion.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -44,17 +43,17 @@ int main() {
     const Schedule s = sched.run_online(inst, metric, arrival);
     const auto vr = validate_online(inst, metric, arrival, s);
     DTM_REQUIRE(vr.ok, "infeasible online schedule: " << vr.summary());
-    const CapacitySimResult unbounded =
-        simulate_with_capacity(inst, metric, s, capacity_options(0));
-    const CapacitySimResult tight =
-        simulate_with_capacity(inst, metric, s, capacity_options(1));
+    const SimResult unbounded =
+        simulate(inst, metric, s, {.capacity = 0, .earliest_commit = true});
+    const SimResult tight =
+        simulate(inst, metric, s, {.capacity = 1, .earliest_commit = true});
     DTM_REQUIRE(unbounded.ok && tight.ok, "capacity replay failed");
     table.add_row(sched.name(), batches, static_cast<double>(s.makespan()),
-                  static_cast<double>(unbounded.makespan),
-                  static_cast<double>(tight.makespan),
+                  static_cast<double>(unbounded.realized_makespan),
+                  static_cast<double>(tight.realized_makespan),
                   static_cast<double>(tight.total_queue_wait),
-                  static_cast<double>(tight.makespan) /
-                      static_cast<double>(unbounded.makespan));
+                  static_cast<double>(tight.realized_makespan) /
+                      static_cast<double>(unbounded.realized_makespan));
   };
   for (Time window : {Time{8}, Time{32}, Time{128}}) {
     OnlineBatchScheduler sched({.window = window});

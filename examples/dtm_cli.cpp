@@ -41,7 +41,6 @@
 #include "sched/online.hpp"
 #include "sched/registry.hpp"
 #include "sched/reschedule.hpp"
-#include "sim/capacity_sim.hpp"
 #include "sim/congestion.hpp"
 #include "sim/optimistic.hpp"
 #include "sim/runtime.hpp"
@@ -437,14 +436,14 @@ int run(const ArgParser& args, const std::string& invocation) {
       // This replay is the recorded execution when tracing (its makespan is
       // the printed one); the plain run above was kept off the recorder.
       const auto cap = static_cast<std::size_t>(args.get_int("capacity", 1));
-      CapacitySimOptions cap_opts;
-      cap_opts.capacity = cap;
-      if (faults) cap_opts.faults = &*faults;
-      const CapacitySimResult replay =
-          simulate_with_capacity(inst, *metric, schedule, cap_opts);
-      DTM_REQUIRE(replay.ok, "capacity replay failed: " << replay.error);
+      const SimResult replay = simulate(
+          inst, *metric, schedule,
+          {.faults = faults ? &*faults : nullptr,
+           .capacity = cap,
+           .earliest_commit = true});
+      DTM_REQUIRE(replay.ok, "capacity replay failed: " << replay.summary());
       std::cout << "capacity-" << cap << " replay: makespan "
-                << replay.makespan << ", queue wait "
+                << replay.realized_makespan << ", queue wait "
                 << replay.total_queue_wait << ", max queue "
                 << replay.max_queue_length;
       if (faults) {

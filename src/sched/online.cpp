@@ -117,12 +117,11 @@ void OnlineBatchScheduler::on_begin() {
   timer_ = std::make_unique<ScopedPhaseTimer>("phase.sched.online_batch");
   last_batches_ = 0;
   commit_.assign(inst.num_transactions(), 0);
-  chains_.assign(inst.num_objects(), {});
-  pos_.resize(inst.num_objects());
+  std::vector<NodeId> homes(inst.num_objects());
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-    pos_[o] = inst.object_home(o);
+    homes[o] = inst.object_home(o);
   }
-  horizon_ = 0;
+  placer_ = WindowPlacer(std::move(homes));
   batch_.clear();
   batch_window_ = 0;
 }
@@ -145,56 +144,19 @@ void OnlineBatchScheduler::on_advance(Time t) {
 void OnlineBatchScheduler::flush_batch() {
   const Instance& inst = feed_instance();
   const Metric& metric = feed_metric();
-  const std::size_t w = inst.num_objects();
   const Time close = (batch_window_ + 1) * opts_.window;
   ++last_batches_;
 
   const ColoredSubset colored =
       greedy_color(inst, metric, batch_, opts_.rule);
-  const Time base = std::max(horizon_, close - 1);
-
-  // First/last requester per object within the batch.
-  std::vector<Time> first_t(w, kInfiniteWeight), last_t(w, 0);
-  std::vector<NodeId> first_v(w, kInvalidNode), last_v(w, kInvalidNode);
+  const Time start = placer_.place(
+      metric, colored, close, [&](TxnId t) { return inst.txn(t).home; },
+      [&](TxnId t) -> const std::vector<ObjectId>& {
+        return inst.txn(t).objects;
+      });
   for (std::size_t i = 0; i < colored.txns.size(); ++i) {
-    const Transaction& t = inst.txn(colored.txns[i]);
-    for (ObjectId o : t.objects) {
-      if (colored.local_time[i] < first_t[o]) {
-        first_t[o] = colored.local_time[i];
-        first_v[o] = t.home;
-      }
-      if (colored.local_time[i] >= last_t[o]) {
-        last_t[o] = colored.local_time[i];
-        last_v[o] = t.home;
-      }
-    }
+    commit_[colored.txns[i]] = start + colored.local_time[i];
   }
-  Weight transition = 0;
-  for (ObjectId o = 0; o < w; ++o) {
-    if (first_v[o] != kInvalidNode) {
-      transition = std::max(transition, metric.distance(pos_[o], first_v[o]));
-    }
-  }
-  for (std::size_t i = 0; i < colored.txns.size(); ++i) {
-    commit_[colored.txns[i]] = base + transition + colored.local_time[i];
-  }
-  // Append the batch's visit order to each object's chain (by color).
-  std::vector<std::size_t> by_color(colored.txns.size());
-  std::iota(by_color.begin(), by_color.end(), 0);
-  std::sort(by_color.begin(), by_color.end(), [&](std::size_t a, std::size_t b) {
-    return colored.local_time[a] != colored.local_time[b]
-               ? colored.local_time[a] < colored.local_time[b]
-               : colored.txns[a] < colored.txns[b];
-  });
-  for (std::size_t i : by_color) {
-    for (ObjectId o : inst.txn(colored.txns[i]).objects) {
-      chains_[o].push_back(colored.txns[i]);
-    }
-  }
-  for (ObjectId o = 0; o < w; ++o) {
-    if (last_v[o] != kInvalidNode) pos_[o] = last_v[o];
-  }
-  horizon_ = std::max(horizon_, base + transition + colored.duration);
   batch_.clear();
 }
 
@@ -203,7 +165,7 @@ Schedule OnlineBatchScheduler::on_finish() {
   timer_.reset();
   Schedule s;
   s.commit_time = std::move(commit_);
-  s.object_order = std::move(chains_);
+  s.object_order = placer_.take_chains();
   return s;
 }
 

@@ -33,7 +33,11 @@
 // conversion, not a silent default.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "core/online.hpp"
 #include "sched/greedy.hpp"
@@ -135,6 +139,86 @@ class OnlineFifoScheduler final : public OnlineScheduler {
   std::vector<NodeId> tail_pos_;
 };
 
+/// Window placement shared by OnlineBatchScheduler and the streaming
+/// runtime (sim/runtime.hpp). Owns the per-object visit chains, the chain
+/// tail positions and the live horizon. A colored batch whose window closes
+/// at `close` starts at base = max(horizon, close - 1) plus the worst
+/// transition from an object's chain tail to its first requester in the
+/// batch, and is appended to the chains in color order (ties by id).
+/// Feasibility is by construction: the triangle inequality covers every
+/// in-batch hop once the batch starts after the transition.
+class WindowPlacer {
+ public:
+  WindowPlacer() = default;
+  /// Empty chains, every object at its initial node.
+  explicit WindowPlacer(std::vector<NodeId> object_home)
+      : chains_(object_home.size()), pos_(std::move(object_home)) {}
+
+  /// Places `colored` and returns its start offset: batch member i commits
+  /// at offset + colored.local_time[i]. `home(t)` is transaction t's node
+  /// and `objects(t)` its object set.
+  template <class HomeOf, class ObjectsOf>
+  Time place(const Metric& metric, const ColoredSubset& colored, Time close,
+             const HomeOf& home, const ObjectsOf& objects);
+
+  /// Per-object visit chains, in commit order.
+  const std::vector<std::vector<TxnId>>& chains() const { return chains_; }
+  std::vector<std::vector<TxnId>> take_chains() { return std::move(chains_); }
+
+ private:
+  std::vector<std::vector<TxnId>> chains_;
+  std::vector<NodeId> pos_;  // chain-tail positions
+  Time horizon_ = 0;
+};
+
+template <class HomeOf, class ObjectsOf>
+Time WindowPlacer::place(const Metric& metric, const ColoredSubset& colored,
+                         Time close, const HomeOf& home,
+                         const ObjectsOf& objects) {
+  const std::size_t w = pos_.size();
+  const std::size_t n = colored.txns.size();
+  // First/last requester per object within the batch.
+  std::vector<Time> first_t(w, kInfiniteWeight), last_t(w, 0);
+  std::vector<NodeId> first_v(w, kInvalidNode), last_v(w, kInvalidNode);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TxnId t = colored.txns[i];
+    for (ObjectId o : objects(t)) {
+      if (colored.local_time[i] < first_t[o]) {
+        first_t[o] = colored.local_time[i];
+        first_v[o] = home(t);
+      }
+      if (colored.local_time[i] >= last_t[o]) {
+        last_t[o] = colored.local_time[i];
+        last_v[o] = home(t);
+      }
+    }
+  }
+  Weight transition = 0;
+  for (ObjectId o = 0; o < w; ++o) {
+    if (first_v[o] != kInvalidNode) {
+      transition = std::max(transition, metric.distance(pos_[o], first_v[o]));
+    }
+  }
+  const Time start = std::max(horizon_, close - 1) + transition;
+  std::vector<std::size_t> by_color(n);
+  std::iota(by_color.begin(), by_color.end(), 0);
+  std::sort(by_color.begin(), by_color.end(), [&](std::size_t a, std::size_t b) {
+    return colored.local_time[a] != colored.local_time[b]
+               ? colored.local_time[a] < colored.local_time[b]
+               : colored.txns[a] < colored.txns[b];
+  });
+  for (std::size_t i : by_color) {
+    for (ObjectId o : objects(colored.txns[i])) {
+      chains_[o].push_back(colored.txns[i]);
+    }
+  }
+  for (ObjectId o = 0; o < w; ++o) {
+    if (last_v[o] != kInvalidNode) pos_[o] = last_v[o];
+  }
+  horizon_ = std::max(horizon_, start + colored.duration);
+  return start;
+}
+
 struct OnlineBatchOptions {
   /// Window length in steps; releases within the same window form a batch.
   Time window = 16;
@@ -165,9 +249,7 @@ class OnlineBatchScheduler final : public OnlineScheduler {
 
   std::unique_ptr<ScopedPhaseTimer> timer_;  // spans the feed
   std::vector<Time> commit_;
-  std::vector<std::vector<TxnId>> chains_;
-  std::vector<NodeId> pos_;
-  Time horizon_ = 0;
+  WindowPlacer placer_;
   std::vector<TxnId> batch_;   // open window's releases, push order
   Time batch_window_ = 0;      // open window's index (batch_ nonempty)
 };

@@ -184,7 +184,22 @@ void Engine::trace_commit(TxnId t, Time assembled, Time planned,
   }
 }
 
-EngineResult Engine::run() {
+std::string SimResult::summary() const {
+  std::ostringstream os;
+  if (ok) {
+    os << "ok: makespan=" << realized_makespan;
+    if (realized_makespan != planned_makespan) {
+      os << " (planned " << planned_makespan << ")";
+    }
+    os << " travel=" << object_travel;
+    return os.str();
+  }
+  os << violations.size() << " violation(s):";
+  for (const auto& v : violations) os << "\n  - " << v;
+  return os.str();
+}
+
+SimResult Engine::run() {
   if (init()) {
     // The one stepping loop behind every simulator: analytic substrates
     // jump from commit to commit, stepwise substrates tick the clock.

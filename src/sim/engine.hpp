@@ -29,12 +29,14 @@
 //    feasible step instead of violating; the realized-vs-planned gap is
 //    tallied (fault recovery, and planned execution under capacity);
 //  * kEarliest        — scheduled times are ignored; a transaction
-//    commits at the first step all its objects have assembled (the
-//    capacity re-executor's semantics).
+//    commits at the first step all its objects have assembled
+//    (SimOptions::earliest_commit: re-execute only the visit orders).
 //
-// The engine also emits the artifacts the façades are built from: the
-// SimEvent log (depart/hop/arrive/commit), the per-leg trace consumed by
-// the congestion analyzer, telemetry counters, and fault/recovery tallies.
+// simulate() (sim/simulator.hpp) is the one entry point over the engine:
+// it picks the LinkPolicy and discipline from SimOptions. The engine's
+// SimResult carries the SimEvent log (depart/hop/arrive/commit), the
+// per-leg trace, and fault/recovery tallies; telemetry counters go to the
+// global registry.
 #pragma once
 
 #include <cstdint>
@@ -92,8 +94,8 @@ struct EngineConfig {
   bool record_legs = false;
 
   /// When false the run touches no telemetry counters at all — the
-  /// capacity façade historically reported nothing, and keeping it silent
-  /// keeps recorded bench counter totals stable.
+  /// earliest-commit re-execution historically reported nothing, and
+  /// keeping it silent keeps recorded bench counter totals stable.
   bool telemetry = true;
 
   /// Stepwise guard: abort (with a violation) if this many steps elapse
@@ -116,24 +118,31 @@ struct EngineConfig {
   ReschedulePolicy reschedule{};
 };
 
-struct EngineResult {
+/// The result of one engine run — what simulate() returns, and what direct
+/// Engine drivers (the streaming runtime's replay check, tests) read.
+struct SimResult {
   bool ok = true;
   std::vector<std::string> violations;
 
-  /// Last *scheduled* commit step among executed transactions; 0 under
-  /// kEarliest for never-scheduled work (see façades for the mapping).
+  /// Last *scheduled* commit step among executed transactions (what the
+  /// scheduler promised); 0 under kEarliest, which discards the plan. Only
+  /// meaningful when ok.
   Time planned_makespan = 0;
-  /// Last commit step actually realized on the substrate.
+  /// Last commit step actually realized on the (possibly faulty or
+  /// capacity-bounded) substrate; == planned_makespan on a reliable
+  /// unbounded network.
   Time realized_makespan = 0;
 
-  /// Total realized distance traveled by all objects (detours and
-  /// slowdown surcharges count).
+  /// Total realized distance traveled by all objects (detours taken while
+  /// rerouting and slowdown surcharges count).
   Weight object_travel = 0;
 
   std::vector<SimEvent> events;
+  /// One LegRecord per launched leg when EngineConfig::record_legs is set.
   std::vector<LegRecord> legs;
 
-  /// Fault/recovery tallies (all zero on reliable substrates).
+  /// Fault/recovery tallies; on a fault-free capacity run the degraded
+  /// fields measure pure queueing inflation.
   FaultStats faults;
 
   /// Stepwise queue accounting (zero for analytic policies).
@@ -142,6 +151,9 @@ struct EngineResult {
 
   /// Schedule splices applied by the reschedule hook (0 when disabled).
   std::size_t reschedules = 0;
+
+  explicit operator bool() const { return ok; }
+  std::string summary() const;
 };
 
 class LinkPolicy;
@@ -160,7 +172,7 @@ class Engine {
          LinkPolicy& links, const EngineConfig& opts);
   ~Engine();
 
-  EngineResult run();
+  SimResult run();
 
   // --- hooks for LinkPolicy implementations --------------------------
   const Metric& metric() const { return *metric_; }
@@ -255,7 +267,7 @@ class Engine {
   LinkPolicy* links_;
   EngineConfig opts_;
 
-  EngineResult r_;
+  SimResult r_;
 
   // Per-object hot state, struct-of-arrays: the commit/release and
   // reschedule loops each touch only a couple of these fields per object,

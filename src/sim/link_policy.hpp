@@ -97,7 +97,7 @@ class AdmissionOracle {
   virtual Weight enter_cost(NodeId u, NodeId v, Weight base, Time now) = 0;
 };
 
-/// FIFO bounded-capacity substrate: the capacity re-executor's mechanics.
+/// FIFO bounded-capacity substrate: the links of every stepwise simulate().
 class BoundedCapacityLinks final : public LinkPolicy, public AdmissionOracle {
  public:
   /// capacity 0 means unbounded (reproduces §2.1 through the queues).

@@ -40,6 +40,7 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
       metric_(&metric),
       opts_(opts),
       object_home_(std::move(object_home)),
+      placer_(object_home_),
       shard_map_(make_shard_map(g, std::max<std::size_t>(opts.shards, 1))),
       dep_(make_dep(metric, shard_map_, object_home_)),
       next_close_(opts.window) {
@@ -47,8 +48,6 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
   for (NodeId v : object_home_) {
     DTM_REQUIRE(v < g.num_nodes(), "object home out of range");
   }
-  chains_.assign(object_home_.size(), {});
-  pos_ = object_home_;
   // make_shard_map clamps to [1, num_nodes]; follow the effective count.
   opts_.shards = shard_map_.num_shards;
   shard_stats_.num_shards = shard_map_.num_shards;
@@ -237,36 +236,15 @@ void StreamingRuntime::schedule_window(Time close,
   std::sort(batch.begin(), batch.end());  // backlog ids precede fresh ids
 
   // Delta coloring: the batch's subgraph view of the incremental conflict
-  // graph, colored by the §2.3 greedy and placed after the live horizon —
-  // the same placement arithmetic as OnlineBatchScheduler::flush_batch.
+  // graph, colored by the §2.3 greedy and placed after the live horizon by
+  // the WindowPlacer OnlineBatchScheduler uses too.
   const ColoredSubset colored = color_batch(batch);
-  const Time base = std::max(horizon_, close - 1);
-
-  const std::size_t w = object_home_.size();
-  std::vector<Time> first_t(w, kInfiniteWeight), last_t(w, 0);
-  std::vector<NodeId> first_v(w, kInvalidNode), last_v(w, kInvalidNode);
+  const Time start = placer_.place(
+      *metric_, colored, close, [&](TxnId t) { return home_[t]; },
+      [&](TxnId t) -> const std::vector<ObjectId>& { return objects_[t]; });
   for (std::size_t i = 0; i < colored.txns.size(); ++i) {
     const TxnId t = colored.txns[i];
-    for (ObjectId o : objects_[t]) {
-      if (colored.local_time[i] < first_t[o]) {
-        first_t[o] = colored.local_time[i];
-        first_v[o] = home_[t];
-      }
-      if (colored.local_time[i] >= last_t[o]) {
-        last_t[o] = colored.local_time[i];
-        last_v[o] = home_[t];
-      }
-    }
-  }
-  Weight transition = 0;
-  for (ObjectId o = 0; o < w; ++o) {
-    if (first_v[o] != kInvalidNode) {
-      transition = std::max(transition, metric_->distance(pos_[o], first_v[o]));
-    }
-  }
-  for (std::size_t i = 0; i < colored.txns.size(); ++i) {
-    const TxnId t = colored.txns[i];
-    commit_[t] = base + transition + colored.local_time[i];
+    commit_[t] = start + colored.local_time[i];
     pending_commits_.emplace(commit_[t], t);
     stats_.makespan = std::max(stats_.makespan, commit_[t]);
   }
@@ -274,7 +252,7 @@ void StreamingRuntime::schedule_window(Time close,
     // Per-transaction latency stages. They tile commit - arrival exactly:
     // the admit wait runs from arrival to the admitting window's close - 1
     // (>= 0: members arrived before the close), the scheduling gap is the
-    // horizon/transition placement past the close (>= 0: base >= close - 1),
+    // horizon/transition placement past the close (>= 0: start >= close - 1),
     // and the commit wait is the in-window color slot (>= 1).
     static MetricHistogram& h_wait =
         metrics::histogram("stream.latency.arrival_to_admit");
@@ -287,29 +265,11 @@ void StreamingRuntime::schedule_window(Time close,
     for (std::size_t i = 0; i < colored.txns.size(); ++i) {
       const TxnId t = colored.txns[i];
       h_wait.record(static_cast<std::uint64_t>(close - 1 - arrival_[t]));
-      h_sched.record(
-          static_cast<std::uint64_t>(base + transition - (close - 1)));
+      h_sched.record(static_cast<std::uint64_t>(start - (close - 1)));
       h_commit.record(static_cast<std::uint64_t>(colored.local_time[i]));
       h_total.record(static_cast<std::uint64_t>(commit_[t] - arrival_[t]));
     }
   }
-  std::vector<std::size_t> by_color(colored.txns.size());
-  for (std::size_t i = 0; i < by_color.size(); ++i) by_color[i] = i;
-  std::sort(by_color.begin(), by_color.end(),
-            [&](std::size_t a, std::size_t b) {
-              return colored.local_time[a] != colored.local_time[b]
-                         ? colored.local_time[a] < colored.local_time[b]
-                         : colored.txns[a] < colored.txns[b];
-            });
-  for (std::size_t i : by_color) {
-    for (ObjectId o : objects_[colored.txns[i]]) {
-      chains_[o].push_back(colored.txns[i]);
-    }
-  }
-  for (ObjectId o = 0; o < w; ++o) {
-    if (last_v[o] != kInvalidNode) pos_[o] = last_v[o];
-  }
-  horizon_ = std::max(horizon_, base + transition + colored.duration);
 
   stats_.admitted += batch.size();
   ++stats_.windows;
@@ -580,7 +540,7 @@ Instance StreamingRuntime::materialize() const {
 Schedule StreamingRuntime::schedule() const {
   Schedule s;
   s.commit_time = commit_;
-  s.object_order = chains_;
+  s.object_order = placer_.chains();
   return s;
 }
 
@@ -591,7 +551,7 @@ bool StreamingRuntime::verify_by_replay(std::string* error) const {
   eo.discipline = CommitDiscipline::kPlannedDegraded;
   eo.telemetry = false;
   BoundedCapacityLinks links(*metric_, 0);  // unbounded through the queues
-  EngineResult r = Engine(inst, *metric_, s, links, eo).run();
+  const SimResult r = Engine(inst, *metric_, s, links, eo).run();
   if (!r.ok) {
     if (error) *error = r.violations.front();
     return false;

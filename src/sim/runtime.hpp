@@ -20,11 +20,11 @@
 //     is counted, so overload sheds latency instead of memory;
 //   * schedule — the admitted batch is colored by the §2.3 greedy
 //     (sched/greedy's coloring over a subgraph *view* extracted from the
-//     incremental graph) and placed after the live horizon exactly like
-//     OnlineBatchScheduler places its windows: base = max(horizon,
-//     close-1), plus the worst transition distance from each object's
-//     current chain tail. Feasibility is by construction — the same
-//     triangle-inequality argument as the batch scheduler's.
+//     incremental graph) and placed after the live horizon by the
+//     WindowPlacer OnlineBatchScheduler uses (sched/online.hpp):
+//     base = max(horizon, close-1), plus the worst transition distance
+//     from each object's current chain tail. Feasibility is by
+//     construction — the same triangle-inequality argument.
 //     With shards > 1 the coloring step fans out over the thread pool
 //     (DESIGN.md §10): the conflict graph keeps one arc pool per shard of
 //     a locality partition of the substrate (graph/partition.hpp — an
@@ -62,6 +62,7 @@
 #include "graph/partition.hpp"
 #include "sched/dependency_graph.hpp"
 #include "sched/greedy.hpp"
+#include "sched/online.hpp"
 #include "sim/admission.hpp"
 
 namespace dtm {
@@ -204,11 +205,8 @@ class StreamingRuntime {
   ArrivalTimes arrival_;
   std::vector<Time> commit_;
 
-  // Chain state (same shape as OnlineBatchScheduler's).
-  std::vector<NodeId> object_home_;          // initial placement
-  std::vector<std::vector<TxnId>> chains_;   // per object, time order
-  std::vector<NodeId> pos_;                  // chain-tail positions
-  Time horizon_ = 0;
+  std::vector<NodeId> object_home_;  // initial placement
+  WindowPlacer placer_;              // chains, tail positions, horizon
 
   // Shard partition (only populated with opts.shards > 1).
   ShardMap shard_map_;

@@ -25,66 +25,69 @@
 // commits stall until their objects clear the queues, and faults compose
 // on top when both are set.
 //
-// simulate() is a thin façade over the execution engine (sim/engine.hpp):
-// it picks the LinkPolicy and commit discipline matching the options and
-// maps the engine's result into SimResult.
+// With `earliest_commit`, only the visit orders are re-executed (the
+// paper's open question on link capacity made operational): each link
+// carries at most `capacity` objects (0 = unbounded), objects queue FIFO,
+// and a transaction commits at the first step its objects have assembled,
+// so realized_makespan measures how far the policy stretches under
+// congestion. With capacity >= 1 and jointly-acyclic visit orders the
+// fault-free run terminates, and
+//   makespan(capacity=∞) <= makespan(C) <= makespan(C') for C >= C'.
+//
+// simulate() is the one entry point over the execution engine
+// (sim/engine.hpp): it picks the LinkPolicy and commit discipline matching
+// the options and returns the engine's SimResult.
 #pragma once
 
-#include <string>
-#include <vector>
+#include <cstddef>
 
 #include "core/instance.hpp"
+#include "core/partial.hpp"
 #include "core/schedule.hpp"
 #include "graph/metric.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
-#include "sim/options.hpp"
 
 namespace dtm {
 
-/// simulate()'s options are exactly the shared substrate block
-/// (sim/options.hpp): fault oracle + recovery, link capacity (nonzero
-/// executes the planned schedule on FIFO bounded links, composing with
-/// faults), event recording, and mid-run rescheduling (which forces the
-/// stepwise engine even at capacity 0, through unbounded FIFO queues).
-struct SimOptions : EngineOptions {};
+struct SimOptions {
+  /// Record leg-level events (depart/arrive/commit). kHop events are added
+  /// too when `record_hops` is set (costly on weighted graphs).
+  bool record_events = false;
+  bool record_hops = false;
 
-struct SimResult {
-  bool ok = true;
-  std::vector<std::string> violations;
+  /// Fault oracle (non-owning; must outlive the call). Null or inactive
+  /// keeps the reliable path — bit-identical to a fault-free build.
+  /// `recovery` is only consulted when faults are active.
+  const FaultModel* faults = nullptr;
+  RecoveryPolicy recovery{};
 
-  /// Last *scheduled* commit step among executed transactions (what the
-  /// scheduler promised). Only meaningful when ok.
-  Time planned_makespan = 0;
-  /// Last commit step actually realized on the (possibly faulty or
-  /// capacity-bounded) substrate; == planned_makespan on a reliable
-  /// unbounded network.
-  Time realized_makespan = 0;
+  /// Max concurrent traversals per link (both directions combined).
+  /// 0 keeps the §2.1 unbounded-capacity substrate.
+  std::size_t capacity = 0;
 
-  /// Total distance traveled by all objects (realized distance: detours
-  /// taken while rerouting and slowdown surcharges count).
-  Weight object_travel = 0;
-  std::vector<SimEvent> events;
+  /// Re-execute only the visit orders: commit each transaction when its
+  /// objects have assembled (CommitDiscipline::kEarliest), always on the
+  /// stepwise queued links.
+  bool earliest_commit = false;
 
-  /// Fault/recovery tallies; on a fault-free capacity run the degraded
-  /// fields measure pure queueing inflation.
-  FaultStats faults;
-
-  /// Queueing stats (capacity > 0 only; zero on unbounded substrates).
-  Time total_queue_wait = 0;
-  std::size_t max_queue_length = 0;
-
-  /// Schedule splices applied by the reschedule hook (0 when disabled).
-  std::size_t reschedules = 0;
-
-  explicit operator bool() const { return ok; }
-  std::string summary() const;
+  /// Mid-run rescheduling: when set, the run is driven stepwise (through
+  /// unbounded FIFO queues at capacity 0) so the engine can monitor
+  /// realized lag and splice replacement schedules in per
+  /// `reschedule_policy` (sched/reschedule.hpp builds engine-ready hooks).
+  /// Unset keeps every dispatch path bit-identical to the baseline.
+  /// Rejected with `earliest_commit`: that run discards planned times, so
+  /// there is no plan to splice into.
+  RescheduleFn reschedule{};
+  ReschedulePolicy reschedule_policy{};
 };
 
 /// Runs the schedule to completion (or first inconsistency) on the engine,
 /// jumping from commit to commit on analytic substrates and ticking the
 /// clock on queued ones. Dispatches on opts: unbounded reliable, faulty,
-/// bounded-capacity, or faulty × bounded.
+/// bounded-capacity, or faulty × bounded, each under planned or earliest
+/// commits. A stepwise run whose object_order is not a permutation of each
+/// object's requesters reports a violation.
 SimResult simulate(const Instance& inst, const Metric& metric,
                    const Schedule& schedule, const SimOptions& opts = {});
 

@@ -1,5 +1,8 @@
-// Tests for the bounded-capacity execution simulator.
+// Tests for the bounded-capacity re-execution: simulate() with
+// earliest_commit, which replays only the visit orders on FIFO links.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "core/generators.hpp"
 #include "core/precedence.hpp"
@@ -8,12 +11,19 @@
 #include "graph/topologies/line.hpp"
 #include "graph/topologies/star.hpp"
 #include "sched/greedy.hpp"
-#include "sim/capacity_sim.hpp"
 #include "sim/congestion.hpp"
+#include "sim/engine.hpp"
+#include "sim/link_policy.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace dtm {
 namespace {
+
+/// Earliest-commit re-execution at link capacity `cap` (0 = unbounded).
+SimOptions replay(std::size_t cap) {
+  return {.capacity = cap, .earliest_commit = true};
+}
 
 /// Star fan-out fixture: three objects start at the tip of ray 0 and are
 /// each wanted at the tip of a different ray; all paths share ray 0's two
@@ -41,10 +51,9 @@ TEST(CapacitySim, UnboundedMatchesEarliestTimes) {
     GreedyScheduler sched(o);
     const Schedule s = sched.run(inst, m);
     const Schedule earliest = compact(inst, m, s);
-    const CapacitySimResult r =
-        simulate_with_capacity(inst, m, s, capacity_options(0));
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_EQ(r.makespan, earliest.makespan());
+    const SimResult r = simulate(inst, m, s, replay(0));
+    ASSERT_TRUE(r.ok) << r.summary();
+    EXPECT_EQ(r.realized_makespan, earliest.makespan());
     EXPECT_EQ(r.total_queue_wait, 0);
   }
 }
@@ -55,16 +64,14 @@ TEST(CapacitySim, CapacityOneSerializesSharedEdges) {
   const DenseMetric m(star.graph);
   const Schedule s = Schedule::from_commit_times(inst, {4, 4, 4});
   // Unbounded: all three objects travel in parallel, distance 4 each.
-  const CapacitySimResult unbounded =
-      simulate_with_capacity(inst, m, s, capacity_options(0));
+  const SimResult unbounded = simulate(inst, m, s, replay(0));
   ASSERT_TRUE(unbounded.ok);
-  EXPECT_EQ(unbounded.makespan, 4);
+  EXPECT_EQ(unbounded.realized_makespan, 4);
   // Capacity 1: the shared first edge admits one object per traversal, so
   // the last object finishes 2 steps later.
-  const CapacitySimResult tight =
-      simulate_with_capacity(inst, m, s, capacity_options(1));
+  const SimResult tight = simulate(inst, m, s, replay(1));
   ASSERT_TRUE(tight.ok);
-  EXPECT_EQ(tight.makespan, 6);
+  EXPECT_EQ(tight.realized_makespan, 6);
   EXPECT_GT(tight.total_queue_wait, 0);
   EXPECT_EQ(tight.max_queue_length, 2u);
 }
@@ -79,11 +86,10 @@ TEST(CapacitySim, MakespanMonotoneInCapacity) {
   const Schedule s = sched.run(inst, m);
   Time prev = kInfiniteWeight;
   for (std::size_t cap : {1u, 2u, 4u, 0u}) {  // 0 = unbounded, last
-    const CapacitySimResult r =
-        simulate_with_capacity(inst, m, s, capacity_options(cap));
+    const SimResult r = simulate(inst, m, s, replay(cap));
     ASSERT_TRUE(r.ok) << "capacity " << cap;
-    EXPECT_LE(r.makespan, prev) << "capacity " << cap;
-    prev = r.makespan;
+    EXPECT_LE(r.realized_makespan, prev) << "capacity " << cap;
+    prev = r.realized_makespan;
   }
 }
 
@@ -117,20 +123,19 @@ TEST(CapacitySim, MakespanMonotoneAcrossTopologiesAndSeeds) {
       for (const std::size_t cap : {std::size_t{0}, std::size_t{8},
                                     std::size_t{4}, std::size_t{2},
                                     std::size_t{1}}) {
-        const CapacitySimResult r =
-            simulate_with_capacity(inst, m, s, capacity_options(cap));
+        const SimResult r = simulate(inst, m, s, replay(cap));
         ASSERT_TRUE(r.ok)
             << topo.name << " seed " << seed << " capacity " << cap;
         if (cap == 0) {
-          unbounded = r.makespan;
+          unbounded = r.realized_makespan;
           EXPECT_EQ(r.total_queue_wait, 0) << topo.name << " seed " << seed;
         } else {
-          EXPECT_GE(r.makespan, prev)
+          EXPECT_GE(r.realized_makespan, prev)
               << topo.name << " seed " << seed << " capacity " << cap;
-          EXPECT_GE(r.makespan, unbounded)
+          EXPECT_GE(r.realized_makespan, unbounded)
               << topo.name << " seed " << seed << " capacity " << cap;
         }
-        prev = r.makespan;
+        prev = r.realized_makespan;
       }
     }
   }
@@ -150,14 +155,12 @@ TEST(CapacitySim, StretchBoundedByPeakCongestion) {
   GreedyScheduler sched(o);
   const Schedule s = sched.run(inst, m);
   const CongestionReport cong = analyze_congestion(inst, m, s);
-  const CapacitySimResult unbounded =
-      simulate_with_capacity(inst, m, s, capacity_options(0));
-  const CapacitySimResult tight =
-      simulate_with_capacity(inst, m, s, capacity_options(1));
+  const SimResult unbounded = simulate(inst, m, s, replay(0));
+  const SimResult tight = simulate(inst, m, s, replay(1));
   ASSERT_TRUE(unbounded.ok);
   ASSERT_TRUE(tight.ok);
-  EXPECT_LE(tight.makespan,
-            unbounded.makespan *
+  EXPECT_LE(tight.realized_makespan,
+            unbounded.realized_makespan *
                 static_cast<Time>(cong.peak_load + 1));
 }
 
@@ -170,7 +173,37 @@ TEST(CapacitySim, RejectsCorruptOrders) {
   const DenseMetric m(line.graph);
   Schedule s = Schedule::from_commit_times(inst, {1, 4});
   s.object_order[0] = {0};  // dropped a requester
-  EXPECT_THROW(simulate_with_capacity(inst, m, s), Error);
+  Schedule short_orders = Schedule::from_commit_times(inst, {1, 4});
+  short_orders.object_order.clear();  // one order per object is missing
+  // Reported as a violation on every stepwise path, planned or earliest.
+  for (const SimOptions& opts : {replay(1), SimOptions{.capacity = 1}}) {
+    const SimResult r = simulate(inst, m, s, opts);
+    EXPECT_FALSE(r.ok);
+    ASSERT_EQ(r.violations.size(), 1u);
+    EXPECT_EQ(r.violations.front(),
+              "object_order[0] is not a permutation of o0's requesters");
+    const SimResult shape = simulate(inst, m, short_orders, opts);
+    EXPECT_FALSE(shape.ok);
+    ASSERT_EQ(shape.violations.size(), 1u);
+    EXPECT_EQ(shape.violations.front(),
+              "schedule shape does not match instance");
+  }
+}
+
+TEST(CapacitySim, RejectsRescheduleHook) {
+  // Earliest commits discard the planned times, so there is no plan for a
+  // reschedule hook to splice into.
+  const Line line(4);
+  InstanceBuilder b(line.graph, 1);
+  b.add_transaction(3, {0});
+  const Instance inst = b.build();
+  const DenseMetric m(line.graph);
+  const Schedule s = Schedule::from_commit_times(inst, {3});
+  SimOptions opts = replay(1);
+  opts.reschedule = [](const PartialExecution&) {
+    return std::unique_ptr<Schedule>();
+  };
+  EXPECT_THROW(simulate(inst, m, s, opts), Error);
 }
 
 TEST(CapacitySim, MaxStepsGuard) {
@@ -182,10 +215,14 @@ TEST(CapacitySim, MaxStepsGuard) {
   const Instance inst = b.build();
   const DenseMetric m(line.graph);
   const Schedule s = Schedule::from_commit_times(inst, {1, 8});
-  const CapacitySimResult r =
-      simulate_with_capacity(inst, m, s, capacity_options(1, 3));
+  // The guard is engine-internal; simulate() always runs with its default.
+  BoundedCapacityLinks links(m, 1);
+  EngineConfig cfg;
+  cfg.discipline = CommitDiscipline::kEarliest;
+  cfg.max_steps = 3;
+  const SimResult r = Engine(inst, m, s, links, cfg).run();
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("max_steps"), std::string::npos);
+  EXPECT_NE(r.summary().find("max_steps"), std::string::npos);
 }
 
 TEST(CapacitySim, EmptyInstance) {
@@ -195,9 +232,9 @@ TEST(CapacitySim, EmptyInstance) {
   const DenseMetric m(line.graph);
   Schedule s;
   s.object_order.resize(1);
-  const CapacitySimResult r = simulate_with_capacity(inst, m, s);
+  const SimResult r = simulate(inst, m, s, replay(1));
   EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.makespan, 0);
+  EXPECT_EQ(r.realized_makespan, 0);
 }
 
 TEST(CapacitySim, ObjectlessTransactionsCommitAtOne) {
@@ -209,9 +246,9 @@ TEST(CapacitySim, ObjectlessTransactionsCommitAtOne) {
   Schedule s;
   s.commit_time = {1};
   s.object_order.resize(1);
-  const CapacitySimResult r = simulate_with_capacity(inst, m, s);
+  const SimResult r = simulate(inst, m, s, replay(1));
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.makespan, 1);
+  EXPECT_EQ(r.realized_makespan, 1);
 }
 
 }  // namespace

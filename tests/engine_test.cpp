@@ -31,7 +31,6 @@
 #include "graph/topologies/line.hpp"
 #include "graph/topologies/star.hpp"
 #include "sched/registry.hpp"
-#include "sim/capacity_sim.hpp"
 #include "sim/congestion.hpp"
 #include "sim/engine.hpp"
 #include "sim/link_policy.hpp"
@@ -180,7 +179,7 @@ TEST_P(TraceEquivalence, ExecutedLegsEqualPlannedTrace) {
   opts.discipline = CommitDiscipline::kPlannedStrict;
   opts.record_legs = true;
   Engine eng(inst, metric, s, links, opts);
-  const EngineResult r = eng.run();
+  const SimResult r = eng.run();
   ASSERT_TRUE(r.ok) << topo.name;
 
   EXPECT_EQ(sorted_by_object_leg(r.legs),
@@ -271,22 +270,20 @@ TEST(FaultsTimesCapacity, ScheduledOutageStallsQueuedObject) {
   const Instance inst = ib.build();
   const Schedule s = Schedule::from_commit_times(inst, {2});
 
-  const CapacitySimResult reliable =
-      simulate_with_capacity(inst, m, s, capacity_options(1));
-  ASSERT_TRUE(reliable.ok) << reliable.error;
-  EXPECT_EQ(reliable.makespan, 2);
+  const SimResult reliable =
+      simulate(inst, m, s, {.capacity = 1, .earliest_commit = true});
+  ASSERT_TRUE(reliable.ok) << reliable.summary();
+  EXPECT_EQ(reliable.realized_makespan, 2);
 
   FaultConfig cfg;
   cfg.scheduled.push_back({0, 1, /*start=*/0, /*duration=*/5});
   const FaultModel model(cfg);
-  CapacitySimOptions opts;
-  opts.capacity = 1;
-  opts.faults = &model;
-  const CapacitySimResult r = simulate_with_capacity(inst, m, s, opts);
-  ASSERT_TRUE(r.ok) << r.error;
+  const SimResult r = simulate(
+      inst, m, s, {.faults = &model, .capacity = 1, .earliest_commit = true});
+  ASSERT_TRUE(r.ok) << r.summary();
   // The object queues on {0,1} until the link returns at step 5, then
   // crosses both unit edges: commit at 7.
-  EXPECT_EQ(r.makespan, 7);
+  EXPECT_EQ(r.realized_makespan, 7);
   EXPECT_GT(r.total_queue_wait, 0);
   EXPECT_EQ(r.faults.injected, 1u);  // one blocked episode, deduped
   EXPECT_EQ(r.faults.reroutes, 0u);  // nowhere else to go
@@ -312,22 +309,21 @@ TEST(FaultsTimesCapacity, OutageReroutesQueuedObject) {
   cfg.scheduled.push_back({0, 1, /*start=*/0, /*duration=*/20});
   const FaultModel model(cfg);
 
-  CapacitySimOptions reroute;
-  reroute.capacity = 1;
-  reroute.faults = &model;
-  const CapacitySimResult detoured = simulate_with_capacity(inst, m, s, reroute);
-  ASSERT_TRUE(detoured.ok) << detoured.error;
+  const SimOptions reroute{
+      .faults = &model, .capacity = 1, .earliest_commit = true};
+  const SimResult detoured = simulate(inst, m, s, reroute);
+  ASSERT_TRUE(detoured.ok) << detoured.summary();
   // Reroute decided at step 0, detour entered at step 1, 0-2-3 costs 4.
-  EXPECT_EQ(detoured.makespan, 5);
+  EXPECT_EQ(detoured.realized_makespan, 5);
   EXPECT_EQ(detoured.faults.reroutes, 1u);
 
-  CapacitySimOptions stall = reroute;
+  SimOptions stall = reroute;
   stall.recovery.reroute = false;
-  const CapacitySimResult stalled = simulate_with_capacity(inst, m, s, stall);
-  ASSERT_TRUE(stalled.ok) << stalled.error;
-  EXPECT_EQ(stalled.makespan, 22);  // waits out the outage, then 0-1-3
+  const SimResult stalled = simulate(inst, m, s, stall);
+  ASSERT_TRUE(stalled.ok) << stalled.summary();
+  EXPECT_EQ(stalled.realized_makespan, 22);  // waits out the outage, then 0-1-3
   EXPECT_EQ(stalled.faults.reroutes, 0u);
-  EXPECT_LT(detoured.makespan, stalled.makespan);
+  EXPECT_LT(detoured.realized_makespan, stalled.realized_makespan);
 }
 
 // On the ideal substrate (unbounded, reliable) every commit is as early as
@@ -341,9 +337,9 @@ TEST(FaultsTimesCapacity, ComposedRunDominatesIdealSubstrate) {
       g.graph, {.num_objects = 10, .objects_per_txn = 2}, rng);
   const Schedule s = make_scheduler("greedy-ff")->run(inst, m);
 
-  const CapacitySimResult ideal =
-      simulate_with_capacity(inst, m, s, capacity_options(0));
-  ASSERT_TRUE(ideal.ok) << ideal.error;
+  const SimResult ideal =
+      simulate(inst, m, s, {.capacity = 0, .earliest_commit = true});
+  ASSERT_TRUE(ideal.ok) << ideal.summary();
 
   FaultConfig cfg;
   cfg.link_outage_rate = 0.3;
@@ -352,12 +348,11 @@ TEST(FaultsTimesCapacity, ComposedRunDominatesIdealSubstrate) {
   const FaultModel model(cfg);
   for (const std::size_t cap : {std::size_t{0}, std::size_t{2},
                                 std::size_t{1}}) {
-    CapacitySimOptions opts;
-    opts.capacity = cap;
-    opts.faults = &model;
-    const CapacitySimResult r = simulate_with_capacity(inst, m, s, opts);
-    ASSERT_TRUE(r.ok) << "cap " << cap << ": " << r.error;
-    EXPECT_GE(r.makespan, ideal.makespan) << "cap " << cap;
+    const SimResult r = simulate(
+        inst, m, s,
+        {.faults = &model, .capacity = cap, .earliest_commit = true});
+    ASSERT_TRUE(r.ok) << "cap " << cap << ": " << r.summary();
+    EXPECT_GE(r.realized_makespan, ideal.realized_makespan) << "cap " << cap;
     EXPECT_GT(r.faults.injected, 0u) << "cap " << cap;
   }
 }

@@ -487,7 +487,7 @@ TEST_F(StreamMetricsTest, TraceLatencyAgreesWithHistogramOnAllFixtures) {
     eo.discipline = CommitDiscipline::kPlannedDegraded;
     eo.telemetry = false;
     BoundedCapacityLinks links(m, 0);
-    const EngineResult r = Engine(inst, m, s, links, eo).run();
+    const SimResult r = Engine(inst, m, s, links, eo).run();
     const auto events = rec.events();
     rec.set_enabled(false);
     rec.clear();

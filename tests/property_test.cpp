@@ -26,7 +26,6 @@
 #include "graph/topologies/star.hpp"
 #include "lb/bounds.hpp"
 #include "sched/registry.hpp"
-#include "sim/capacity_sim.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -141,10 +140,10 @@ TEST_P(EverySchedulerEverywhere, FullInvariantSet) {
         << topo.name << '/' << sched->name();
     EXPECT_TRUE(validate(inst, metric, tight).ok);
 
-    const CapacitySimResult replay =
-        simulate_with_capacity(inst, metric, s, capacity_options(0));
+    const SimResult replay = simulate(
+        inst, metric, s, {.capacity = 0, .earliest_commit = true});
     ASSERT_TRUE(replay.ok);
-    EXPECT_EQ(replay.makespan, tight.makespan())
+    EXPECT_EQ(replay.realized_makespan, tight.makespan())
         << topo.name << '/' << sched->name();
 
     const ScheduleMetrics sm = compute_metrics(inst, metric, s);

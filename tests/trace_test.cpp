@@ -30,7 +30,6 @@
 #include "graph/topologies/line.hpp"
 #include "graph/topologies/star.hpp"
 #include "sched/registry.hpp"
-#include "sim/capacity_sim.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace_analysis.hpp"
 #include "util/rng.hpp"
@@ -305,18 +304,17 @@ TEST_F(TraceTest, CriticalPathHoldsUnderFaultsTimesCapacity) {
   const Schedule s = make_scheduler("greedy-ff")->run(inst, metric);
 
   const FaultModel model(fixture_faults(2));
-  CapacitySimOptions opts;
-  opts.capacity = 1;
-  opts.faults = &model;
   TraceRecorder& rec = TraceRecorder::global();
   rec.set_enabled(true);
-  const CapacitySimResult r = simulate_with_capacity(inst, metric, s, opts);
+  const SimResult r = simulate(
+      inst, metric, s,
+      {.faults = &model, .capacity = 1, .earliest_commit = true});
   rec.set_enabled(false);
-  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.ok) << r.summary();
 
   const TraceSummary sum = summarize_trace(rec.events());
   EXPECT_TRUE(sum.problems.empty()) << sum.problems.front();
-  EXPECT_EQ(sum.critical_total, r.makespan);
+  EXPECT_EQ(sum.critical_total, r.realized_makespan);
   EXPECT_TRUE(sum.consistent());
   // Capacity-1 links on this fixture force queueing; the queue-wait spans
   // must surface in the summary.
