@@ -20,26 +20,23 @@
 // optimistic baseline on contended streams (hot-object especially, where
 // validation aborts burn work) while keeping backlog flat below capacity.
 //
-// E23 — sharded pipeline + closed-loop admission (DESIGN.md §10), emitted
+// E23 — shard accounting + closed-loop admission (DESIGN.md §10), emitted
 // as a second artifact behind --shard-json FILE:
 //  * shard_identity — the same stream scheduled at shards 1/2/4/8: every
-//    result cell is REQUIREd identical to the shards=1 row (the tentpole's
-//    bit-identity contract, gated in CI by cell comparison).
+//    result cell is REQUIREd identical to the shards=1 row (the shard
+//    split is accounting only and never perturbs the schedule; gated in
+//    CI by cell comparison).
 //  * shard_balance — per-shard load split (local/cross/fix-up transactions,
 //    peak shard batch) of those runs.
 //  * admission — fixed tight bound vs AIMD at 0.9x measured capacity: the
 //    fixed bound defers work without bound while AIMD opens the quota and
 //    keeps the backlog bounded, then cuts back once caught up.
-// The wall-clock speedup of the parallel window-scheduling path (shards=1
-// vs 4 on a group-local cluster workload) is printed to stdout and left in
-// the timer section only — never in gated series cells.
 //
 // --smoke runs the reduced stream lengths; the recorded BENCH_stream.json
 // baseline is the smoke artifact so CI can re-run and diff it cheaply.
 #include "bench_common.hpp"
 
 #include "core/online.hpp"
-#include "graph/partition.hpp"
 #include "graph/topologies/cluster.hpp"
 #include "graph/topologies/grid.hpp"
 #include "sim/optimistic.hpp"
@@ -211,72 +208,18 @@ void print_series(bool smoke) {
   benchutil::emit_table("throughput", throughput);
 }
 
-// --- E23: sharded pipeline + closed-loop admission ----------------------
-
-/// Group-local cluster workload on a shard-aligned placement: the regime
-/// the sharded coloring pipeline parallelizes (conflicts stay inside one
-/// shard, so the fix-up pass is empty and all coloring fans out).
-StreamingRuntime run_group_local(const Graph& g, const Metric& m,
-                                 const std::vector<NodeId>& homes,
-                                 std::size_t shards, std::size_t n,
-                                 std::size_t w, double rate, Time window) {
-  ArrivalStreamOptions so;
-  so.num_txns = n;
-  so.num_objects = w;
-  so.objects_per_txn = kObjectsPerTxn;
-  so.rate = rate;
-  so.groups = 4;
-  StreamingRuntimeOptions opts;
-  opts.window = window;
-  opts.shards = shards;
-  StreamingRuntime rt(g, m, homes, opts);
-  auto src = make_arrival_source(ArrivalModel::kPoisson, g, so, kSeed);
-  rt.ingest_all(*src);
-  rt.drain();
-  return rt;
-}
-
-/// Total wall time spent in schedule_window (the phase the shards
-/// parallelize), read back from the phase-timer registry.
-double window_phase_ms() {
-  const auto snap = TelemetryRegistry::global().snapshot();
-  const auto it = snap.timers.find("phase.sched.stream_window");
-  return it == snap.timers.end() ? 0.0 : it->second.total_ns / 1e6;
-}
+// --- E23: shard accounting + closed-loop admission ----------------------
 
 void print_shard_series(bool smoke) {
   benchutil::print_header(
-      "E23 — sharded scheduling + closed-loop admission (DESIGN.md §10)",
-      "shard-count bit-identity of the parallel coloring pipeline, "
-      "per-shard load balance, wall-clock window-scheduling speedup, and "
+      "E23 — shard accounting + closed-loop admission (DESIGN.md §10)",
+      "shard-count invariance of the schedule, per-shard load split, and "
       "AIMD admission vs a fixed bound at 0.9x measured capacity");
 
   const ClusterGraph cluster(4, 8, 16);
   const DenseMetric cluster_metric(cluster.graph);
-
-  // Wall-clock speedup first (it resets the telemetry registry around each
-  // timed run); the numbers go to stdout only — wall time never enters
-  // gated series cells. Group-local load + shard-aligned homes keep every
-  // window's coloring shard-confined, the workload the pipeline targets.
-  const std::size_t sn = smoke ? 4000 : 16000;
-  const std::size_t sw = 64;  // object universe of the speedup workload
-  const ShardMap map4 = make_shard_map(cluster.graph, 4);
-  const std::vector<NodeId> aligned = shard_aligned_homes(map4, sw);
-  TelemetryRegistry::global().reset();
-  const StreamingRuntime seq = run_group_local(
-      cluster.graph, cluster_metric, aligned, 1, sn, sw, 4.0, 128);
-  const double seq_ms = window_phase_ms();
-  TelemetryRegistry::global().reset();
-  const StreamingRuntime par = run_group_local(
-      cluster.graph, cluster_metric, aligned, 4, sn, sw, 4.0, 128);
-  const double par_ms = window_phase_ms();
-  DTM_REQUIRE(seq.stats().makespan == par.stats().makespan &&
-                  seq.stats().committed == par.stats().committed,
-              "sharded speedup run diverged from the sequential schedule");
-  std::cout << "window-scheduling wall time, group-local cluster4x8 (n="
-            << sn << ", w=" << sw << "): shards=1 " << seq_ms
-            << " ms, shards=4 " << par_ms << " ms, speedup "
-            << (par_ms > 0 ? seq_ms / par_ms : 0.0) << "x\n\n";
+  // The artifact's counters start after the cluster fixture's APSP, as in
+  // the recorded BENCH_stream_shard.json baseline.
   TelemetryRegistry::global().reset();
 
   // Identity + balance: the E22 stream re-scheduled at every shard count.
@@ -308,7 +251,7 @@ void print_shard_series(bool smoke) {
         if (shards == 1) {
           ref = st;
         } else {
-          // The tentpole contract: sharding never changes the schedule.
+          // The shard split is accounting: it never changes the schedule.
           DTM_REQUIRE(st.makespan == ref.makespan &&
                           st.committed == ref.committed &&
                           st.deferrals == ref.deferrals &&
@@ -471,20 +414,6 @@ void BM_Optimistic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Optimistic)->Arg(6)->Arg(10)->Unit(benchmark::kMillisecond);
-
-void BM_ShardedWindow(benchmark::State& state) {
-  const ClusterGraph cluster(4, 8, 16);
-  const DenseMetric metric(cluster.graph);
-  const ShardMap map = make_shard_map(cluster.graph, 4);
-  const std::vector<NodeId> homes = shard_aligned_homes(map, 64);
-  for (auto _ : state) {
-    const StreamingRuntime rt = run_group_local(
-        cluster.graph, metric, homes,
-        static_cast<std::size_t>(state.range(0)), 2000, 64, 4.0, 128);
-    benchmark::DoNotOptimize(rt.stats().makespan);
-  }
-}
-BENCHMARK(BM_ShardedWindow)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

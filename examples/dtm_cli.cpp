@@ -304,7 +304,7 @@ int run_streaming(const ArgParser& args, const TopologyBundle& topo,
     const ShardLoadStats& sh = rt.shard_stats();
     std::cout << "shards: " << sh.num_shards << " (" << sh.scheme
               << " partition), local txns " << sh.local_txns << ", cross "
-              << sh.cross_txns << ", fixup-colored " << sh.fixup_txns
+              << sh.cross_txns << ", fixup " << sh.fixup_txns
               << ", peak shard batch " << sh.peak_shard_members << '\n';
   }
   if (opts.admission.policy != AdmissionPolicy::kFixed) {
@@ -555,8 +555,8 @@ int main(int argc, char** argv) {
           "streaming mode (continual arrivals instead of a fixed batch):\n"
           "  [--arrival-rate R] [--arrival-model poisson|bursty|hot]\n"
           "  [--txns N] [--burst B] [--max-live M] [--optimistic]\n"
-          "  [--shards N]               parallel conflict-graph shards "
-          "(1 = sequential; any N is bit-identical)\n"
+          "  [--shards N]               width of the reported locality "
+          "split (the schedule never depends on it)\n"
           "  [--admission fixed|adaptive]  admission control: fixed "
           "--max-live bound, or AIMD closed-loop on backlog\n"
           "  [--metrics-out[=FILE]]     write dtm-metrics-v1 JSONL (latency "

@@ -127,8 +127,8 @@ struct ArrivalStreamOptions {
   /// of `groups` uniform groups and draws its k objects from that group's
   /// pool {o : o mod groups == group}. With groups equal to the runtime's
   /// shard count and shard_aligned_homes placement (graph/partition.hpp),
-  /// group-local transactions conflict inside one shard — the workload
-  /// regime the sharded coloring pipeline parallelizes. 1 = uniform draws
+  /// group-local transactions conflict inside one shard (the runtime's
+  /// shard accounting reports no cross-shard work). 1 = uniform draws
   /// over all objects (bit-identical to PR 8). The hot source stays
   /// adversarial and ignores this knob. Requires floor(w/groups) >= k.
   std::size_t groups = 1;

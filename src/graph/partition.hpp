@@ -1,7 +1,7 @@
 // Shard partition of the substrate graph: a deterministic node -> shard
-// assignment that groups nodes by locality, so per-shard state (the
-// streaming runtime's sharded conflict-graph pools, sim/runtime.hpp) maps
-// onto the topology's natural blocks instead of hashing nodes arbitrarily.
+// assignment that groups nodes by locality, so per-shard accounting (the
+// streaming runtime's ShardLoadStats, sim/runtime.hpp) maps onto the
+// topology's natural blocks instead of hashing nodes arbitrarily.
 //
 // make_shard_map() reuses topology recovery (topologies/detect):
 //  * ClusterGraph — whole clusters are assigned to shards in contiguous

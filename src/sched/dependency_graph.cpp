@@ -1,6 +1,7 @@
 #include "sched/dependency_graph.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace dtm {
 
@@ -48,37 +49,27 @@ DependencyGraph build_dependency_graph(const Instance& inst,
 
 IncrementalConflictGraph::IncrementalConflictGraph(const Metric& metric,
                                                    std::size_t num_objects)
-    : metric_(&metric), pools_(1), live_req_(num_objects),
-      cursor_scratch_(1), cursor_local_scratch_(1) {}
+    : metric_(&metric), live_req_(num_objects) {}
 
-IncrementalConflictGraph::IncrementalConflictGraph(
-    const Metric& metric, std::vector<std::uint32_t> object_shard,
-    std::size_t num_shards)
-    : metric_(&metric), pools_(num_shards),
-      object_shard_(std::move(object_shard)), live_req_(object_shard_.size()),
-      cursor_scratch_(num_shards), cursor_local_scratch_(num_shards) {
-  DTM_REQUIRE(num_shards >= 1, "incremental graph: need at least one shard");
-  for (std::uint32_t s : object_shard_) {
-    DTM_REQUIRE(s < num_shards,
-                "incremental graph: object shard " << s << " out of range");
+void IncrementalConflictGraph::push_arc(TxnId owner, TxnId to, Weight w) {
+  // Chain links are int32_t: past 2^31 - 1 arcs the index would wrap
+  // negative and the chain walk would read out of bounds.
+  DTM_REQUIRE(arcs_.size() <
+                  static_cast<std::size_t>(
+                      std::numeric_limits<std::int32_t>::max()),
+              "incremental graph: arc pool exceeds 2^31 - 1 arcs");
+  if (owner >= head_.size()) {
+    head_.resize(owner + 1, -1);
+    tail_.resize(owner + 1, -1);
   }
-}
-
-void IncrementalConflictGraph::push_arc(Pool& pool, TxnId owner, TxnId to,
-                                        Weight w) {
-  if (owner >= pool.head.size()) {
-    pool.head.resize(owner + 1, -1);
-    pool.tail.resize(owner + 1, -1);
-  }
-  const auto idx = static_cast<std::int32_t>(pool.arcs.size());
-  pool.arcs.push_back({to, w, -1});
-  if (pool.tail[owner] == -1) {
-    pool.head[owner] = idx;
+  const auto idx = static_cast<std::int32_t>(arcs_.size());
+  arcs_.push_back({to, w, -1});
+  if (tail_[owner] == -1) {
+    head_[owner] = idx;
   } else {
-    pool.arcs[pool.tail[owner]].next = idx;
+    arcs_[tail_[owner]].next = idx;
   }
-  pool.tail[owner] = idx;
-  ++num_arcs_;
+  tail_[owner] = idx;
 }
 
 void IncrementalConflictGraph::add_txn(TxnId t, NodeId home,
@@ -91,29 +82,18 @@ void IncrementalConflictGraph::add_txn(TxnId t, NodeId home,
   home_.push_back(home);
   ++live_;
 
-  // Collect (partner, owning shard) over all shared objects; a pair
-  // sharing several objects is deduplicated (the CSR builder dedups too)
-  // keeping the smallest object's shard, so every pair lands in exactly
-  // one pool no matter how the ownership question is asked later.
+  // Partners over all shared objects; a pair sharing several objects is
+  // deduplicated (the CSR builder dedups too).
   auto& partners = partner_scratch_;
   partners.clear();
   for (ObjectId o : objects) {
     DTM_REQUIRE(o < live_req_.size(),
                 "incremental graph: object id " << o << " out of range");
-    const std::uint32_t s = object_shard_.empty() ? 0 : object_shard_[o];
-    for (TxnId p : live_req_[o]) partners.emplace_back(p, s);
+    partners.insert(partners.end(), live_req_[o].begin(), live_req_[o].end());
     live_req_[o].push_back(t);
   }
-  // `objects` ascend, so the first entry per partner is the smallest
-  // shared object's shard; stable_sort by partner keeps it first.
-  std::stable_sort(partners.begin(), partners.end(),
-                   [](const auto& x, const auto& y) {
-                     return x.first < y.first;
-                   });
-  partners.erase(std::unique(partners.begin(), partners.end(),
-                             [](const auto& x, const auto& y) {
-                               return x.first == y.first;
-                             }),
+  std::sort(partners.begin(), partners.end());
+  partners.erase(std::unique(partners.begin(), partners.end()),
                  partners.end());
 
   if (!partners.empty()) {
@@ -122,11 +102,11 @@ void IncrementalConflictGraph::add_txn(TxnId t, NodeId home,
     target_scratch_.resize(partners.size());
     dist_scratch_.resize(partners.size());
     for (std::size_t i = 0; i < partners.size(); ++i) {
-      target_scratch_[i] = home_[partners[i].first];
+      target_scratch_[i] = home_[partners[i]];
     }
     metric_->distances(home, target_scratch_, dist_scratch_.data());
     for (std::size_t i = 0; i < partners.size(); ++i) {
-      const auto [p, s] = partners[i];
+      const TxnId p = partners[i];
       // Streams revisit homes, so two conflicting transactions can share a
       // node (distance 0). The single-copy object still serves one commit
       // per step — exactly what the stepwise engine enforces — so conflict
@@ -135,8 +115,8 @@ void IncrementalConflictGraph::add_txn(TxnId t, NodeId home,
       const Weight w = std::max<Weight>(dist_scratch_[i], 1);
       // Tail-appended in ascending partner order; p's chain gains t, the
       // largest id so far — both chains stay ascending by neighbor.
-      push_arc(pools_[s], t, p, w);
-      push_arc(pools_[s], p, t, w);
+      push_arc(t, p, w);
+      push_arc(p, t, w);
       max_w_ = std::max(max_w_, w);
     }
     telemetry::count("stream.dep_edges", partners.size());
@@ -158,12 +138,8 @@ void IncrementalConflictGraph::retire(TxnId t,
 }
 
 std::size_t IncrementalConflictGraph::arc_pool_bytes() const {
-  std::size_t bytes = 0;
-  for (const Pool& pool : pools_) {
-    bytes += pool.arcs.size() * sizeof(Arc) +
-             (pool.head.size() + pool.tail.size()) * sizeof(std::int32_t);
-  }
-  return bytes;
+  return arcs_.size() * sizeof(Arc) +
+         (head_.size() + tail_.size()) * sizeof(std::int32_t);
 }
 
 DependencyGraph IncrementalConflictGraph::subgraph(
@@ -192,93 +168,27 @@ DependencyGraph IncrementalConflictGraph::subgraph(
     DTM_REQUIRE(h.txns[i] < num_txns_,
                 "incremental subgraph: T" << h.txns[i] << " never added");
     std::size_t deg = 0;
-    for (const Pool& pool : pools_) {
-      for (std::int32_t a = chain_head(pool, h.txns[i]); a != -1;
-           a = pool.arcs[a].next) {
-        if (local_of(pool.arcs[a].to) != kInvalidTxn) ++deg;
-      }
+    for (std::int32_t a = chain_head(h.txns[i]); a != -1; a = arcs_[a].next) {
+      if (local_of(arcs_[a].to) != kInvalidTxn) ++deg;
     }
     h.offsets[i + 1] = h.offsets[i] + static_cast<std::uint32_t>(deg);
     h.max_degree = std::max(h.max_degree, deg);
   }
 
-  // Pass 2: fill by k-way merge of the per-pool chains. Every chain is
-  // ascending by neighbor id (tail insertion, see add_txn) and a pair
-  // lives in exactly one pool, so picking the smallest live cursor yields
-  // the batch builder's ascending-local-index order with no sort and no
-  // allocation beyond the exact-sized edge array.
+  // Pass 2: fill. Every chain is ascending by neighbor id (tail
+  // insertion, see add_txn), which is the batch builder's
+  // ascending-local-index order, so no sort is needed.
   h.edges.resize(h.offsets[n]);
-  auto& cur = cursor_scratch_;
-  auto& cur_local = cursor_local_scratch_;
-  const std::size_t S = pools_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    // Park each pool's cursor on its first in-subset arc.
-    for (std::size_t s = 0; s < S; ++s) {
-      std::int32_t a = chain_head(pools_[s], h.txns[i]);
-      TxnId l = kInvalidTxn;
-      while (a != -1 &&
-             (l = local_of(pools_[s].arcs[a].to)) == kInvalidTxn) {
-        a = pools_[s].arcs[a].next;
-      }
-      cur[s] = a;
-      cur_local[s] = a != -1 ? l : kInvalidTxn;
-    }
-    for (std::uint32_t e = h.offsets[i]; e < h.offsets[i + 1]; ++e) {
-      std::size_t best = S;
-      for (std::size_t s = 0; s < S; ++s) {
-        if (cur[s] == -1) continue;
-        if (best == S || cur_local[s] < cur_local[best]) best = s;
-      }
-      DTM_ASSERT(best < S);
-      const Arc& arc = pools_[best].arcs[cur[best]];
-      h.edges[e] = {cur_local[best], arc.weight};
-      h.max_edge_weight = std::max(h.max_edge_weight, arc.weight);
-      // Advance the winning cursor to its next in-subset arc.
-      std::int32_t a = arc.next;
-      TxnId l = kInvalidTxn;
-      while (a != -1 &&
-             (l = local_of(pools_[best].arcs[a].to)) == kInvalidTxn) {
-        a = pools_[best].arcs[a].next;
-      }
-      cur[best] = a;
-      cur_local[best] = a != -1 ? l : kInvalidTxn;
+    std::uint32_t e = h.offsets[i];
+    for (std::int32_t a = chain_head(h.txns[i]); a != -1; a = arcs_[a].next) {
+      const TxnId l = local_of(arcs_[a].to);
+      if (l == kInvalidTxn) continue;
+      h.edges[e++] = {l, arcs_[a].weight};
+      h.max_edge_weight = std::max(h.max_edge_weight, arcs_[a].weight);
     }
   }
   return h;
-}
-
-void IncrementalConflictGraph::shard_subgraph(std::size_t s,
-                                              std::span<const TxnId> window,
-                                              std::span<const TxnId> local_of,
-                                              ShardSubgraph& out) const {
-  DTM_ASSERT(s < pools_.size());
-  const Pool& pool = pools_[s];
-  const std::size_t n = window.size();
-  out.max_edge_weight = 0;
-  out.offsets.assign(n + 1, 0);
-
-  // Two passes over the chains: count, then fill in chain order (already
-  // ascending by neighbor id, hence by window-local index).
-  for (std::size_t i = 0; i < n; ++i) {
-    DTM_ASSERT(window[i] < local_of.size());
-    std::uint32_t deg = 0;
-    for (std::int32_t a = chain_head(pool, window[i]); a != -1;
-         a = pool.arcs[a].next) {
-      if (local_of[pool.arcs[a].to] != kInvalidTxn) ++deg;
-    }
-    out.offsets[i + 1] = out.offsets[i] + deg;
-  }
-  out.edges.resize(out.offsets[n]);
-  std::size_t e = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::int32_t a = chain_head(pool, window[i]); a != -1;
-         a = pool.arcs[a].next) {
-      const TxnId l = local_of[pool.arcs[a].to];
-      if (l == kInvalidTxn) continue;
-      out.edges[e++] = {l, pool.arcs[a].weight};
-      out.max_edge_weight = std::max(out.max_edge_weight, pool.arcs[a].weight);
-    }
-  }
 }
 
 }  // namespace dtm

@@ -70,45 +70,22 @@ DependencyGraph build_dependency_graph(const Instance& inst,
 DependencyGraph build_dependency_graph(const Instance& inst,
                                        const Metric& metric);
 
-/// One shard's CSR slice of a scheduling window: only the arcs owned by
-/// that shard's pool, restricted to the window, in window-local indices.
-/// The streaming runtime extracts these concurrently (one shard per thread
-/// pool task) and k-way merges them into the full window DependencyGraph.
-struct ShardSubgraph {
-  /// CSR offsets over the window (size window+1).
-  std::vector<std::uint32_t> offsets;
-  /// Neighbor lists, ascending local index within each node's slice.
-  std::vector<DependencyEdge> edges;
-  Weight max_edge_weight = 0;
-};
-
 /// H maintained under transaction *arrival* (sim/runtime.hpp's streaming
 /// ingest). Each add_txn() inserts only the delta — edges from the new
 /// transaction to the still-live (uncommitted) requesters of its objects —
-/// into per-shard arc pools; nothing is ever rebuilt. A conflict pair is
-/// owned by the shard of the smallest object the pair shares (object ->
-/// shard comes from graph/partition.hpp via the object's home node), so
-/// every pair lives in exactly one pool and pools can be read
-/// concurrently. Arcs are appended at the chain *tail*: partners are
-/// inserted in ascending id order and later arrivals always carry larger
-/// ids, so every chain stays ascending by neighbor id and window
-/// extraction needs no sort (and no allocation beyond the exact-sized
-/// output). retire() removes a committed transaction from the live
-/// requester sets so future arrivals stop conflicting with it (its
-/// historical arcs stay in the pool, which keeps retire O(k)).
-/// subgraph() exports any subset — in practice a scheduling window's
-/// batch — as the standard CSR DependencyGraph that greedy_color()
-/// consumes, filtering pool arcs to subset members.
+/// into one arc pool; nothing is ever rebuilt. Arcs are appended at the
+/// chain *tail*: partners are inserted in ascending id order and later
+/// arrivals always carry larger ids, so every chain stays ascending by
+/// neighbor id and window extraction needs no sort (and no allocation
+/// beyond the exact-sized output). retire() removes a committed
+/// transaction from the live requester sets so future arrivals stop
+/// conflicting with it (its historical arcs stay in the pool, which keeps
+/// retire O(k)). subgraph() exports any subset — in practice a scheduling
+/// window's batch — as the standard CSR DependencyGraph that
+/// greedy_color() consumes, filtering pool arcs to subset members.
 class IncrementalConflictGraph {
  public:
-  /// Single-pool graph (the shards=1 streaming path and the tests).
   IncrementalConflictGraph(const Metric& metric, std::size_t num_objects);
-
-  /// Sharded pools: `object_shard[o]` in [0, num_shards) owns object o's
-  /// conflicts (ties across shared objects go to the smallest object).
-  IncrementalConflictGraph(const Metric& metric,
-                           std::vector<std::uint32_t> object_shard,
-                           std::size_t num_shards);
 
   /// Registers transaction `t` (ids must arrive dense, in order: the next
   /// expected id is num_txns()) homed at `home` touching `objects`
@@ -124,24 +101,14 @@ class IncrementalConflictGraph {
   /// subset's order, matching build_dependency_graph's convention.
   DependencyGraph subgraph(std::span<const TxnId> txns) const;
 
-  /// Shard `s`'s slice of the window: pool-s arcs with both endpoints in
-  /// `window` (ascending ids), as a reusable CSR into `out`. `local_of` is
-  /// a dense global-id -> window-local table (kInvalidTxn = not in the
-  /// window), at least num_txns() entries. Read-only on shared state —
-  /// safe to run for distinct shards concurrently.
-  void shard_subgraph(std::size_t s, std::span<const TxnId> window,
-                      std::span<const TxnId> local_of,
-                      ShardSubgraph& out) const;
-
   std::size_t num_txns() const { return num_txns_; }
-  std::size_t num_shards() const { return pools_.size(); }
   /// Undirected edges inserted so far (retired arcs included).
-  std::size_t num_edges() const { return num_arcs_ / 2; }
+  std::size_t num_edges() const { return arcs_.size() / 2; }
   /// Heaviest edge ever inserted.
   Weight max_edge_weight() const { return max_w_; }
   /// Live (added, not retired) transactions.
   std::size_t live() const { return live_; }
-  /// Bytes held by the arc pools and their per-txn chain indices
+  /// Bytes held by the arc pool and its per-txn chain indices
   /// (telemetry: stream.arc_pool_bytes).
   std::size_t arc_pool_bytes() const;
 
@@ -152,38 +119,28 @@ class IncrementalConflictGraph {
     std::int32_t next;  // index of the owner's next (larger-id) arc, -1 at end
   };
 
-  /// One shard's arc pool. head/tail are per owning txn, lazily grown (a
-  /// txn with no conflicts in this shard costs nothing here).
-  struct Pool {
-    std::vector<Arc> arcs;
-    std::vector<std::int32_t> head;
-    std::vector<std::int32_t> tail;
-  };
-
-  void push_arc(Pool& pool, TxnId owner, TxnId to, Weight w);
-  std::int32_t chain_head(const Pool& pool, TxnId t) const {
-    return t < pool.head.size() ? pool.head[t] : -1;
+  void push_arc(TxnId owner, TxnId to, Weight w);
+  std::int32_t chain_head(TxnId t) const {
+    return t < head_.size() ? head_[t] : -1;
   }
 
   const Metric* metric_;
-  std::vector<Pool> pools_;
-  /// Per object: owning shard (empty means everything is pool 0).
-  std::vector<std::uint32_t> object_shard_;
+  /// The arc pool; head_/tail_ are per owning txn, lazily grown (a txn
+  /// with no conflicts yet costs nothing here).
+  std::vector<Arc> arcs_;
+  std::vector<std::int32_t> head_;
+  std::vector<std::int32_t> tail_;
   std::vector<NodeId> home_;
   /// Per object: live requesters, ascending (insertion is in id order and
   /// retire preserves order).
   std::vector<std::vector<TxnId>> live_req_;
   std::size_t num_txns_ = 0;
-  std::size_t num_arcs_ = 0;
   Weight max_w_ = 0;
   std::size_t live_ = 0;
-  /// Reused scratch: (partner, owning shard) pairs during add_txn, chain
-  /// cursors during subgraph's k-way merge.
-  std::vector<std::pair<TxnId, std::uint32_t>> partner_scratch_;
+  /// Reused add_txn scratch: partner ids, their homes and distances.
+  std::vector<TxnId> partner_scratch_;
   std::vector<NodeId> target_scratch_;
   std::vector<Weight> dist_scratch_;
-  mutable std::vector<std::int32_t> cursor_scratch_;
-  mutable std::vector<TxnId> cursor_local_scratch_;
 };
 
 namespace detail {

@@ -35,11 +35,11 @@ std::vector<std::size_t> coloring_sequence(const DependencyGraph& h,
 }
 
 /// Paper rule: pick the smallest k_u in [0, Δ] unused by colored neighbors;
-/// color = k_u·h_max + 1. `delta` is the whole graph's Δ even when only a
-/// component of it is being colored (greedy_color_members).
+/// color = k_u·h_max + 1.
 Time pigeonhole_color(const DependencyGraph& h,
                       const std::vector<Time>& color, std::size_t u,
-                      Weight hmax, std::size_t delta) {
+                      Weight hmax) {
+  const std::size_t delta = h.max_degree;
   std::vector<char> used(delta + 1, 0);
   for (const DependencyEdge& e : h.neighbors(u)) {
     const Time c = color[e.neighbor];
@@ -99,7 +99,7 @@ ColoredSubset greedy_color(const DependencyGraph& h, ColoringRule rule,
     probes += h.degree(u);
     const Time c =
         rule == ColoringRule::kPaperPigeonhole
-            ? pigeonhole_color(h, out.local_time, u, hmax, h.max_degree)
+            ? pigeonhole_color(h, out.local_time, u, hmax)
             : first_fit_color(h, out.local_time, u);
     out.local_time[u] = c;
     out.duration = std::max(out.duration, c);
@@ -107,25 +107,6 @@ ColoredSubset greedy_color(const DependencyGraph& h, ColoringRule rule,
   telemetry::count("greedy.color_probes", probes);
   telemetry::count("greedy.colored_txns", h.size());
   return out;
-}
-
-Time greedy_color_members(const DependencyGraph& h, ColoringRule rule,
-                          Weight hmax, std::size_t delta,
-                          std::span<const std::uint32_t> members,
-                          std::vector<Time>& color, std::uint64_t* probes) {
-  DTM_ASSERT(color.size() == h.size());
-  Time duration = 0;
-  std::uint64_t local_probes = 0;
-  for (std::uint32_t u : members) {
-    local_probes += h.degree(u);
-    const Time c = rule == ColoringRule::kPaperPigeonhole
-                       ? pigeonhole_color(h, color, u, hmax, delta)
-                       : first_fit_color(h, color, u);
-    color[u] = c;
-    duration = std::max(duration, c);
-  }
-  if (probes != nullptr) *probes += local_probes;
-  return duration;
 }
 
 GreedyScheduler::GreedyScheduler(GreedyOptions opts)

@@ -53,22 +53,6 @@ ColoredSubset greedy_color(const DependencyGraph& h, ColoringRule rule,
                            ColoringOrder order = ColoringOrder::kById,
                            Rng* rng = nullptr);
 
-/// Colors only `members` (ascending local indices into `h`), in that
-/// order, writing steps into `color` (sized h.size(); 0 = uncolored).
-/// `hmax` and `delta` are the *whole graph's* max edge weight (clamped
-/// >= 1) and max degree: a greedy color depends only on already-colored
-/// neighbors plus these two globals, so coloring each conflict component
-/// separately in ascending order — the sharded streaming runtime runs one
-/// call per shard on the thread pool — reproduces the sequential kById
-/// coloring of `h` bit for bit. Distinct calls may run concurrently iff
-/// their members span no common edge (component-closed member sets).
-/// Returns the max color assigned and adds neighbor probes to *probes;
-/// emits no telemetry (the caller aggregates per window).
-Time greedy_color_members(const DependencyGraph& h, ColoringRule rule,
-                          Weight hmax, std::size_t delta,
-                          std::span<const std::uint32_t> members,
-                          std::vector<Time>& color, std::uint64_t* probes);
-
 struct GreedyOptions {
   ColoringRule rule = ColoringRule::kPaperPigeonhole;
   ColoringOrder order = ColoringOrder::kById;

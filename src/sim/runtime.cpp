@@ -1,37 +1,14 @@
 #include "sim/runtime.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <numeric>
 #include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/link_policy.hpp"
 #include "util/metrics.hpp"
-#include "util/parallel_for.hpp"
 #include "util/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dtm {
-
-namespace {
-
-IncrementalConflictGraph make_dep(const Metric& metric, const ShardMap& map,
-                                  const std::vector<NodeId>& object_home) {
-  if (map.num_shards <= 1) {
-    return IncrementalConflictGraph(metric, object_home.size());
-  }
-  std::vector<std::uint32_t> object_shard(object_home.size());
-  for (std::size_t o = 0; o < object_home.size(); ++o) {
-    DTM_REQUIRE(object_home[o] < map.node_shard.size(),
-                "object home out of range");
-    object_shard[o] = map.shard_of(object_home[o]);
-  }
-  return IncrementalConflictGraph(metric, std::move(object_shard),
-                                  map.num_shards);
-}
-
-}  // namespace
 
 StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
                                    std::vector<NodeId> object_home,
@@ -42,7 +19,7 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
       object_home_(std::move(object_home)),
       placer_(object_home_),
       shard_map_(make_shard_map(g, std::max<std::size_t>(opts.shards, 1))),
-      dep_(make_dep(metric, shard_map_, object_home_)),
+      dep_(metric, object_home_.size()),
       next_close_(opts.window) {
   DTM_REQUIRE(opts_.window >= 1, "stream window must be >= 1 step");
   for (NodeId v : object_home_) {
@@ -97,21 +74,6 @@ TxnId StreamingRuntime::ingest(const ArrivingTxn& txn) {
   arrival_.push_back(txn.arrival);
   commit_.push_back(0);
   dep_.add_txn(id, txn.home, objects_[id]);
-  if (opts_.shards > 1) {
-    // Owning shard, or the cross-shard sentinel (== num_shards) when the
-    // transaction's objects span shards; objectless txns are conflict-free
-    // and parked in shard 0.
-    auto shard = static_cast<std::uint32_t>(
-        objects_[id].empty() ? 0
-                             : shard_map_.shard_of(object_home_[objects_[id][0]]));
-    for (ObjectId o : objects_[id]) {
-      if (shard_map_.shard_of(object_home_[o]) != shard) {
-        shard = static_cast<std::uint32_t>(opts_.shards);
-        break;
-      }
-    }
-    txn_shard_.push_back(shard);
-  }
 
   open_window_ = txn.arrival / opts_.window;
   open_batch_.push_back(id);
@@ -238,7 +200,10 @@ void StreamingRuntime::schedule_window(Time close,
   // Delta coloring: the batch's subgraph view of the incremental conflict
   // graph, colored by the §2.3 greedy and placed after the live horizon by
   // the WindowPlacer OnlineBatchScheduler uses too.
-  const ColoredSubset colored = color_batch(batch);
+  const DependencyGraph h = dep_.subgraph(batch);
+  const ColoredSubset colored = greedy_color(h, opts_.rule);
+  const WindowShardSplit split =
+      opts_.shards > 1 ? account_shards(h) : WindowShardSplit{};
   const Time start = placer_.place(
       *metric_, colored, close, [&](TxnId t) { return home_[t]; },
       [&](TxnId t) -> const std::vector<ObjectId>& { return objects_[t]; });
@@ -285,125 +250,47 @@ void StreamingRuntime::schedule_window(Time close,
                   {{"t", close},
                    {"shards", static_cast<std::int64_t>(opts_.shards)},
                    {"batch", static_cast<std::int64_t>(batch.size())},
-                   {"local", static_cast<std::int64_t>(window_split_.local)},
-                   {"cross", static_cast<std::int64_t>(window_split_.cross)},
-                   {"fixup", static_cast<std::int64_t>(window_split_.fixup)},
+                   {"local", static_cast<std::int64_t>(split.local)},
+                   {"cross", static_cast<std::int64_t>(split.cross)},
+                   {"fixup", static_cast<std::int64_t>(split.fixup)},
                    {"peak_members",
-                    static_cast<std::int64_t>(window_split_.peak)}});
+                    static_cast<std::int64_t>(split.peak)}});
     }
   }
 }
 
-ColoredSubset StreamingRuntime::color_batch(const std::vector<TxnId>& batch) {
-  if (opts_.shards <= 1) {
-    const DependencyGraph h = dep_.subgraph(batch);
-    return greedy_color(h, opts_.rule);
-  }
-  return color_batch_sharded(batch);
-}
+StreamingRuntime::WindowShardSplit StreamingRuntime::account_shards(
+    const DependencyGraph& h) {
+  const std::size_t n = h.size();
+  const auto S = static_cast<std::uint32_t>(opts_.shards);
 
-ColoredSubset StreamingRuntime::color_batch_sharded(
-    const std::vector<TxnId>& batch) {
-  const std::size_t n = batch.size();
-  const std::size_t S = opts_.shards;
-  TelemetryRegistry& reg = TelemetryRegistry::global();
-  TraceRecorder& tracer = TraceRecorder::global();
-
-  // Runs `fn` as one shard's task, feeding the shard-task timer and — when
-  // tracing — a kShard wall span on the executing worker's track, so the
-  // fan-out is visible as per-shard tracks in the trace viewer.
-  const auto shard_task = [&](const char* what, std::size_t s,
-                              const auto& fn) {
-    const bool timed = reg.enabled();
-    const bool traced = tracer.enabled();
-    const auto begin = std::chrono::steady_clock::now();
-    fn();
-    if (!timed && !traced) return;
-    const auto end = std::chrono::steady_clock::now();
-    if (traced) {
-      tracer.wall_span(TraceCat::kShard,
-                       std::string(what) + " s" + std::to_string(s), begin,
-                       end);
-    }
-    if (timed) {
-      reg.record_timer(
-          "phase.stream.shard_task",
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-                  .count()));
-    }
-  };
-
-  // Window-local index table, dense over all ingested ids (entries are
-  // restored to kInvalidTxn before returning, so only touched slots pay).
-  if (local_tbl_.size() < dep_.num_txns()) {
-    local_tbl_.resize(dep_.num_txns(), kInvalidTxn);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    local_tbl_[batch[i]] = static_cast<TxnId>(i);
-  }
-
-  // 1. Per-shard window views, extracted concurrently (each task reads
-  // only its own pool's chains).
-  views_.resize(S);
-  {
-    ScopedPhaseTimer timer("phase.stream.shard_extract");
-    parallel_for(shared_pool(), S, [&](std::size_t s) {
-      shard_task("extract", s, [&] {
-        dep_.shard_subgraph(s, batch, local_tbl_, views_[s]);
-      });
-    });
-  }
-
-  // 2. Deterministic sequential merge into the window CSR. Per-node
-  // slices are ascending in every view and a conflict pair lives in
-  // exactly one pool, so a smallest-neighbor k-way merge reproduces
-  // subgraph()'s ascending-local-index edge order exactly.
-  DependencyGraph h;
-  h.txns = batch;
-  h.offsets.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t deg = 0;
-    for (std::size_t s = 0; s < S; ++s) {
-      deg += views_[s].offsets[i + 1] - views_[s].offsets[i];
-    }
-    h.offsets[i + 1] = h.offsets[i] + static_cast<std::uint32_t>(deg);
-    h.max_degree = std::max(h.max_degree, deg);
-  }
-  h.edges.resize(h.offsets[n]);
-  merge_cur_.resize(S);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t s = 0; s < S; ++s) merge_cur_[s] = views_[s].offsets[i];
-    for (std::uint32_t e = h.offsets[i]; e < h.offsets[i + 1]; ++e) {
-      std::size_t best = S;
-      for (std::size_t s = 0; s < S; ++s) {
-        if (merge_cur_[s] == views_[s].offsets[i + 1]) continue;
-        if (best == S || views_[s].edges[merge_cur_[s]].neighbor <
-                             views_[best].edges[merge_cur_[best]].neighbor) {
-          best = s;
-        }
-      }
-      DTM_ASSERT(best < S);
-      h.edges[e] = views_[best].edges[merge_cur_[best]++];
-    }
-  }
-  for (std::size_t s = 0; s < S; ++s) {
-    h.max_edge_weight = std::max(h.max_edge_weight, views_[s].max_edge_weight);
-  }
-
-  // 3. Taint walk: components containing a cross-shard transaction go to
-  // the sequential fix-up pass. Everything untainted is pure-shard, and
-  // an edge between two pure-shard transactions pins both to the shared
-  // object's shard — so untainted components are confined to one shard
-  // and the per-shard colorings below touch disjoint state.
+  // A member's shard is the shard of its objects' homes, or S (the cross
+  // sentinel) when they differ; objectless transactions count as local to
+  // shard 0. Cross members seed the taint walk.
+  member_shard_.resize(n);
   tainted_.assign(n, 0);
   taint_stack_.clear();
+  std::size_t cross = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (txn_shard_[batch[i]] == S) {
+    const std::vector<ObjectId>& objs = objects_[h.txns[i]];
+    std::uint32_t s =
+        objs.empty() ? 0 : shard_map_.shard_of(object_home_[objs[0]]);
+    for (ObjectId o : objs) {
+      if (shard_map_.shard_of(object_home_[o]) != s) {
+        s = S;
+        break;
+      }
+    }
+    member_shard_[i] = s;
+    if (s == S) {
+      ++cross;
       tainted_[i] = 1;
       taint_stack_.push_back(static_cast<std::uint32_t>(i));
     }
   }
+  // Taint every conflict component that contains a cross member. An edge
+  // between two untainted members pins both to the shared object's shard,
+  // so what stays untainted is confined to one shard per component.
   while (!taint_stack_.empty()) {
     const std::uint32_t u = taint_stack_.back();
     taint_stack_.pop_back();
@@ -414,68 +301,27 @@ ColoredSubset StreamingRuntime::color_batch_sharded(
       }
     }
   }
-  shard_members_.resize(S);
-  for (auto& m : shard_members_) m.clear();
-  fixup_members_.clear();
-  std::size_t cross = 0;
+  shard_count_.assign(S, 0);
+  std::size_t fixup = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t s = txn_shard_[batch[i]];
-    if (s == S) ++cross;
     if (tainted_[i]) {
-      fixup_members_.push_back(static_cast<std::uint32_t>(i));
+      ++fixup;
     } else {
-      shard_members_[s].push_back(static_cast<std::uint32_t>(i));
+      ++shard_count_[member_shard_[i]];
     }
   }
 
-  // 4. Color: shard-confined members concurrently, each in ascending
-  // local order against the window-global h_max/Δ, then the tainted
-  // components sequentially — per-component ascending coloring equals the
-  // global ascending coloring, so this matches greedy_color(h) bit for
-  // bit (including the greedy.* counter totals, re-aggregated here).
-  ColoredSubset out;
-  out.txns = h.txns;
-  out.local_time.assign(n, 0);
-  const Weight hmax = std::max<Weight>(h.max_edge_weight, 1);
-  {
-    ScopedPhaseTimer timer("phase.coloring");
-    probes_scratch_.assign(S, 0);
-    durs_scratch_.assign(S, 0);
-    parallel_for(shared_pool(), S, [&](std::size_t s) {
-      shard_task("color", s, [&] {
-        durs_scratch_[s] =
-            greedy_color_members(h, opts_.rule, hmax, h.max_degree,
-                                 shard_members_[s], out.local_time,
-                                 &probes_scratch_[s]);
-      });
-    });
-    std::uint64_t probes = std::accumulate(probes_scratch_.begin(),
-                                           probes_scratch_.end(),
-                                           std::uint64_t{0});
-    out.duration = *std::max_element(durs_scratch_.begin(),
-                                     durs_scratch_.end());
-    out.duration = std::max(
-        out.duration, greedy_color_members(h, opts_.rule, hmax, h.max_degree,
-                                           fixup_members_, out.local_time,
-                                           &probes));
-    telemetry::count("greedy.color_probes", probes);
-    telemetry::count("greedy.colored_txns", n);
-  }
-
-  shard_stats_.local_txns += n - cross;
-  shard_stats_.cross_txns += cross;
-  shard_stats_.fixup_txns += fixup_members_.size();
-  window_split_ = {n - cross, cross, fixup_members_.size(), 0};
-  for (std::size_t s = 0; s < S; ++s) {
-    window_split_.peak = std::max(window_split_.peak, shard_members_[s].size());
-    shard_stats_.peak_shard_members =
-        std::max(shard_stats_.peak_shard_members, shard_members_[s].size());
-  }
-  telemetry::count("stream.shard_local_txns", n - cross);
-  telemetry::count("stream.shard_cross_txns", cross);
-
-  for (std::size_t i = 0; i < n; ++i) local_tbl_[batch[i]] = kInvalidTxn;
-  return out;
+  const WindowShardSplit split{
+      n - cross, cross, fixup,
+      *std::max_element(shard_count_.begin(), shard_count_.end())};
+  shard_stats_.local_txns += split.local;
+  shard_stats_.cross_txns += split.cross;
+  shard_stats_.fixup_txns += split.fixup;
+  shard_stats_.peak_shard_members =
+      std::max(shard_stats_.peak_shard_members, split.peak);
+  telemetry::count("stream.shard_local_txns", split.local);
+  telemetry::count("stream.shard_cross_txns", split.cross);
+  return split;
 }
 
 const StreamStats& StreamingRuntime::drain() {

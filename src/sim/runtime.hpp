@@ -25,17 +25,14 @@
 //     base = max(horizon, close-1), plus the worst transition distance
 //     from each object's current chain tail. Feasibility is by
 //     construction — the same triangle-inequality argument.
-//     With shards > 1 the coloring step fans out over the thread pool
-//     (DESIGN.md §10): the conflict graph keeps one arc pool per shard of
-//     a locality partition of the substrate (graph/partition.hpp — an
-//     object belongs to its home node's shard), per-shard window views
-//     are extracted concurrently and k-way merged into the window CSR,
-//     conflict components confined to one shard are colored in parallel,
-//     and components spanning shards — found by a taint walk from
-//     cross-shard transactions — are colored by a sequential fix-up pass.
-//     A greedy color depends only on already-colored same-component
-//     neighbors plus window-global h_max/Δ, so the sharded schedule is
-//     bit-identical to the shards=1 schedule;
+//     With shards > 1 the runtime also reports how each window splits
+//     over a locality partition of the substrate (graph/partition.hpp —
+//     an object belongs to its home node's shard; DESIGN.md §10):
+//     shard-local vs cross-shard transactions, the members of conflict
+//     components that reach a cross-shard transaction, and the largest
+//     per-shard count of the rest. That split is plain accounting over
+//     the window CSR; the coloring never reads it, so the schedule is the
+//     same at every shard count;
 //   * commit — commit steps are tracked against the stream clock; when the
 //     clock passes a transaction's commit step it retires from the live
 //     conflict sets. drain() can additionally replay the materialized
@@ -82,10 +79,10 @@ struct StreamingRuntimeOptions {
   /// kFixed with max_live 0 — falls back to max_live_admitted above,
   /// reproducing the PR 8 behavior bit for bit.
   AdmissionConfig admission;
-  /// Conflict-graph shards: 1 = the sequential path; k > 1 partitions the
-  /// substrate into k locality shards (graph/partition.hpp) and colors
-  /// shard-confined conflict components concurrently on the shared
-  /// ThreadPool. The schedule is bit-identical for every value.
+  /// Width of the reported locality split: k > 1 partitions the substrate
+  /// into k shards (graph/partition.hpp) and accounts each window's
+  /// members to them (ShardLoadStats, the "shard" metrics series). The
+  /// schedule never depends on it.
   std::size_t shards = 1;
   /// drain(): replay the materialized stream through the stepwise engine
   /// and fail if any planned commit is missed (see verify_by_replay()).
@@ -125,11 +122,12 @@ struct ShardLoadStats {
   std::size_t local_txns = 0;
   /// Admitted transactions spanning shards (taint seeds).
   std::size_t cross_txns = 0;
-  /// Transactions colored by the sequential fix-up pass (members of
-  /// components containing a cross-shard transaction; >= cross_txns).
+  /// Members of window conflict components that contain a cross-shard
+  /// transaction (>= cross_txns): the work no single shard could color
+  /// alone.
   std::size_t fixup_txns = 0;
-  /// Largest single-shard member list any window colored (imbalance
-  /// indicator: ideal is batch/shards).
+  /// Largest per-shard count of the remaining (shard-confined) members in
+  /// any window (imbalance indicator: ideal is batch/shards).
   std::size_t peak_shard_members = 0;
 };
 
@@ -186,11 +184,16 @@ class StreamingRuntime {
   /// Schedules one window: retire commits the clock passed, admit, color
   /// the batch subgraph, place after the horizon.
   void schedule_window(Time close, std::vector<TxnId>&& fresh);
-  /// Colors the admitted batch: shards=1 takes the sequential subgraph
-  /// path, shards>1 the parallel extract/merge/color pipeline. Both emit
-  /// identical greedy.* telemetry and identical colors.
-  ColoredSubset color_batch(const std::vector<TxnId>& batch);
-  ColoredSubset color_batch_sharded(const std::vector<TxnId>& batch);
+  /// One window's split over the shard partition (see ShardLoadStats).
+  struct WindowShardSplit {
+    std::size_t local = 0;  // shard-local transactions
+    std::size_t cross = 0;  // cross-shard transactions
+    std::size_t fixup = 0;  // members of components reaching a cross one
+    std::size_t peak = 0;   // largest per-shard count of the rest
+  };
+  /// Accounts the colored window `h` to the shards (shards > 1 only):
+  /// adds to shard_stats_ and the stream.shard_* counters.
+  WindowShardSplit account_shards(const DependencyGraph& h);
   /// Commits the clock passed; returns how many transactions retired.
   std::size_t retire_through(Time step);
   void sample_backlog();
@@ -208,35 +211,17 @@ class StreamingRuntime {
   std::vector<NodeId> object_home_;  // initial placement
   WindowPlacer placer_;              // chains, tail positions, horizon
 
-  // Shard partition (only populated with opts.shards > 1).
   ShardMap shard_map_;
   IncrementalConflictGraph dep_;
-  /// Per txn: owning shard, or num_shards as the cross-shard sentinel
-  /// (only maintained with opts.shards > 1).
-  std::vector<std::uint32_t> txn_shard_;
 
-  // Reused sharded-window scratch (allocation-free steady state).
-  std::vector<TxnId> local_tbl_;        // global id -> window-local index
-  std::vector<ShardSubgraph> views_;    // per-shard window slices
-  std::vector<std::vector<std::uint32_t>> shard_members_;
-  std::vector<std::uint32_t> fixup_members_;
+  // Reused account_shards scratch (allocation-free steady state).
+  std::vector<std::uint32_t> member_shard_;
   std::vector<char> tainted_;
   std::vector<std::uint32_t> taint_stack_;
-  std::vector<std::uint32_t> merge_cur_;
-  std::vector<std::uint64_t> probes_scratch_;
-  std::vector<Time> durs_scratch_;
+  std::vector<std::size_t> shard_count_;
+
   std::unique_ptr<AdmissionController> admission_;
   ShardLoadStats shard_stats_;
-
-  /// Per-window shard split captured by color_batch_sharded for the metrics
-  /// "shard" sample row (meaningless with shards == 1; overwritten every
-  /// sharded window).
-  struct WindowShardSplit {
-    std::size_t local = 0;   // shard-confined transactions this window
-    std::size_t cross = 0;   // cross-shard transactions this window
-    std::size_t fixup = 0;   // colored by the sequential fix-up pass
-    std::size_t peak = 0;    // largest single-shard member list
-  } window_split_;
 
   // Window assembly.
   std::vector<TxnId> open_batch_;  // arrivals in the open window

@@ -34,8 +34,6 @@ const char* to_string(TraceCat cat) {
       return "phase";
     case TraceCat::kResched:
       return "resched";
-    case TraceCat::kShard:
-      return "shard";
   }
   return "?";
 }

@@ -42,7 +42,7 @@
 namespace dtm {
 
 /// Event category; also the "cat" field of the exported events.
-enum class TraceCat { kLeg, kTxn, kQueue, kFault, kPhase, kResched, kShard };
+enum class TraceCat { kLeg, kTxn, kQueue, kFault, kPhase, kResched };
 
 const char* to_string(TraceCat cat);
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/generators.hpp"
 #include "core/online.hpp"
@@ -74,30 +76,52 @@ TEST(ArrivalSources, HotObjectAlwaysTouchesObjectZero) {
   }
 }
 
-TEST(IncrementalGraph, MatchesBatchBuilderOnFullSubset) {
+// The subgraph view filters each chain to subset members; the builder
+// gets the same subset. Beyond the full range (no arc filtered), every
+// other id, a contiguous middle range and a single id drop arcs whose
+// partner is outside the subset.
+TEST(IncrementalGraph, MatchesBatchBuilderOnSubsets) {
   const Grid g(6);
   const DenseMetric m(g.graph);
   Rng rng(11);
   const Instance inst = generate_uniform(
       g.graph, {.num_objects = 6, .objects_per_txn = 3}, rng);
+  const auto n = static_cast<TxnId>(inst.num_transactions());
+  ASSERT_GE(n, 8u);
 
   IncrementalConflictGraph inc(m, inst.num_objects());
-  std::vector<TxnId> all;
-  for (TxnId t = 0; t < inst.num_transactions(); ++t) {
+  std::vector<TxnId> all, every_other, middle;
+  for (TxnId t = 0; t < n; ++t) {
     inc.add_txn(t, inst.txn(t).home, inst.txn(t).objects);
     all.push_back(t);
+    if (t % 2 == 0) every_other.push_back(t);
+    if (t >= n / 4 && t < 3 * n / 4) middle.push_back(t);
   }
-  const DependencyGraph batch = build_dependency_graph(inst, m, all);
-  const DependencyGraph view = inc.subgraph(all);
-  ASSERT_EQ(view.txns, batch.txns);
-  ASSERT_EQ(view.offsets, batch.offsets);
-  ASSERT_EQ(view.edges.size(), batch.edges.size());
-  for (std::size_t i = 0; i < view.edges.size(); ++i) {
-    EXPECT_EQ(view.edges[i].neighbor, batch.edges[i].neighbor);
-    EXPECT_EQ(view.edges[i].weight, batch.edges[i].weight);
+  const std::vector<TxnId> single = {n / 2};
+  const std::pair<const char*, const std::vector<TxnId>*> subsets[] = {
+      {"all", &all},
+      {"every_other", &every_other},
+      {"middle", &middle},
+      {"single", &single}};
+  for (const auto& [name, subset] : subsets) {
+    const DependencyGraph batch = build_dependency_graph(inst, m, *subset);
+    const DependencyGraph view = inc.subgraph(*subset);
+    ASSERT_EQ(view.txns, batch.txns) << name;
+    ASSERT_EQ(view.offsets, batch.offsets) << name;
+    ASSERT_EQ(view.edges.size(), batch.edges.size()) << name;
+    for (std::size_t i = 0; i < view.edges.size(); ++i) {
+      EXPECT_EQ(view.edges[i].neighbor, batch.edges[i].neighbor) << name;
+      EXPECT_EQ(view.edges[i].weight, batch.edges[i].weight) << name;
+    }
+    EXPECT_EQ(view.max_degree, batch.max_degree) << name;
+    EXPECT_EQ(view.max_edge_weight, batch.max_edge_weight) << name;
   }
-  EXPECT_EQ(view.max_degree, batch.max_degree);
-  EXPECT_EQ(view.max_edge_weight, batch.max_edge_weight);
+  // The proper subsets really filter: each drops arcs of the full view.
+  const std::size_t full_edges = inc.subgraph(all).edges.size();
+  ASSERT_GT(full_edges, 0u);
+  EXPECT_LT(inc.subgraph(every_other).edges.size(), full_edges);
+  EXPECT_LT(inc.subgraph(middle).edges.size(), full_edges);
+  EXPECT_TRUE(inc.subgraph(single).edges.empty());
 }
 
 TEST(IncrementalGraph, RetireStopsFutureConflicts) {

@@ -1,4 +1,4 @@
-// Tests for the sharded streaming pipeline (DESIGN.md §10).
+// Tests for the streaming runtime's shard accounting (DESIGN.md §10).
 //
 //  * ShardMap unit properties: cluster partitions keep clusters whole, grid
 //    partitions tile the mesh, everything else falls back to contiguous
@@ -9,9 +9,11 @@
 //  * AdmissionController unit behavior: the fixed policy is constant; AIMD
 //    raises additively while deferred work exists and the backlog grows,
 //    cuts multiplicatively once caught up, and respects floor and cap.
-//  * The tentpole property: shards=1 and shards=k produce bit-identical
-//    schedules and StreamStats on every topology fixture, arrival model,
-//    and coloring rule — with fixed and with adaptive admission.
+//  * The shard split is accounting only: shards=1 and shards=k produce
+//    bit-identical schedules and StreamStats on every topology fixture,
+//    arrival model, and coloring rule — with fixed and with adaptive
+//    admission.
+//  * The split itself, pinned with exact numbers on a hand-built window.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -239,7 +241,7 @@ TEST(Admission, ParsePolicyNames) {
 }
 
 // ------------------------------------------------------------------------
-// The tentpole property: shard-count bit-identity on the golden fixtures.
+// Shard-count bit-identity on the golden fixtures.
 
 struct Fixture {
   std::string name;
@@ -402,7 +404,7 @@ TEST_P(ShardIdentity, AdaptiveAdmissionIsShardCountInvariant) {
   EXPECT_EQ(ref.cuts, got.cuts) << f.name;
 }
 
-// The metrics spine inherits the tentpole property: with the registry
+// The metrics spine inherits the shard-count invariance: with the registry
 // enabled, the exported dtm-metrics-v1 JSONL of a shards=k run is
 // byte-identical to the shards=1 run once the (explicitly per-shard)
 // "shard" series rows are dropped — histograms, gauges, and the "window"
@@ -464,8 +466,7 @@ TEST(ShardedRuntime, ReplayCheckPassesWithShards) {
       run_stream(cg.graph, m, ArrivalModel::kPoisson, 11, opts));
 }
 
-// Group-local load on a shard-aligned placement stays mostly shard-local —
-// the regime the parallel coloring pipeline is built for.
+// Group-local load on a shard-aligned placement stays shard-local.
 TEST(ShardedRuntime, GroupLocalLoadIsShardLocal) {
   const ClusterGraph cg(4, 4, 6);
   const DenseMetric m(cg.graph);
@@ -491,6 +492,53 @@ TEST(ShardedRuntime, GroupLocalLoadIsShardLocal) {
   EXPECT_EQ(shard.fixup_txns, 0u);
   EXPECT_GT(shard.peak_shard_members, 0u);
   EXPECT_EQ(st.committed, 200u);
+}
+
+// One window on two shards (one cluster each): T0 is local to shard 0 and
+// conflicts with the cross-shard T1 on o0; T2 is local to shard 1 and
+// conflicts with nothing. The cross member taints its component {T0, T1};
+// only T2 stays shard-confined.
+TEST(ShardedRuntime, AccountsOneWindowExactly) {
+  const ClusterGraph cg(2, 2, 4);
+  const DenseMetric m(cg.graph);
+  const NodeId a0 = cg.node_at(0, 0), a1 = cg.node_at(0, 1);
+  const NodeId b0 = cg.node_at(1, 0), b1 = cg.node_at(1, 1);
+  StreamingRuntimeOptions opts;
+  opts.window = 8;
+  opts.shards = 2;
+  // o0 lives in shard 0, o1 and o2 in shard 1.
+  StreamingRuntime rt(cg.graph, m, {a0, b0, b1}, opts);
+  ASSERT_EQ(rt.shard_stats().scheme, "cluster");
+
+  MetricsRegistry& mreg = MetricsRegistry::global();
+  mreg.reset();
+  mreg.set_enabled(true);
+  rt.ingest({.arrival = 0, .home = a1, .objects = {0}});     // T0: local s0
+  rt.ingest({.arrival = 1, .home = b0, .objects = {0, 1}});  // T1: cross
+  rt.ingest({.arrival = 2, .home = b1, .objects = {2}});     // T2: local s1
+  const StreamStats st = rt.drain();
+  const MetricsSnapshot snap = mreg.snapshot();
+  mreg.set_enabled(false);
+  mreg.reset();
+
+  EXPECT_EQ(st.windows, 1u);
+  EXPECT_EQ(st.committed, 3u);
+  const ShardLoadStats& shard = rt.shard_stats();
+  EXPECT_EQ(shard.num_shards, 2u);
+  EXPECT_EQ(shard.local_txns, 2u);
+  EXPECT_EQ(shard.cross_txns, 1u);
+  EXPECT_EQ(shard.fixup_txns, 2u);
+  EXPECT_EQ(shard.peak_shard_members, 1u);
+
+  std::vector<MetricSample> rows;
+  for (const MetricSample& s : snap.samples) {
+    if (s.series == "shard") rows.push_back(s);
+  }
+  ASSERT_EQ(rows.size(), 1u);
+  const std::vector<std::pair<std::string, std::int64_t>> want = {
+      {"t", 8},     {"shards", 2}, {"batch", 3},       {"local", 2},
+      {"cross", 1}, {"fixup", 2},  {"peak_members", 1}};
+  EXPECT_EQ(rows[0].fields, want);
 }
 
 }  // namespace
