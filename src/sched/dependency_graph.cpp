@@ -48,28 +48,32 @@ DependencyGraph build_dependency_graph(const Instance& inst,
 // --- incremental graph -------------------------------------------------
 
 IncrementalConflictGraph::IncrementalConflictGraph(const Metric& metric,
-                                                   std::size_t num_objects)
-    : metric_(&metric), live_req_(num_objects) {}
+                                                   std::size_t num_objects,
+                                                   std::size_t max_window)
+    : metric_(&metric), live_req_(num_objects), max_window_(max_window) {}
 
 void IncrementalConflictGraph::push_arc(TxnId owner, TxnId to, Weight w) {
-  // Chain links are int32_t: past 2^31 - 1 arcs the index would wrap
-  // negative and the chain walk would read out of bounds.
-  DTM_REQUIRE(arcs_.size() <
-                  static_cast<std::size_t>(
-                      std::numeric_limits<std::int32_t>::max()),
-              "incremental graph: arc pool exceeds 2^31 - 1 arcs");
-  if (owner >= head_.size()) {
-    head_.resize(owner + 1, -1);
-    tail_.resize(owner + 1, -1);
-  }
-  const auto idx = static_cast<std::int32_t>(arcs_.size());
-  arcs_.push_back({to, w, -1});
-  if (tail_[owner] == -1) {
-    head_[owner] = idx;
+  std::int32_t idx = free_;
+  if (idx != -1) {
+    free_ = arcs_[idx].next;
+    arcs_[idx] = {to, w, -1};
   } else {
-    arcs_[tail_[owner]].next = idx;
+    // Chain links are int32_t: past 2^31 - 1 arcs the index would wrap
+    // negative and the chain walk would read out of bounds.
+    DTM_REQUIRE(arcs_.size() <
+                    static_cast<std::size_t>(
+                        std::numeric_limits<std::int32_t>::max()),
+                "incremental graph: arc pool exceeds 2^31 - 1 arcs");
+    idx = static_cast<std::int32_t>(arcs_.size());
+    arcs_.push_back({to, w, -1});
   }
-  tail_[owner] = idx;
+  Chain& c = chain(owner);
+  if (c.tail == -1) {
+    c.head = idx;
+  } else {
+    arcs_[c.tail].next = idx;
+  }
+  c.tail = idx;
 }
 
 void IncrementalConflictGraph::add_txn(TxnId t, NodeId home,
@@ -78,8 +82,28 @@ void IncrementalConflictGraph::add_txn(TxnId t, NodeId home,
               "incremental graph: ids must arrive dense and in order "
               "(expected T"
                   << num_txns_ << ", got T" << t << ")");
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    DTM_REQUIRE(objects[i] < live_req_.size(),
+                "incremental graph: object id " << objects[i]
+                                                << " out of range");
+    DTM_REQUIRE(i == 0 || objects[i - 1] < objects[i],
+                "incremental graph: T" << t
+                                       << " objects must be strictly "
+                                          "ascending");
+  }
+
+  // Grow the ring so [frontier_, t] fits, re-seating the unreleased slots
+  // at their indices under the wider mask.
+  const std::size_t unreleased = num_txns_ - frontier_;
+  if (unreleased + 1 > chains_.size()) {
+    std::vector<Chain> grown(std::max<std::size_t>(16, 2 * chains_.size()));
+    for (std::size_t id = frontier_; id < num_txns_; ++id) {
+      grown[id & (grown.size() - 1)] = chain(static_cast<TxnId>(id));
+    }
+    chains_ = std::move(grown);
+  }
+  chain(t) = Chain{};
   ++num_txns_;
-  home_.push_back(home);
   ++live_;
 
   // Partners over all shared objects; a pair sharing several objects is
@@ -87,40 +111,47 @@ void IncrementalConflictGraph::add_txn(TxnId t, NodeId home,
   auto& partners = partner_scratch_;
   partners.clear();
   for (ObjectId o : objects) {
-    DTM_REQUIRE(o < live_req_.size(),
-                "incremental graph: object id " << o << " out of range");
     partners.insert(partners.end(), live_req_[o].begin(), live_req_[o].end());
-    live_req_[o].push_back(t);
+    live_req_[o].push_back({t, home});
   }
-  std::sort(partners.begin(), partners.end());
-  partners.erase(std::unique(partners.begin(), partners.end()),
+  std::sort(partners.begin(), partners.end(),
+            [](const Requester& a, const Requester& b) { return a.txn < b.txn; });
+  partners.erase(std::unique(partners.begin(), partners.end(),
+                             [](const Requester& a, const Requester& b) {
+                               return a.txn == b.txn;
+                             }),
                  partners.end());
+  if (partners.empty()) return;
 
-  if (!partners.empty()) {
-    // One batched distance query for the delta, matching the builder's
-    // access pattern (DenseMetric streams a matrix row).
-    target_scratch_.resize(partners.size());
-    dist_scratch_.resize(partners.size());
-    for (std::size_t i = 0; i < partners.size(); ++i) {
-      target_scratch_[i] = home_[partners[i]];
-    }
-    metric_->distances(home, target_scratch_, dist_scratch_.data());
-    for (std::size_t i = 0; i < partners.size(); ++i) {
-      const TxnId p = partners[i];
-      // Streams revisit homes, so two conflicting transactions can share a
-      // node (distance 0). The single-copy object still serves one commit
-      // per step — exactly what the stepwise engine enforces — so conflict
-      // edges are at least 1 here, where the batch builder (one txn per
-      // node) never sees a zero.
-      const Weight w = std::max<Weight>(dist_scratch_[i], 1);
-      // Tail-appended in ascending partner order; p's chain gains t, the
-      // largest id so far — both chains stay ascending by neighbor.
-      push_arc(t, p, w);
-      push_arc(p, t, w);
-      max_w_ = std::max(max_w_, w);
-    }
-    telemetry::count("stream.dep_edges", partners.size());
+  // One batched distance query for the delta, matching the builder's
+  // access pattern (DenseMetric streams a matrix row).
+  target_scratch_.resize(partners.size());
+  dist_scratch_.resize(partners.size());
+  for (std::size_t i = 0; i < partners.size(); ++i) {
+    target_scratch_[i] = partners[i].home;
   }
+  metric_->distances(home, target_scratch_, dist_scratch_.data());
+  for (std::size_t i = 0; i < partners.size(); ++i) {
+    const TxnId p = partners[i].txn;
+    // Streams revisit homes, so two conflicting transactions can share a
+    // node (distance 0). The single-copy object still serves one commit
+    // per step — exactly what the stepwise engine enforces — so conflict
+    // edges are at least 1 here, where the batch builder (one txn per
+    // node) never sees a zero.
+    const Weight w = std::max<Weight>(dist_scratch_[i], 1);
+    max_w_ = std::max(max_w_, w);
+    // A placed partner, or one too far back to fit in a window with t,
+    // can share no window with t: count the edge, store nothing.
+    if (p < frontier_ || (max_window_ != 0 && t - p >= max_window_)) {
+      continue;
+    }
+    // Tail-appended in ascending partner order; p's chain gains t, the
+    // largest id so far — both chains stay ascending by neighbor.
+    push_arc(t, p, w);
+    push_arc(p, t, w);
+  }
+  num_edges_ += partners.size();
+  telemetry::count("stream.dep_edges", partners.size());
 }
 
 void IncrementalConflictGraph::retire(TxnId t,
@@ -128,7 +159,8 @@ void IncrementalConflictGraph::retire(TxnId t,
   DTM_REQUIRE(t < num_txns_, "incremental graph: retiring unknown txn");
   for (ObjectId o : objects) {
     auto& req = live_req_[o];
-    auto it = std::find(req.begin(), req.end(), t);
+    auto it = std::find_if(req.begin(), req.end(),
+                           [t](const Requester& r) { return r.txn == t; });
     DTM_REQUIRE(it != req.end(),
                 "incremental graph: T" << t << " not live on o" << o);
     req.erase(it);
@@ -137,9 +169,23 @@ void IncrementalConflictGraph::retire(TxnId t,
   --live_;
 }
 
+void IncrementalConflictGraph::release_through(TxnId frontier) {
+  DTM_REQUIRE(frontier >= frontier_ && frontier <= num_txns_,
+              "incremental graph: release frontier "
+                  << frontier << " outside [" << frontier_ << ", "
+                  << num_txns_ << "]");
+  // Splice each released chain onto the free list whole: O(1) per id.
+  for (TxnId t = frontier_; t < frontier; ++t) {
+    const Chain c = chain(t);
+    if (c.head == -1) continue;
+    arcs_[c.tail].next = free_;
+    free_ = c.head;
+  }
+  frontier_ = frontier;
+}
+
 std::size_t IncrementalConflictGraph::arc_pool_bytes() const {
-  return arcs_.size() * sizeof(Arc) +
-         (head_.size() + tail_.size()) * sizeof(std::int32_t);
+  return arcs_.size() * sizeof(Arc) + chains_.size() * sizeof(Chain);
 }
 
 DependencyGraph IncrementalConflictGraph::subgraph(
@@ -152,9 +198,18 @@ DependencyGraph IncrementalConflictGraph::subgraph(
                       h.txns.end(),
               "incremental subgraph: subset must be ascending and "
               "duplicate-free");
+  if (n > 0) {
+    DTM_REQUIRE(h.txns.front() >= frontier_,
+                "incremental subgraph: T" << h.txns.front()
+                                          << " was already released");
+    DTM_REQUIRE(h.txns.back() < num_txns_,
+                "incremental subgraph: T" << h.txns.back() << " never added");
+  }
 
   // Global id -> local index for the subset (binary search keeps this
-  // allocation-light; windows are small relative to the stream).
+  // allocation-light; windows are small relative to the stream). Chains
+  // may still name partners released since the arc was stored; they are
+  // never subset members, so the filter drops them.
   auto local_of = [&](TxnId g) -> TxnId {
     auto it = std::lower_bound(h.txns.begin(), h.txns.end(), g);
     return it != h.txns.end() && *it == g
@@ -165,10 +220,8 @@ DependencyGraph IncrementalConflictGraph::subgraph(
   // Pass 1: exact degrees (chains filtered to subset members).
   h.offsets.assign(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    DTM_REQUIRE(h.txns[i] < num_txns_,
-                "incremental subgraph: T" << h.txns[i] << " never added");
     std::size_t deg = 0;
-    for (std::int32_t a = chain_head(h.txns[i]); a != -1; a = arcs_[a].next) {
+    for (std::int32_t a = chain(h.txns[i]).head; a != -1; a = arcs_[a].next) {
       if (local_of(arcs_[a].to) != kInvalidTxn) ++deg;
     }
     h.offsets[i + 1] = h.offsets[i] + static_cast<std::uint32_t>(deg);
@@ -181,7 +234,7 @@ DependencyGraph IncrementalConflictGraph::subgraph(
   h.edges.resize(h.offsets[n]);
   for (std::size_t i = 0; i < n; ++i) {
     std::uint32_t e = h.offsets[i];
-    for (std::int32_t a = chain_head(h.txns[i]); a != -1; a = arcs_[a].next) {
+    for (std::int32_t a = chain(h.txns[i]).head; a != -1; a = arcs_[a].next) {
       const TxnId l = local_of(arcs_[a].to);
       if (l == kInvalidTxn) continue;
       h.edges[e++] = {l, arcs_[a].weight};

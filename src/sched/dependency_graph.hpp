@@ -79,66 +79,115 @@ DependencyGraph build_dependency_graph(const Instance& inst,
 /// neighbor id and window extraction needs no sort (and no allocation
 /// beyond the exact-sized output). retire() removes a committed
 /// transaction from the live requester sets so future arrivals stop
-/// conflicting with it (its historical arcs stay in the pool, which keeps
-/// retire O(k)). subgraph() exports any subset — in practice a scheduling
-/// window's batch — as the standard CSR DependencyGraph that
-/// greedy_color() consumes, filtering pool arcs to subset members.
+/// conflicting with it. subgraph() exports any subset of the unplaced
+/// transactions — in practice a scheduling window's batch — as the
+/// standard CSR DependencyGraph that greedy_color() consumes, filtering
+/// pool arcs to subset members.
+///
+/// Placed transactions form an id prefix [0, frontier): the runtime admits
+/// FIFO, so no later window can contain them. release_through() advances
+/// the frontier and recycles the released chains through a free list that
+/// push_arc() reuses, and add_txn() stores an arc only when both ends are
+/// at or above the frontier (edges to placed partners are still counted
+/// and weighed). So the pool, the per-transaction chain slots (a ring over
+/// [frontier, num_txns)) and the live requester lists are all sized by the
+/// unplaced, uncommitted work, not by the stream length. With a
+/// `max_window` bound (a fixed admission quota: no window holds two ids
+/// that far apart) arcs between ids at least that far apart are counted
+/// but not stored either, so an overloaded backlog holds O(backlog ·
+/// max_window) arcs instead of O(backlog²).
 class IncrementalConflictGraph {
  public:
-  IncrementalConflictGraph(const Metric& metric, std::size_t num_objects);
+  /// `max_window` = 0: windows may span any number of ids.
+  IncrementalConflictGraph(const Metric& metric, std::size_t num_objects,
+                           std::size_t max_window = 0);
 
   /// Registers transaction `t` (ids must arrive dense, in order: the next
   /// expected id is num_txns()) homed at `home` touching `objects`
-  /// (sorted, duplicate-free). Inserts the delta edges.
+  /// (strictly ascending, in range). Inserts the delta edges. Every
+  /// argument is checked before any state changes, so a rejected call
+  /// throws dtm::Error and leaves the graph as it was.
   void add_txn(TxnId t, NodeId home, std::span<const ObjectId> objects);
 
   /// Marks `t` committed: it leaves the live requester sets of its
   /// `objects` (which must be the set it was added with).
   void retire(TxnId t, std::span<const ObjectId> objects);
 
-  /// CSR view over `txns` (ascending ids already added); only edges with
-  /// both endpoints in the subset are included. Local indices follow the
-  /// subset's order, matching build_dependency_graph's convention.
+  /// Declares every id below `frontier` placed: their chains return to the
+  /// free list and later subgraph() calls may no longer name them.
+  /// Monotone; `frontier` may not pass num_txns().
+  void release_through(TxnId frontier);
+
+  /// CSR view over `txns` (ascending ids already added and not released);
+  /// only edges with both endpoints in the subset are included. Local
+  /// indices follow the subset's order, matching build_dependency_graph's
+  /// convention.
   DependencyGraph subgraph(std::span<const TxnId> txns) const;
 
   std::size_t num_txns() const { return num_txns_; }
-  /// Undirected edges inserted so far (retired arcs included).
-  std::size_t num_edges() const { return arcs_.size() / 2; }
-  /// Heaviest edge ever inserted.
+  /// Undirected edges counted so far: retired ones, and those to placed
+  /// partners that were never stored, included.
+  std::size_t num_edges() const { return num_edges_; }
+  /// Heaviest edge ever counted.
   Weight max_edge_weight() const { return max_w_; }
   /// Live (added, not retired) transactions.
   std::size_t live() const { return live_; }
-  /// Bytes held by the arc pool and its per-txn chain indices
-  /// (telemetry: stream.arc_pool_bytes).
+  /// First id not yet released.
+  TxnId frontier() const { return frontier_; }
+  /// Arc slots the pool ever held at once (its high-water mark: released
+  /// slots are reused before the pool grows).
+  std::size_t arc_slots() const { return arcs_.size(); }
+  /// Chain slots in the ring (its high-water size; it never shrinks).
+  std::size_t ring_slots() const { return chains_.size(); }
+  /// Bytes held by the arc pool and the chain ring, at their high-water
+  /// marks (telemetry: stream.arc_pool_bytes).
   std::size_t arc_pool_bytes() const;
 
  private:
   struct Arc {
     TxnId to;
     Weight weight;
-    std::int32_t next;  // index of the owner's next (larger-id) arc, -1 at end
+    // The owner's next (larger-id) arc, or the next free slot while on the
+    // free list; -1 at the end.
+    std::int32_t next;
+  };
+  /// One transaction's arc chain, -1/-1 while it has no stored arcs.
+  struct Chain {
+    std::int32_t head = -1;
+    std::int32_t tail = -1;
+  };
+  /// A live requester of an object, with its home so add_txn can weigh the
+  /// new edges without a per-transaction home table.
+  struct Requester {
+    TxnId txn;
+    NodeId home;
   };
 
   void push_arc(TxnId owner, TxnId to, Weight w);
-  std::int32_t chain_head(TxnId t) const {
-    return t < head_.size() ? head_[t] : -1;
+  /// Ring slot of an unreleased id; the ring size is a power of two no
+  /// smaller than num_txns - frontier, so live ids never collide.
+  Chain& chain(TxnId t) { return chains_[t & (chains_.size() - 1)]; }
+  const Chain& chain(TxnId t) const {
+    return chains_[t & (chains_.size() - 1)];
   }
 
   const Metric* metric_;
-  /// The arc pool; head_/tail_ are per owning txn, lazily grown (a txn
-  /// with no conflicts yet costs nothing here).
+  /// The arc pool; freed chains are threaded through Arc::next from free_.
   std::vector<Arc> arcs_;
-  std::vector<std::int32_t> head_;
-  std::vector<std::int32_t> tail_;
-  std::vector<NodeId> home_;
+  std::int32_t free_ = -1;
+  /// Chain ring over [frontier_, num_txns_); grows on first use.
+  std::vector<Chain> chains_;
   /// Per object: live requesters, ascending (insertion is in id order and
   /// retire preserves order).
-  std::vector<std::vector<TxnId>> live_req_;
+  std::vector<std::vector<Requester>> live_req_;
+  std::size_t max_window_;
   std::size_t num_txns_ = 0;
+  TxnId frontier_ = 0;
+  std::size_t num_edges_ = 0;
   Weight max_w_ = 0;
   std::size_t live_ = 0;
-  /// Reused add_txn scratch: partner ids, their homes and distances.
-  std::vector<TxnId> partner_scratch_;
+  /// Reused add_txn scratch: partners, their homes and distances.
+  std::vector<Requester> partner_scratch_;
   std::vector<NodeId> target_scratch_;
   std::vector<Weight> dist_scratch_;
 };

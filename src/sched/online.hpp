@@ -156,7 +156,8 @@ class WindowPlacer {
 
   /// Places `colored` and returns its start offset: batch member i commits
   /// at offset + colored.local_time[i]. `home(t)` is transaction t's node
-  /// and `objects(t)` its object set.
+  /// and `objects(t)` its object set. Costs O(batch·k) after the first
+  /// call: only the objects the batch touches are visited.
   template <class HomeOf, class ObjectsOf>
   Time place(const Metric& metric, const ColoredSubset& colored, Time close,
              const HomeOf& home, const ObjectsOf& objects);
@@ -166,55 +167,70 @@ class WindowPlacer {
   std::vector<std::vector<TxnId>> take_chains() { return std::move(chains_); }
 
  private:
+  /// An object's first and last requester within the batch being placed.
+  struct BatchVisit {
+    Time first_t = kInfiniteWeight;
+    Time last_t = 0;
+    NodeId first_v = kInvalidNode;
+    NodeId last_v = kInvalidNode;
+  };
+
   std::vector<std::vector<TxnId>> chains_;
   std::vector<NodeId> pos_;  // chain-tail positions
   Time horizon_ = 0;
+  // Reused place() scratch: visits_ is all-default between calls (touched_
+  // lists the entries to reset), by_color_ is the batch in color order.
+  std::vector<BatchVisit> visits_;
+  std::vector<ObjectId> touched_;
+  std::vector<std::size_t> by_color_;
 };
 
 template <class HomeOf, class ObjectsOf>
 Time WindowPlacer::place(const Metric& metric, const ColoredSubset& colored,
                          Time close, const HomeOf& home,
                          const ObjectsOf& objects) {
-  const std::size_t w = pos_.size();
   const std::size_t n = colored.txns.size();
-  // First/last requester per object within the batch.
-  std::vector<Time> first_t(w, kInfiniteWeight), last_t(w, 0);
-  std::vector<NodeId> first_v(w, kInvalidNode), last_v(w, kInvalidNode);
+  visits_.resize(pos_.size());
+  // First/last requester per touched object within the batch.
   for (std::size_t i = 0; i < n; ++i) {
     const TxnId t = colored.txns[i];
     for (ObjectId o : objects(t)) {
-      if (colored.local_time[i] < first_t[o]) {
-        first_t[o] = colored.local_time[i];
-        first_v[o] = home(t);
+      BatchVisit& v = visits_[o];
+      if (v.first_v == kInvalidNode) touched_.push_back(o);
+      if (colored.local_time[i] < v.first_t) {
+        v.first_t = colored.local_time[i];
+        v.first_v = home(t);
       }
-      if (colored.local_time[i] >= last_t[o]) {
-        last_t[o] = colored.local_time[i];
-        last_v[o] = home(t);
+      if (colored.local_time[i] >= v.last_t) {
+        v.last_t = colored.local_time[i];
+        v.last_v = home(t);
       }
     }
   }
   Weight transition = 0;
-  for (ObjectId o = 0; o < w; ++o) {
-    if (first_v[o] != kInvalidNode) {
-      transition = std::max(transition, metric.distance(pos_[o], first_v[o]));
-    }
+  for (ObjectId o : touched_) {
+    transition =
+        std::max(transition, metric.distance(pos_[o], visits_[o].first_v));
   }
   const Time start = std::max(horizon_, close - 1) + transition;
-  std::vector<std::size_t> by_color(n);
-  std::iota(by_color.begin(), by_color.end(), 0);
-  std::sort(by_color.begin(), by_color.end(), [&](std::size_t a, std::size_t b) {
-    return colored.local_time[a] != colored.local_time[b]
-               ? colored.local_time[a] < colored.local_time[b]
-               : colored.txns[a] < colored.txns[b];
-  });
-  for (std::size_t i : by_color) {
+  by_color_.resize(n);
+  std::iota(by_color_.begin(), by_color_.end(), 0);
+  std::sort(by_color_.begin(), by_color_.end(),
+            [&](std::size_t a, std::size_t b) {
+              return colored.local_time[a] != colored.local_time[b]
+                         ? colored.local_time[a] < colored.local_time[b]
+                         : colored.txns[a] < colored.txns[b];
+            });
+  for (std::size_t i : by_color_) {
     for (ObjectId o : objects(colored.txns[i])) {
       chains_[o].push_back(colored.txns[i]);
     }
   }
-  for (ObjectId o = 0; o < w; ++o) {
-    if (last_v[o] != kInvalidNode) pos_[o] = last_v[o];
+  for (ObjectId o : touched_) {
+    pos_[o] = visits_[o].last_v;
+    visits_[o] = {};
   }
+  touched_.clear();
   horizon_ = std::max(horizon_, start + colored.duration);
   return start;
 }

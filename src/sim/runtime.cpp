@@ -10,6 +10,26 @@
 
 namespace dtm {
 
+namespace {
+
+/// The admission seam: the legacy max_live_admitted field doubles as the
+/// fixed quota (or the AIMD starting quota) when admission.max_live is
+/// unset, so PR 8 call sites reproduce bit for bit.
+AdmissionConfig admission_config(const StreamingRuntimeOptions& opts) {
+  AdmissionConfig ac = opts.admission;
+  if (ac.max_live == 0) ac.max_live = opts.max_live_admitted;
+  return ac;
+}
+
+/// The widest id span a window can hold: admission takes the next unplaced
+/// ids in order, up to the quota. Bounded only when the quota is fixed.
+std::size_t max_window(const StreamingRuntimeOptions& opts) {
+  const AdmissionConfig ac = admission_config(opts);
+  return ac.policy == AdmissionPolicy::kFixed ? ac.max_live : 0;
+}
+
+}  // namespace
+
 StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
                                    std::vector<NodeId> object_home,
                                    StreamingRuntimeOptions opts)
@@ -19,7 +39,7 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
       object_home_(std::move(object_home)),
       placer_(object_home_),
       shard_map_(make_shard_map(g, std::max<std::size_t>(opts.shards, 1))),
-      dep_(metric, object_home_.size()),
+      dep_(metric, object_home_.size(), max_window(opts)),
       next_close_(opts.window) {
   DTM_REQUIRE(opts_.window >= 1, "stream window must be >= 1 step");
   for (NodeId v : object_home_) {
@@ -29,13 +49,7 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
   opts_.shards = shard_map_.num_shards;
   shard_stats_.num_shards = shard_map_.num_shards;
   shard_stats_.scheme = shard_map_.scheme;
-
-  // The admission seam: the legacy max_live_admitted field doubles as the
-  // fixed quota (or the AIMD starting quota) when admission.max_live is
-  // unset, so PR 8 call sites reproduce bit for bit.
-  AdmissionConfig ac = opts_.admission;
-  if (ac.max_live == 0) ac.max_live = opts_.max_live_admitted;
-  admission_ = make_admission_controller(ac);
+  admission_ = make_admission_controller(admission_config(opts_));
 }
 
 std::vector<NodeId> StreamingRuntime::spread_homes(const Graph& g,
@@ -54,7 +68,8 @@ TxnId StreamingRuntime::ingest(const ArrivingTxn& txn) {
               "arrivals must be non-decreasing (got "
                   << txn.arrival << " after " << stats_.last_arrival << ")");
   DTM_REQUIRE(txn.home < g_->num_nodes(), "transaction home out of range");
-  std::vector<ObjectId> objects = txn.objects;
+  std::vector<ObjectId>& objects = object_scratch_;
+  objects.assign(txn.objects.begin(), txn.objects.end());
   std::sort(objects.begin(), objects.end());
   DTM_REQUIRE(std::adjacent_find(objects.begin(), objects.end()) ==
                   objects.end(),
@@ -69,11 +84,12 @@ TxnId StreamingRuntime::ingest(const ArrivingTxn& txn) {
   close_windows_through(txn.arrival);
 
   const auto id = static_cast<TxnId>(home_.size());
+  dep_.add_txn(id, txn.home, objects);
   home_.push_back(txn.home);
-  objects_.push_back(std::move(objects));
+  object_ids_.insert(object_ids_.end(), objects.begin(), objects.end());
+  object_end_.push_back(object_ids_.size());
   arrival_.push_back(txn.arrival);
   commit_.push_back(0);
-  dep_.add_txn(id, txn.home, objects_[id]);
 
   open_window_ = txn.arrival / opts_.window;
   open_batch_.push_back(id);
@@ -121,7 +137,7 @@ std::size_t StreamingRuntime::retire_through(Time step) {
   while (!pending_commits_.empty() && pending_commits_.top().first <= step) {
     const TxnId t = pending_commits_.top().second;
     pending_commits_.pop();
-    dep_.retire(t, objects_[t]);
+    dep_.retire(t, objects_of(t));
     DTM_ASSERT(live_admitted_ > 0);
     --live_admitted_;
     ++stats_.committed;
@@ -206,13 +222,19 @@ void StreamingRuntime::schedule_window(Time close,
       opts_.shards > 1 ? account_shards(h) : WindowShardSplit{};
   const Time start = placer_.place(
       *metric_, colored, close, [&](TxnId t) { return home_[t]; },
-      [&](TxnId t) -> const std::vector<ObjectId>& { return objects_[t]; });
+      [&](TxnId t) { return objects_of(t); });
   for (std::size_t i = 0; i < colored.txns.size(); ++i) {
     const TxnId t = colored.txns[i];
     commit_[t] = start + colored.local_time[i];
     pending_commits_.emplace(commit_[t], t);
     stats_.makespan = std::max(stats_.makespan, commit_[t]);
   }
+  // Admission is FIFO (backlog, then fresh arrivals), so the batch is the
+  // next run of unplaced ids; no later window can contain them, and their
+  // conflict-graph chains go back to the pool.
+  DTM_ASSERT(batch.front() == dep_.frontier() &&
+             batch.back() - batch.front() + 1 == batch.size());
+  dep_.release_through(batch.back() + 1);
   if (metrics_on) {
     // Per-transaction latency stages. They tile commit - arrival exactly:
     // the admit wait runs from arrival to the admitting window's close - 1
@@ -272,7 +294,7 @@ StreamingRuntime::WindowShardSplit StreamingRuntime::account_shards(
   taint_stack_.clear();
   std::size_t cross = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<ObjectId>& objs = objects_[h.txns[i]];
+    const std::span<const ObjectId> objs = objects_of(h.txns[i]);
     std::uint32_t s =
         objs.empty() ? 0 : shard_map_.shard_of(object_home_[objs[0]]);
     for (ObjectId o : objs) {
@@ -375,7 +397,8 @@ Instance StreamingRuntime::materialize() const {
   InstanceBuilder b(*g_, object_home_.size());
   b.allow_shared_homes();
   for (std::size_t t = 0; t < home_.size(); ++t) {
-    b.add_transaction(home_[t], objects_[t]);
+    const std::span<const ObjectId> objs = objects_of(static_cast<TxnId>(t));
+    b.add_transaction(home_[t], {objs.begin(), objs.end()});
   }
   for (ObjectId o = 0; o < object_home_.size(); ++o) {
     b.set_object_home(o, object_home_[o]);

@@ -24,7 +24,10 @@
 //     WindowPlacer OnlineBatchScheduler uses (sched/online.hpp):
 //     base = max(horizon, close-1), plus the worst transition distance
 //     from each object's current chain tail. Feasibility is by
-//     construction — the same triangle-inequality argument.
+//     construction — the same triangle-inequality argument. Admission
+//     is FIFO, so the placed transactions are an id prefix: the graph
+//     then releases the window's arc chains for reuse and stops storing
+//     arcs to them, which keeps it sized by the unplaced work.
 //     With shards > 1 the runtime also reports how each window splits
 //     over a locality partition of the substrate (graph/partition.hpp —
 //     an object belongs to its home node's shard; DESIGN.md §10):
@@ -48,6 +51,7 @@
 #include <deque>
 #include <functional>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,6 +165,8 @@ class StreamingRuntime {
   std::size_t backlog() const { return stats_.arrived - stats_.committed; }
   const StreamStats& stats() const { return stats_; }
   const ShardLoadStats& shard_stats() const { return shard_stats_; }
+  /// The incremental conflict graph (its size accounting for soak tests).
+  const IncrementalConflictGraph& conflict_graph() const { return dep_; }
   /// The live admission controller (quota / raises / cuts for benches).
   const AdmissionController& admission() const { return *admission_; }
 
@@ -202,11 +208,22 @@ class StreamingRuntime {
   const Metric* metric_;
   StreamingRuntimeOptions opts_;
 
-  // Stream transcript (runtime ids are dense, in arrival order).
+  /// Transaction t's object set, ascending.
+  std::span<const ObjectId> objects_of(TxnId t) const {
+    const std::size_t lo = t == 0 ? 0 : object_end_[t - 1];
+    return {object_ids_.data() + lo, object_ids_.data() + object_end_[t]};
+  }
+
+  // Stream transcript (runtime ids are dense, in arrival order). It stays
+  // O(stream): schedule(), materialize() and arrivals() read all of it.
+  // Object sets are flat CSR: t's ids end at object_end_[t] and start
+  // where t - 1's end.
   std::vector<NodeId> home_;
-  std::vector<std::vector<ObjectId>> objects_;
+  std::vector<std::size_t> object_end_;
+  std::vector<ObjectId> object_ids_;
   ArrivalTimes arrival_;
   std::vector<Time> commit_;
+  std::vector<ObjectId> object_scratch_;  // ingest's sort/validate buffer
 
   std::vector<NodeId> object_home_;  // initial placement
   WindowPlacer placer_;              // chains, tail positions, horizon

@@ -11,6 +11,7 @@
 #include "core/validate.hpp"
 #include "graph/topologies/clique.hpp"
 #include "graph/topologies/grid.hpp"
+#include "graph/topologies/line.hpp"
 #include "sched/dependency_graph.hpp"
 #include "sched/online.hpp"
 #include "sim/runtime.hpp"
@@ -141,6 +142,162 @@ TEST(IncrementalGraph, RetireStopsFutureConflicts) {
   EXPECT_EQ(inc.subgraph(both).edges.size(), 2u);  // one edge, two arcs
 }
 
+// Windows extracted after release_through still equal the batch builder
+// on the same subsets. The windows are the runtime's shape — the next run
+// of at most 4 unplaced ids — and some ids stay unplaced across several
+// windows, so chains keep arcs to partners released since they were
+// stored. With max_window = 4 the graph also skips arcs between ids 4 or
+// more apart, which no such window can hold.
+TEST(IncrementalGraph, ReleasedWindowsMatchBatchBuilder) {
+  const Grid g(6);
+  const DenseMetric m(g.graph);
+  Rng rng(29);
+  const Instance inst = generate_uniform(
+      g.graph, {.num_objects = 5, .objects_per_txn = 2}, rng);
+  const auto n = static_cast<TxnId>(inst.num_transactions());
+  ASSERT_GE(n, 30u);
+  const std::size_t all_edges =
+      build_dependency_graph(inst, m).edges.size() / 2;
+
+  std::size_t pool[2] = {0, 0};
+  for (std::size_t max_window : {0, 4}) {
+    SCOPED_TRACE(max_window);
+    IncrementalConflictGraph inc(m, inst.num_objects(), max_window);
+    TxnId added = 0;
+    std::size_t windows = 0;
+    while (inc.frontier() < n) {
+      // Arrivals run ahead of placement: add up to 7, place up to 4.
+      for (TxnId k = 0; k < 7 && added < n; ++k, ++added) {
+        inc.add_txn(added, inst.txn(added).home, inst.txn(added).objects);
+      }
+      std::vector<TxnId> window;
+      for (TxnId t = inc.frontier(); t < added && window.size() < 4; ++t) {
+        window.push_back(t);
+      }
+      const DependencyGraph batch = build_dependency_graph(inst, m, window);
+      const DependencyGraph view = inc.subgraph(window);
+      ASSERT_EQ(view.offsets, batch.offsets) << "window at T" << window[0];
+      for (std::size_t i = 0; i < view.edges.size(); ++i) {
+        EXPECT_EQ(view.edges[i].neighbor, batch.edges[i].neighbor);
+        EXPECT_EQ(view.edges[i].weight, batch.edges[i].weight);
+      }
+      EXPECT_EQ(view.max_edge_weight, batch.max_edge_weight);
+      inc.release_through(window.back() + 1);
+      ++windows;
+    }
+    EXPECT_GT(windows, 5u);
+    // Nothing retired: every pair sharing an object was counted once.
+    EXPECT_EQ(inc.num_edges(), all_edges);
+    pool[max_window == 0 ? 0 : 1] = inc.arc_slots();
+  }
+  EXPECT_LT(pool[1], pool[0]);
+}
+
+TEST(IncrementalGraph, ArcsToPlacedIdsCountedNotStored) {
+  const Line line(8);
+  const DenseMetric m(line.graph);
+  IncrementalConflictGraph inc(m, 1);
+  const std::vector<ObjectId> o0 = {0};
+  inc.add_txn(0, 0, o0);
+  inc.add_txn(1, 4, o0);  // T0-T1, weight 4: two arcs stored
+  EXPECT_EQ(inc.arc_slots(), 2u);
+  inc.release_through(1);  // T0 placed; its arc goes to the free list
+  inc.add_txn(2, 5, o0);   // T0-T2 (weight 5) counted only; T1-T2 stored
+  EXPECT_EQ(inc.num_edges(), 3u);
+  EXPECT_EQ(inc.max_edge_weight(), 5);
+  // T1-T2's two arcs: one in T0's freed slot, one new.
+  EXPECT_EQ(inc.arc_slots(), 3u);
+  const std::vector<TxnId> both = {1, 2};
+  const DependencyGraph h = inc.subgraph(both);
+  ASSERT_EQ(h.edges.size(), 2u);
+  EXPECT_EQ(h.max_edge_weight, 1);
+  EXPECT_TRUE(inc.subgraph(std::vector<TxnId>{2}).edges.empty());
+}
+
+TEST(IncrementalGraph, FreedSlotsKeepThePoolFlat) {
+  // A steady stream on four objects: each window adds 8 transactions,
+  // retires the previous window's and places its own. Edges to the
+  // previous window are counted but not stored, so the pool never holds
+  // more than one window's arcs, 2·C(8,2) = 56, and the ring never more
+  // than one window's slots.
+  const Grid g(4);
+  const DenseMetric m(g.graph);
+  IncrementalConflictGraph inc(m, 4);
+  Rng rng(3);
+  std::vector<std::vector<ObjectId>> objs;
+  std::size_t ring_after_10 = 0;
+  for (std::size_t w = 0; w < 200; ++w) {
+    const auto first = static_cast<TxnId>(objs.size());
+    for (TxnId k = 0; k < 8; ++k) {
+      std::vector<ObjectId> o;
+      for (std::size_t i : rng.sample_indices(4, 2)) {
+        o.push_back(static_cast<ObjectId>(i));
+      }
+      std::sort(o.begin(), o.end());
+      objs.push_back(o);
+      inc.add_txn(first + k, static_cast<NodeId>(rng.uniform(0, 15)), o);
+    }
+    ASSERT_LE(inc.arc_slots(), 56u) << "window " << w;
+    if (first >= 8) {
+      for (TxnId t = first - 8; t < first; ++t) inc.retire(t, objs[t]);
+    }
+    inc.release_through(first + 8);
+    if (w == 10) ring_after_10 = inc.ring_slots();
+  }
+  // Far more arcs went through the pool than it ever held.
+  EXPECT_GT(2 * inc.num_edges(), 20 * inc.arc_slots());
+  EXPECT_EQ(inc.ring_slots(), ring_after_10);
+  EXPECT_EQ(inc.live(), 8u);
+}
+
+TEST(IncrementalGraph, SubgraphOfReleasedIdThrows) {
+  const Clique c(4);
+  const DenseMetric m(c.graph);
+  IncrementalConflictGraph inc(m, 1);
+  const std::vector<ObjectId> o0 = {0};
+  for (TxnId t = 0; t < 3; ++t) inc.add_txn(t, t, o0);
+  inc.release_through(2);
+  EXPECT_THROW(inc.subgraph(std::vector<TxnId>{1, 2}), Error);
+  EXPECT_THROW(inc.subgraph(std::vector<TxnId>{3}), Error);  // never added
+  EXPECT_EQ(inc.subgraph(std::vector<TxnId>{2}).size(), 1u);
+  EXPECT_THROW(inc.release_through(1), Error);  // frontier is monotone
+  EXPECT_THROW(inc.release_through(4), Error);  // past num_txns
+}
+
+TEST(IncrementalGraph, RejectedAddLeavesStateUnchanged) {
+  const Clique c(6);
+  const DenseMetric m(c.graph);
+  IncrementalConflictGraph inc(m, 3);
+  inc.add_txn(0, 0, std::vector<ObjectId>{0, 1});
+  inc.add_txn(1, 1, std::vector<ObjectId>{1, 2});
+  const std::vector<TxnId> pair = {0, 1};
+  const std::size_t arcs_before = inc.subgraph(pair).edges.size();
+
+  const std::vector<std::vector<ObjectId>> bad = {
+      {0, 3},     // second object out of range
+      {2, 0},     // unsorted
+      {1, 1},     // duplicate
+      {0, 2, 2}}; // duplicate after a valid prefix
+  for (const auto& objects : bad) {
+    EXPECT_THROW(inc.add_txn(2, 2, objects), Error);
+    EXPECT_EQ(inc.num_txns(), 2u);
+    EXPECT_EQ(inc.num_edges(), 1u);
+    EXPECT_EQ(inc.live(), 2u);
+  }
+  EXPECT_THROW(inc.add_txn(3, 2, std::vector<ObjectId>{0}), Error);  // gap
+
+  // The live sets are untouched: the next valid T2 sees exactly T0 and T1
+  // on o0/o2, and retiring T0 leaves no stale entry behind.
+  inc.add_txn(2, 2, std::vector<ObjectId>{0, 2});
+  EXPECT_EQ(inc.num_edges(), 3u);
+  EXPECT_EQ(inc.subgraph(pair).edges.size(), arcs_before);
+  const std::vector<TxnId> all = {0, 1, 2};
+  EXPECT_EQ(inc.subgraph(all).edges.size(), 6u);
+  inc.retire(0, std::vector<ObjectId>{0, 1});
+  inc.add_txn(3, 3, std::vector<ObjectId>{0});
+  EXPECT_EQ(inc.num_edges(), 4u);  // T2 only: T0 left o0
+}
+
 StreamingRuntime run_stream(const Graph& g, const Metric& m,
                             ArrivalModel model, double rate, std::size_t n,
                             StreamingRuntimeOptions opts,
@@ -204,6 +361,41 @@ TEST(StreamingRuntime, MatchesOnlineBatchSchedulerWithoutBackpressure) {
     const Schedule got = rt.schedule();
     EXPECT_EQ(got.commit_time, expect.commit_time) << "window=" << window;
     EXPECT_EQ(got.object_order, expect.object_order) << "window=" << window;
+  }
+}
+
+// StreamStats' conflict counts cover every edge to a live partner, stored
+// or not, so shrinking what the graph stores must not move them. Pinned
+// here because bench_compare flags only counter growth: a drop would slip
+// past the stream baselines.
+TEST(StreamingRuntime, ConflictCountsPinned) {
+  const Grid g(10);
+  const DenseMetric m(g.graph);
+  ArrivalStreamOptions so = small_stream(120, 1.0);
+  so.num_objects = 64;
+  {
+    StreamingRuntime rt(g.graph, m,
+                        StreamingRuntime::spread_homes(g.graph, 64));
+    auto src = make_arrival_source(ArrivalModel::kPoisson, g.graph, so, 5);
+    rt.ingest_all(*src);
+    const StreamStats& st = rt.drain();
+    EXPECT_EQ(st.dep_edges, 265u);
+    EXPECT_EQ(st.dep_max_weight, 16);
+    EXPECT_EQ(st.makespan, 213);
+  }
+  {
+    StreamingRuntimeOptions opts;
+    opts.admission = {.policy = AdmissionPolicy::kAimd};
+    StreamingRuntime rt(g.graph, m,
+                        StreamingRuntime::spread_homes(g.graph, 64), opts);
+    so.rate = 2.0;
+    auto src = make_arrival_source(ArrivalModel::kBursty, g.graph, so, 5);
+    rt.ingest_all(*src);
+    const StreamStats& st = rt.drain();
+    EXPECT_GT(st.deferrals, 0u);  // the backlog path ran
+    EXPECT_EQ(st.dep_edges, 430u);
+    EXPECT_EQ(st.dep_max_weight, 16);
+    EXPECT_EQ(st.makespan, 233);
   }
 }
 
