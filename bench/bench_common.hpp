@@ -38,7 +38,6 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/telemetry.hpp"
 
 namespace dtm::benchutil {
 
@@ -182,13 +181,16 @@ class BenchReport {
   /// first write_artifact so the two JSON files do not share series.
   void clear() { tables_.clear(); }
 
-  /// Serializes series + telemetry snapshot as the BENCH_<name>.json schema
-  /// ("dtm-bench-v1", see EXPERIMENTS.md). The provenance object (git sha,
-  /// build type, compiler, invocation) is informational: bench_compare
-  /// ignores top-level keys it does not know.
+  /// Serializes series + the registry snapshot as the BENCH_<name>.json
+  /// schema ("dtm-bench-v1", see EXPERIMENTS.md). The provenance object (git
+  /// sha, build type, compiler, invocation) is informational: bench_compare
+  /// ignores top-level keys it does not know. So is the snapshot's
+  /// "metrics" block (gauges and histograms, present once a bench records
+  /// any): bench_compare reports its changes but never gates on them, and
+  /// time-series samples belong to the --metrics-out JSONL, not here.
   std::string to_json(const std::string& bench_name,
                       const std::string& invocation = "") const {
-    const TelemetrySnapshot snap = TelemetryRegistry::global().snapshot();
+    const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
     JsonWriter w;
     w.begin_object();
     w.key("schema").value("dtm-bench-v1");
@@ -214,57 +216,13 @@ class BenchReport {
       w.end_object();
     }
     w.end_array();
-    w.key("counters").begin_object();
-    for (const auto& [name, v] : snap.counters) {
-      if (v > 0) w.key(name).value(v);
-    }
-    w.end_object();
-    w.key("timers").begin_object();
-    for (const auto& [name, ts] : snap.timers) {
-      w.key(name).begin_object();
-      w.key("count").value(ts.count);
-      w.key("total_ns").value(ts.total_ns);
-      w.key("mean_ns").value(ts.mean_ns);
-      w.key("min_ns").value(ts.min_ns);
-      w.key("max_ns").value(ts.max_ns);
-      w.key("p50_ns").value(ts.p50_ns);
-      w.key("p90_ns").value(ts.p90_ns);
-      w.key("p95_ns").value(ts.p95_ns);
-      w.key("p99_ns").value(ts.p99_ns);
-      w.end_object();
-    }
-    w.end_object();
+    snap.write_json(w);
     // Informational memory row: peak RSS at artifact-write time.
     // bench_compare reports changes but never gates on them (machine- and
     // allocator-dependent); older artifacts without the block still load.
     w.key("rss").begin_object();
     w.key("peak_bytes").value(peak_rss_bytes());
     w.end_object();
-    // Informational metrics block (benches that enable the MetricsRegistry
-    // embed the final gauge/histogram snapshot; bench_compare reports
-    // changes under metrics/ but never gates on them). Samples stay out —
-    // they belong to the --metrics-out JSONL, not the bench artifact.
-    if (MetricsRegistry::global().enabled()) {
-      const MetricsSnapshot ms = MetricsRegistry::global().snapshot();
-      w.key("metrics").begin_object();
-      w.key("gauges").begin_object();
-      for (const auto& [name, v] : ms.gauges) w.key(name).value(v);
-      w.end_object();
-      w.key("histograms").begin_object();
-      for (const auto& [name, h] : ms.histograms) {
-        w.key(name).begin_object();
-        w.key("count").value(h.count);
-        w.key("sum").value(h.sum);
-        w.key("min").value(h.min);
-        w.key("max").value(h.max);
-        w.key("p50").value(h.percentile(50));
-        w.key("p95").value(h.percentile(95));
-        w.key("p99").value(h.percentile(99));
-        w.end_object();
-      }
-      w.end_object();
-      w.end_object();
-    }
     w.end_object();
     return w.str();
   }

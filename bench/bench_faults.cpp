@@ -517,7 +517,7 @@ int main(int argc, char** argv) {
   // to a pre-E20 binary, and BENCH_reschedule.json's counters cover only the
   // reschedule sweep.
   dtm::benchutil::BenchReport::instance().clear();
-  dtm::TelemetryRegistry::global().reset();
+  dtm::MetricsRegistry::global().reset();
   reschedule_series(smoke);
   if (!resched_json.empty()) {
     std::ofstream out(resched_json);

@@ -25,7 +25,7 @@ void series(const char* topology, const Graph& g, const Metric& metric,
   for (double frac : {1.0, 0.5, 0.2, 0.05}) {
     Stats single_copy, sv, mv;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      telemetry::count("bench.trials");
+      metrics::count("bench.trials");
       Rng rng(seed * 61);
       const Instance inst =
           hotspot ? generate_hotspot(g, 8, 2, rng)

@@ -42,7 +42,6 @@
 #include "sim/optimistic.hpp"
 #include "sim/runtime.hpp"
 #include "util/metrics.hpp"
-#include "util/telemetry.hpp"
 
 namespace {
 
@@ -220,7 +219,7 @@ void print_shard_series(bool smoke) {
   const DenseMetric cluster_metric(cluster.graph);
   // The artifact's counters start after the cluster fixture's APSP, as in
   // the recorded BENCH_stream_shard.json baseline.
-  TelemetryRegistry::global().reset();
+  MetricsRegistry::global().reset();
 
   // Identity + balance: the E22 stream re-scheduled at every shard count.
   const std::size_t n = smoke ? 200 : 500;
@@ -362,7 +361,8 @@ void print_latency_series(bool smoke) {
       {"fixed", &fixed}, {"aimd", &aimd}};
   for (const auto& [policy, opts] : policies) {
     // One histogram set per measured run (capacity probes above and the
-    // other policy's run must not bleed into the distribution).
+    // other policy's run must not bleed into the distribution). The reset
+    // zeroes counters too, so the artifact's counters cover the last run.
     mreg.reset();
     const StreamingRuntime rt = run_stream_opts(
         cluster.graph, cluster_metric, ArrivalModel::kBursty, rate, n, *opts);
@@ -426,18 +426,12 @@ int main(int argc, char** argv) {
   const std::string metrics_out =
       dtm::benchutil::strip_value_flag(argc, argv, "--metrics-out");
   dtm::benchutil::BenchMain bm("stream", argc, argv);
-  // The stream bench always records metrics (every artifact embeds its
-  // informational gauge/histogram snapshot, and E24's series cells come
-  // from the latency histograms); the registry stays disabled everywhere
-  // else, preserving the one-relaxed-load cost contract.
-  dtm::MetricsRegistry::global().set_enabled(true);
   print_series(smoke);
   bm.write_artifact();
 
-  // E23 goes into its own artifact: drop the E22 series and counters so
+  // E23 goes into its own artifact: drop the E22 series and metrics so
   // BENCH_stream_shard.json reflects only the sharded sweep.
   dtm::benchutil::BenchReport::instance().clear();
-  dtm::TelemetryRegistry::global().reset();
   dtm::MetricsRegistry::global().reset();
   print_shard_series(smoke);
   if (!shard_json.empty()) {
@@ -452,7 +446,6 @@ int main(int argc, char** argv) {
   // E24 likewise (BENCH_stream_latency.json): latency-distribution cells
   // from the metrics histograms.
   dtm::benchutil::BenchReport::instance().clear();
-  dtm::TelemetryRegistry::global().reset();
   dtm::MetricsRegistry::global().reset();
   print_latency_series(smoke);
   if (!latency_json.empty()) {
@@ -469,7 +462,11 @@ int main(int argc, char** argv) {
   // capacity probes pollute the time series) exported as dtm-metrics-v1
   // JSONL — the file CI pipes through stream_report --validate.
   if (!metrics_out.empty()) {
+    std::ofstream out(metrics_out);
+    DTM_REQUIRE(out.good(),
+                "cannot open --metrics-out file " << metrics_out);
     dtm::MetricsRegistry::global().reset();
+    dtm::MetricsSink sink(out);
     dtm::StreamingRuntimeOptions opts;
     opts.window = kWindow;
     opts.admission.policy = dtm::AdmissionPolicy::kAimd;
@@ -480,13 +477,9 @@ int main(int argc, char** argv) {
     const dtm::DenseMetric metric(cluster.graph);
     run_stream_opts(cluster.graph, metric, dtm::ArrivalModel::kBursty, 1.2,
                     smoke ? 200 : 500, opts);
-    std::ofstream out(metrics_out);
-    DTM_REQUIRE(out.good(),
-                "cannot open --metrics-out file " << metrics_out);
-    out << dtm::MetricsRegistry::global().snapshot().to_jsonl();
+    sink.finish();
     std::cout << "\nwrote " << metrics_out << "\n";
   }
-  dtm::MetricsRegistry::global().set_enabled(false);
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -158,7 +158,7 @@ void print_series() {
       "E11 — substrate counted work",
       "counter deltas per substrate operation (grid 32x32, hypercube dim 8; "
       "see google-benchmark section for wall times)");
-  TelemetryRegistry& reg = TelemetryRegistry::global();
+  MetricsRegistry& reg = MetricsRegistry::global();
   Table table({"operation", "counter", "delta"});
   const auto delta = [&](const std::string& counter_name,
                          const std::string& op,

@@ -24,7 +24,7 @@
 #include "sched/scheduler.hpp"
 #include "util/parallel_for.hpp"
 #include "util/stats.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dtm::benchutil {
@@ -82,7 +82,7 @@ inline TrialSummary run_trials(
       trials > 0 ? static_cast<std::size_t>(trials) : 0);
   parallel_for(pool != nullptr ? *pool : shared_pool(), results.size(),
                [&](std::size_t t) {
-    telemetry::count("bench.trials");
+    metrics::count("bench.trials");
     const std::uint64_t seed = seed0 + t;
     const Instance inst = make_instance(seed);
     auto sched = make_scheduler(inst, seed);

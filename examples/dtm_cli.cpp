@@ -50,7 +50,6 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/metrics.hpp"
-#include "util/telemetry.hpp"
 #include "util/trace.hpp"
 
 namespace {
@@ -217,23 +216,24 @@ void warn_unknown_flags(const ArgParser& args) {
 /// executor instead, so the two execution models are directly comparable.
 int run_streaming(const ArgParser& args, const TopologyBundle& topo,
                   const Metric& metric, std::uint64_t seed) {
-  // --metrics-out[=FILE] turns the (disabled-by-default) MetricsRegistry on
-  // for this run and writes the dtm-metrics-v1 JSONL afterwards (latency
-  // histograms, per-window samples; stream_report reads it). Bare flag
-  // defaults to metrics.jsonl.
-  const bool metrics_requested = args.has("metrics-out");
-  MetricsRegistry& mreg = MetricsRegistry::global();
-  if (metrics_requested) {
-    mreg.reset();
-    mreg.set_enabled(true);
+  // --metrics-out[=FILE] streams this run's dtm-metrics-v1 JSONL into FILE:
+  // per-window samples as windows close, then the gauges and latency
+  // histograms (stream_report reads it). Bare flag defaults to
+  // metrics.jsonl.
+  std::ofstream metrics_file;
+  std::string metrics_path;
+  std::optional<MetricsSink> metrics_sink;
+  if (args.has("metrics-out")) {
+    metrics_path = args.get_optional("metrics-out", "metrics.jsonl");
+    metrics_file.open(metrics_path);
+    DTM_REQUIRE(metrics_file.good(),
+                "cannot open --metrics-out file " << metrics_path);
+    metrics_sink.emplace(metrics_file);
   }
   const auto write_metrics = [&] {
-    if (!metrics_requested) return;
-    const std::string path = args.get_optional("metrics-out", "metrics.jsonl");
-    std::ofstream out(path);
-    DTM_REQUIRE(out.good(), "cannot open --metrics-out file " << path);
-    out << mreg.snapshot().to_jsonl();
-    std::cout << "wrote metrics to " << path << '\n';
+    if (!metrics_sink) return;
+    metrics_sink->finish();
+    std::cout << "wrote metrics to " << metrics_path << '\n';
   };
 
   const ArrivalModel model =
@@ -499,7 +499,7 @@ int run(const ArgParser& args, const std::string& invocation) {
   if (args.has("telemetry")) {
     // Bare --telemetry dumps to stdout; --telemetry=FILE (or
     // `--telemetry FILE`) writes the file.
-    const std::string json = TelemetryRegistry::global().snapshot().to_json();
+    const std::string json = MetricsRegistry::global().snapshot().to_json();
     const std::string path = args.get_optional("telemetry", "-");
     if (path == "-") {
       std::cout << "\ntelemetry:\n" << json << '\n';

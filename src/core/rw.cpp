@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -36,7 +36,7 @@ std::string check_rw(const Instance& inst, const WriteSets& writes,
                      const Metric& metric, const RwSchedule& s,
                      RwPolicy policy) {
   ScopedPhaseTimer timer("phase.validation");
-  telemetry::count("rw.checks");
+  metrics::count("rw.checks");
   if (s.commit_time.size() != inst.num_transactions()) {
     return "commit_time size mismatch";
   }

@@ -1,19 +1,19 @@
 #include "graph/analytic_metric.hpp"
 
 #include "graph/topologies/detect.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
 namespace {
 
-TelemetryCounter& distance_queries() {
-  static TelemetryCounter& c = telemetry::counter("metric.distance_queries");
+MetricCounter& distance_queries() {
+  static MetricCounter& c = metrics::counter("metric.distance_queries");
   return c;
 }
 
-TelemetryCounter& path_queries() {
-  static TelemetryCounter& c = telemetry::counter("metric.path_queries");
+MetricCounter& path_queries() {
+  static MetricCounter& c = metrics::counter("metric.path_queries");
   return c;
 }
 

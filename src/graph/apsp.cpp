@@ -6,7 +6,7 @@
 #include "graph/shortest_paths.hpp"
 #include "graph/twins.hpp"
 #include "util/parallel_for.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dtm {
@@ -32,8 +32,8 @@ DistanceMatrix compute_apsp(const Graph& g, ThreadPool* pool) {
   // topologies collapse to a handful of classes; twin-free graphs pay one
   // O(m) detection scan.
   const TwinClasses twins = compute_twin_classes(g);
-  telemetry::count("apsp.dijkstra_runs", twins.num_classes());
-  telemetry::count("apsp.rows_written", n);
+  metrics::count("apsp.dijkstra_runs", twins.num_classes());
+  metrics::count("apsp.rows_written", n);
   std::vector<Weight> flat(n * n);
   std::optional<PackedGraph> packed;
   if (PackedGraph::fits(g)) packed.emplace(g);

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
 namespace {
 
 // Row arrays written by from_rows graphs (one per shared block).
-TelemetryCounter& materialized() {
-  static TelemetryCounter& c = telemetry::counter("graph.materialized");
+MetricCounter& materialized() {
+  static MetricCounter& c = metrics::counter("graph.materialized");
   return c;
 }
 

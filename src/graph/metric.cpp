@@ -3,21 +3,21 @@
 #include <algorithm>
 #include <mutex>
 
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dtm {
 
 namespace {
 
-// Handles are resolved once; add() is a single relaxed atomic (telemetry.hpp).
-TelemetryCounter& distance_queries() {
-  static TelemetryCounter& c = telemetry::counter("metric.distance_queries");
+// Handles are resolved once; add() is a single relaxed atomic (metrics.hpp).
+MetricCounter& distance_queries() {
+  static MetricCounter& c = metrics::counter("metric.distance_queries");
   return c;
 }
 
-TelemetryCounter& path_queries() {
-  static TelemetryCounter& c = telemetry::counter("metric.path_queries");
+MetricCounter& path_queries() {
+  static MetricCounter& c = metrics::counter("metric.path_queries");
   return c;
 }
 
@@ -37,7 +37,7 @@ namespace {
 const Graph& check_dense_budget(const Graph& g, std::size_t byte_cap) {
   const std::size_t n = g.num_nodes();
   const std::size_t projected = n * n * sizeof(Weight);
-  telemetry::counter("metric.dense_bytes").add(projected);
+  metrics::counter("metric.dense_bytes").add(projected);
   DTM_REQUIRE(projected <= byte_cap,
               "DenseMetric refused: " << n << "-node matrix needs "
                                       << projected << " bytes > cap "
@@ -107,7 +107,7 @@ const ShortestPathTree& LazyMetric::tree(NodeId source) const {
   // else reuses its tree, so the sssp-run counter stays deterministic.
   auto it = cache_.find(source);
   if (it == cache_.end()) {
-    telemetry::count("metric.lazy_sssp_runs");
+    metrics::count("metric.lazy_sssp_runs");
     it = cache_.emplace(source, single_source(graph(), source)).first;
   }
   return it->second;

@@ -4,7 +4,7 @@
 
 #include "lb/object_walk.hpp"
 #include "util/parallel_for.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dtm {
@@ -24,7 +24,7 @@ Weight InstanceBounds::max_walk_upper() const {
 InstanceBounds compute_bounds(const Instance& inst, const Metric& metric,
                               std::size_t exact_limit) {
   ScopedPhaseTimer timer("phase.bounds");
-  telemetry::count("lb.bounds_computed");
+  metrics::count("lb.bounds_computed");
   InstanceBounds out;
   const std::size_t num_objects = inst.num_objects();
   out.walk_lower.assign(num_objects, 0);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -25,7 +25,7 @@ Schedule ClusterScheduler::run(const Instance& inst, const Metric& metric) {
   DTM_REQUIRE(&inst.graph() == &topo_->graph || inst.graph() == topo_->graph,
               "ClusterScheduler: instance is not on this cluster graph");
   ScopedPhaseTimer timer("phase.sched.cluster");
-  telemetry::count("sched.runs");
+  metrics::count("sched.runs");
   stats_ = {};
 
   // σ = max over objects of the number of distinct clusters with

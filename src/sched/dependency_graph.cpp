@@ -151,7 +151,8 @@ void IncrementalConflictGraph::add_txn(TxnId t, NodeId home,
     push_arc(p, t, w);
   }
   num_edges_ += partners.size();
-  telemetry::count("stream.dep_edges", partners.size());
+  static MetricCounter& dep_edges = metrics::counter("stream.dep_edges");
+  dep_edges.add(partners.size());
 }
 
 void IncrementalConflictGraph::retire(TxnId t,

@@ -17,7 +17,7 @@
 
 #include "core/instance.hpp"
 #include "graph/metric.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -263,7 +263,8 @@ DependencyGraph assemble_dependency_csr(const Instance& inst,
       h.max_edge_weight = std::max(h.max_edge_weight, dist[k]);
     }
   }
-  telemetry::count("dep.csr_edges", h.edges.size() / 2);
+  static MetricCounter& csr_edges = metrics::counter("dep.csr_edges");
+  csr_edges.add(h.edges.size() / 2);
   return h;
 }
 

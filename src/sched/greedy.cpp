@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "core/precedence.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -104,8 +104,10 @@ ColoredSubset greedy_color(const DependencyGraph& h, ColoringRule rule,
     out.local_time[u] = c;
     out.duration = std::max(out.duration, c);
   }
-  telemetry::count("greedy.color_probes", probes);
-  telemetry::count("greedy.colored_txns", h.size());
+  static MetricCounter& color_probes = metrics::counter("greedy.color_probes");
+  static MetricCounter& colored_txns = metrics::counter("greedy.colored_txns");
+  color_probes.add(probes);
+  colored_txns.add(h.size());
   return out;
 }
 
@@ -121,7 +123,7 @@ std::string GreedyScheduler::name() const {
 
 Schedule GreedyScheduler::run(const Instance& inst, const Metric& metric) {
   ScopedPhaseTimer timer("phase.sched.greedy");
-  telemetry::count("sched.runs");
+  metrics::count("sched.runs");
   std::vector<TxnId> all(inst.num_transactions());
   std::iota(all.begin(), all.end(), 0);
   const ColoredSubset colored =

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -18,7 +18,7 @@ Schedule GridScheduler::run(const Instance& inst, const Metric& metric) {
   DTM_REQUIRE(&inst.graph() == &grid_->graph || inst.graph() == grid_->graph,
               "GridScheduler: instance is not on this grid");
   ScopedPhaseTimer timer("phase.sched.grid");
-  telemetry::count("sched.runs");
+  metrics::count("sched.runs");
   const std::size_t n = grid_->rows;
   const std::size_t w = inst.num_objects();
   const std::size_t k = std::max<std::size_t>(1, inst.max_objects_per_txn());

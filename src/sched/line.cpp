@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "lb/object_walk.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -11,7 +11,7 @@ Schedule LineScheduler::run(const Instance& inst, const Metric& metric) {
   DTM_REQUIRE(&inst.graph() == &line_->graph || inst.graph() == line_->graph,
               "LineScheduler: instance is not on this line graph");
   ScopedPhaseTimer timer("phase.sched.line");
-  telemetry::count("sched.runs");
+  metrics::count("sched.runs");
   (void)metric;  // the line's geometry is closed-form
 
   // ℓ = longest shortest walk of any object over its requesters.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -14,7 +14,7 @@ void OnlineScheduler::begin_feed(const Instance& inst, const Metric& metric) {
   arrivals_.assign(inst.num_transactions(), kNeverReleased);
   feed_now_ = 0;
   feeding_ = true;
-  telemetry::count("sched.runs");
+  metrics::count("sched.runs");
   on_begin();
 }
 

@@ -42,7 +42,7 @@
 #include "core/online.hpp"
 #include "sched/greedy.hpp"
 #include "sched/scheduler.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 

@@ -7,7 +7,7 @@
 
 #include "sched/registry.hpp"
 #include "util/error.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -152,7 +152,7 @@ std::unique_ptr<Schedule> reschedule_from(const Instance& inst,
     }
     if (ours >= theirs) return nullptr;  // no projected gain — decline
   }
-  telemetry::count("sched.reschedules");
+  metrics::count("sched.reschedules");
 
   for (TxnId t = 0; t < inst.num_transactions(); ++t) {
     if (px.committed[t] != 0) out->commit_time[t] = px.commit_realized[t];

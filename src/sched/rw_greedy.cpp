@@ -4,7 +4,7 @@
 #include <numeric>
 #include <queue>
 
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -154,7 +154,7 @@ RwSchedule schedule_rw_greedy(const Instance& inst, const WriteSets& writes,
   DTM_REQUIRE(writes.size() == inst.num_transactions(),
               "write sets size mismatch");
   ScopedPhaseTimer timer("phase.sched.rw_greedy");
-  telemetry::count("sched.runs");
+  metrics::count("sched.runs");
   const DependencyGraph h = build_rw_dependency_graph(inst, writes, metric);
   std::vector<Time> color = color_graph(h, opts.rule);
 
@@ -166,8 +166,8 @@ RwSchedule schedule_rw_greedy(const Instance& inst, const WriteSets& writes,
     for (TxnId t : inst.requesters(o)) {
       (is_write(writes, t, o) ? writers : readers).push_back(t);
     }
-    telemetry::count("rw.write_accesses", writers.size());
-    telemetry::count("rw.read_accesses", readers.size());
+    metrics::count("rw.write_accesses", writers.size());
+    metrics::count("rw.read_accesses", readers.size());
     std::sort(writers.begin(), writers.end(), [&](TxnId a, TxnId b) {
       return color[a] != color[b] ? color[a] < color[b] : a < b;
     });

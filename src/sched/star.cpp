@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -14,7 +14,7 @@ Schedule StarScheduler::run(const Instance& inst, const Metric& metric) {
   DTM_REQUIRE(&inst.graph() == &topo_->graph || inst.graph() == topo_->graph,
               "StarScheduler: instance is not on this star graph");
   ScopedPhaseTimer timer("phase.sched.star");
-  telemetry::count("sched.runs");
+  metrics::count("sched.runs");
   if (opts_.strategy == StarStrategy::kBest) {
     StarSchedulerOptions greedy_opts = opts_;
     greedy_opts.strategy = StarStrategy::kGreedy;

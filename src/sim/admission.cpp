@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/metrics.hpp"
-#include "util/telemetry.hpp"
 
 namespace dtm {
 
@@ -59,7 +58,7 @@ class AimdAdmission final : public AdmissionController {
       if (next > quota_) {
         quota_ = next;
         ++raises_;
-        telemetry::count("admission.raises");
+        metrics::count("admission.raises");
         publish_quota(quota_);
       }
     } else if (fb.waiting == 0 && fb.backlog <= cfg_.low_watermark) {
@@ -71,7 +70,7 @@ class AimdAdmission final : public AdmissionController {
       if (next < quota_) {
         quota_ = next;
         ++cuts_;
-        telemetry::count("admission.cuts");
+        metrics::count("admission.cuts");
         publish_quota(quota_);
       }
     }

@@ -4,7 +4,7 @@
 #include <unordered_map>
 
 #include "sim/engine.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -48,7 +48,7 @@ std::size_t peak_overlap(std::vector<Traversal>& ts) {
 CongestionReport analyze_congestion(const Instance& inst, const Metric& metric,
                                     const Schedule& s, std::size_t top_k) {
   ScopedPhaseTimer timer("phase.congestion");
-  TelemetryCounter& traversals = telemetry::counter("congestion.traversals");
+  MetricCounter& traversals = metrics::counter("congestion.traversals");
   CongestionReport report;
   std::unordered_map<std::uint64_t, PerEdge> edges;
 

@@ -5,7 +5,7 @@
 
 #include "sim/link_policy.hpp"
 #include "sim/trace_analysis.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace dtm {
@@ -217,18 +217,18 @@ bool Engine::init() {
     return false;
   }
   if (opts_.telemetry) {
-    // Handles are stable for the registry's life (telemetry.hpp contract),
+    // Handles are stable for the registry's life (metrics.hpp contract),
     // so resolve them once per process instead of once per simulate() —
     // trial sweeps used to serialize on the registry mutex here.
-    static TelemetryCounter& legs_moved = telemetry::counter("sim.legs_moved");
-    static TelemetryCounter& commits = telemetry::counter("sim.commits");
-    static TelemetryCounter& injected = telemetry::counter("faults.injected");
-    static TelemetryCounter& retries = telemetry::counter("faults.retries");
-    static TelemetryCounter& reroutes = telemetry::counter("faults.reroutes");
-    static TelemetryCounter& degraded =
-        telemetry::counter("sim.degraded_commits");
-    static TelemetryCounter& inflation =
-        telemetry::counter("sim.makespan_inflation_steps");
+    static MetricCounter& legs_moved = metrics::counter("sim.legs_moved");
+    static MetricCounter& commits = metrics::counter("sim.commits");
+    static MetricCounter& injected = metrics::counter("faults.injected");
+    static MetricCounter& retries = metrics::counter("faults.retries");
+    static MetricCounter& reroutes = metrics::counter("faults.reroutes");
+    static MetricCounter& degraded =
+        metrics::counter("sim.degraded_commits");
+    static MetricCounter& inflation =
+        metrics::counter("sim.makespan_inflation_steps");
     legs_moved_ = &legs_moved;
     commits_ = &commits;
     injected_ = &injected;
@@ -777,7 +777,7 @@ void Engine::launch_redirect_leg(ObjectId o, Time now) {
 void Engine::finish() {
   if (opts_.record_events) {
     if (opts_.telemetry) {
-      telemetry::count("sim.events_recorded", r_.events.size());
+      metrics::count("sim.events_recorded", r_.events.size());
     }
     std::stable_sort(r_.events.begin(), r_.events.end(),
                      [](const SimEvent& a, const SimEvent& b) {

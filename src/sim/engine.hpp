@@ -158,7 +158,7 @@ struct SimResult {
 
 class LinkPolicy;
 class SlackMonitor;
-class TelemetryCounter;
+class MetricCounter;
 class TraceRecorder;
 
 /// One engine run: single-use (construct, run(), read the result).
@@ -319,13 +319,13 @@ class Engine {
   std::unique_ptr<SlackMonitor> monitor_;
 
   // Telemetry handles (null when opts_.telemetry is off).
-  TelemetryCounter* legs_moved_ = nullptr;
-  TelemetryCounter* commits_ = nullptr;
-  TelemetryCounter* injected_ = nullptr;
-  TelemetryCounter* retries_ = nullptr;
-  TelemetryCounter* reroutes_ = nullptr;
-  TelemetryCounter* degraded_ = nullptr;
-  TelemetryCounter* inflation_ = nullptr;
+  MetricCounter* legs_moved_ = nullptr;
+  MetricCounter* commits_ = nullptr;
+  MetricCounter* injected_ = nullptr;
+  MetricCounter* retries_ = nullptr;
+  MetricCounter* reroutes_ = nullptr;
+  MetricCounter* degraded_ = nullptr;
+  MetricCounter* inflation_ = nullptr;
 
   // Global trace recorder when tracing is on for this run, else null.
   TraceRecorder* trace_ = nullptr;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "util/metrics.hpp"
-#include "util/telemetry.hpp"
 
 namespace dtm {
 
@@ -115,21 +114,18 @@ OptimisticResult run_optimistic(const Instance& inst, const Metric& metric,
 
   out.throughput = static_cast<double>(out.commits) /
                    static_cast<double>(std::max<Time>(out.makespan, 1));
-  telemetry::count("optimistic.commits", out.commits);
-  telemetry::count("optimistic.aborts", out.aborts);
-  if (MetricsRegistry::global().enabled()) {
-    // Distribution view of the contention cost: retries per transaction and
-    // end-to-end arrival -> commit latency (scheduler-vs-optimistic
-    // comparisons become latency comparisons, not just throughput).
-    static MetricHistogram& h_retries =
-        metrics::histogram("optimistic.retries");
-    static MetricHistogram& h_latency =
-        metrics::histogram("optimistic.latency.arrival_to_commit");
-    for (TxnId t = 0; t < n; ++t) {
-      h_retries.record(retries[t]);
-      h_latency.record(static_cast<std::uint64_t>(
-          out.commit_time[t] - std::max<Time>(arrival[t], 0)));
-    }
+  metrics::count("optimistic.commits", out.commits);
+  metrics::count("optimistic.aborts", out.aborts);
+  // Distribution view of the contention cost: retries per transaction and
+  // end-to-end arrival -> commit latency (scheduler-vs-optimistic
+  // comparisons become latency comparisons, not just throughput).
+  static MetricHistogram& h_retries = metrics::histogram("optimistic.retries");
+  static MetricHistogram& h_latency =
+      metrics::histogram("optimistic.latency.arrival_to_commit");
+  for (TxnId t = 0; t < n; ++t) {
+    h_retries.record(retries[t]);
+    h_latency.record(static_cast<std::uint64_t>(
+        out.commit_time[t] - std::max<Time>(arrival[t], 0)));
   }
   return out;
 }

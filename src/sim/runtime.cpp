@@ -6,7 +6,6 @@
 #include "sim/engine.hpp"
 #include "sim/link_policy.hpp"
 #include "util/metrics.hpp"
-#include "util/telemetry.hpp"
 
 namespace dtm {
 
@@ -96,7 +95,8 @@ TxnId StreamingRuntime::ingest(const ArrivingTxn& txn) {
 
   ++stats_.arrived;
   stats_.last_arrival = txn.arrival;
-  telemetry::count("stream.ingested");
+  static MetricCounter& ingested = metrics::counter("stream.ingested");
+  ingested.add();
   return id;
 }
 
@@ -182,7 +182,8 @@ void StreamingRuntime::schedule_window(Time close,
   }
   // Everything still waiting sat this window out.
   stats_.deferrals += backlog_.size();
-  telemetry::count("stream.deferrals", backlog_.size());
+  static MetricCounter& deferrals = metrics::counter("stream.deferrals");
+  deferrals.add(backlog_.size());
 
   const auto close_feedback = [&] {
     admission_->on_window({.backlog = backlog(),
@@ -191,7 +192,6 @@ void StreamingRuntime::schedule_window(Time close,
                            .committed_delta = retired});
   };
   MetricsRegistry& mreg = MetricsRegistry::global();
-  const bool metrics_on = mreg.enabled();  // one relaxed load per window
   const auto emit_window_sample = [&](std::size_t admitted_now,
                                       Time colors) {
     mreg.sample("window",
@@ -208,7 +208,7 @@ void StreamingRuntime::schedule_window(Time close,
   if (batch.empty()) {
     sample_backlog();
     close_feedback();
-    if (metrics_on) emit_window_sample(0, 0);
+    emit_window_sample(0, 0);
     return;
   }
   std::sort(batch.begin(), batch.end());  // backlog ids precede fresh ids
@@ -235,49 +235,45 @@ void StreamingRuntime::schedule_window(Time close,
   DTM_ASSERT(batch.front() == dep_.frontier() &&
              batch.back() - batch.front() + 1 == batch.size());
   dep_.release_through(batch.back() + 1);
-  if (metrics_on) {
-    // Per-transaction latency stages. They tile commit - arrival exactly:
-    // the admit wait runs from arrival to the admitting window's close - 1
-    // (>= 0: members arrived before the close), the scheduling gap is the
-    // horizon/transition placement past the close (>= 0: start >= close - 1),
-    // and the commit wait is the in-window color slot (>= 1).
-    static MetricHistogram& h_wait =
-        metrics::histogram("stream.latency.arrival_to_admit");
-    static MetricHistogram& h_sched =
-        metrics::histogram("stream.latency.admit_to_scheduled");
-    static MetricHistogram& h_commit =
-        metrics::histogram("stream.latency.scheduled_to_commit");
-    static MetricHistogram& h_total =
-        metrics::histogram("stream.latency.arrival_to_commit");
-    for (std::size_t i = 0; i < colored.txns.size(); ++i) {
-      const TxnId t = colored.txns[i];
-      h_wait.record(static_cast<std::uint64_t>(close - 1 - arrival_[t]));
-      h_sched.record(static_cast<std::uint64_t>(start - (close - 1)));
-      h_commit.record(static_cast<std::uint64_t>(colored.local_time[i]));
-      h_total.record(static_cast<std::uint64_t>(commit_[t] - arrival_[t]));
-    }
+  // Per-transaction latency stages. They tile commit - arrival exactly:
+  // the admit wait runs from arrival to the admitting window's close - 1
+  // (>= 0: members arrived before the close), the scheduling gap is the
+  // horizon/transition placement past the close (>= 0: start >= close - 1),
+  // and the commit wait is the in-window color slot (>= 1).
+  static MetricHistogram& h_wait =
+      metrics::histogram("stream.latency.arrival_to_admit");
+  static MetricHistogram& h_sched =
+      metrics::histogram("stream.latency.admit_to_scheduled");
+  static MetricHistogram& h_commit =
+      metrics::histogram("stream.latency.scheduled_to_commit");
+  static MetricHistogram& h_total =
+      metrics::histogram("stream.latency.arrival_to_commit");
+  for (std::size_t i = 0; i < colored.txns.size(); ++i) {
+    const TxnId t = colored.txns[i];
+    h_wait.record(static_cast<std::uint64_t>(close - 1 - arrival_[t]));
+    h_sched.record(static_cast<std::uint64_t>(start - (close - 1)));
+    h_commit.record(static_cast<std::uint64_t>(colored.local_time[i]));
+    h_total.record(static_cast<std::uint64_t>(commit_[t] - arrival_[t]));
   }
 
   stats_.admitted += batch.size();
   ++stats_.windows;
-  telemetry::count("stream.windows");
+  static MetricCounter& windows = metrics::counter("stream.windows");
+  windows.add();
   sample_backlog();
   close_feedback();
-  if (metrics_on) {
-    emit_window_sample(batch.size(), colored.duration);
-    if (opts_.shards > 1) {
-      // Shard split rides in its own series so the "window" series (and the
-      // merged histograms above) stay byte-identical at every shard count.
-      mreg.sample("shard",
-                  {{"t", close},
-                   {"shards", static_cast<std::int64_t>(opts_.shards)},
-                   {"batch", static_cast<std::int64_t>(batch.size())},
-                   {"local", static_cast<std::int64_t>(split.local)},
-                   {"cross", static_cast<std::int64_t>(split.cross)},
-                   {"fixup", static_cast<std::int64_t>(split.fixup)},
-                   {"peak_members",
-                    static_cast<std::int64_t>(split.peak)}});
-    }
+  emit_window_sample(batch.size(), colored.duration);
+  if (opts_.shards > 1) {
+    // Shard split rides in its own series so the "window" series (and the
+    // merged histograms above) stay byte-identical at every shard count.
+    mreg.sample("shard",
+                {{"t", close},
+                 {"shards", static_cast<std::int64_t>(opts_.shards)},
+                 {"batch", static_cast<std::int64_t>(batch.size())},
+                 {"local", static_cast<std::int64_t>(split.local)},
+                 {"cross", static_cast<std::int64_t>(split.cross)},
+                 {"fixup", static_cast<std::int64_t>(split.fixup)},
+                 {"peak_members", static_cast<std::int64_t>(split.peak)}});
   }
 }
 
@@ -341,8 +337,12 @@ StreamingRuntime::WindowShardSplit StreamingRuntime::account_shards(
   shard_stats_.fixup_txns += split.fixup;
   shard_stats_.peak_shard_members =
       std::max(shard_stats_.peak_shard_members, split.peak);
-  telemetry::count("stream.shard_local_txns", split.local);
-  telemetry::count("stream.shard_cross_txns", split.cross);
+  static MetricCounter& local_txns =
+      metrics::counter("stream.shard_local_txns");
+  static MetricCounter& cross_txns =
+      metrics::counter("stream.shard_cross_txns");
+  local_txns.add(split.local);
+  cross_txns.add(split.cross);
   return split;
 }
 
@@ -365,24 +365,22 @@ const StreamStats& StreamingRuntime::drain() {
       static_cast<double>(std::max<Time>(stats_.makespan, 1));
   stats_.dep_edges = dep_.num_edges();
   stats_.dep_max_weight = dep_.max_edge_weight();
-  telemetry::count("stream.arc_pool_bytes", dep_.arc_pool_bytes());
-  if (MetricsRegistry::global().enabled()) {
-    // End-of-stream gauges: stream_report --validate reconciles the latency
-    // histogram counts against stream.admitted.
-    metrics::gauge("stream.arrived")
-        .set(static_cast<std::int64_t>(stats_.arrived));
-    metrics::gauge("stream.admitted")
-        .set(static_cast<std::int64_t>(stats_.admitted));
-    metrics::gauge("stream.committed")
-        .set(static_cast<std::int64_t>(stats_.committed));
-    metrics::gauge("stream.deferrals")
-        .set(static_cast<std::int64_t>(stats_.deferrals));
-    metrics::gauge("stream.windows")
-        .set(static_cast<std::int64_t>(stats_.windows));
-    metrics::gauge("stream.peak_backlog")
-        .set(static_cast<std::int64_t>(stats_.peak_backlog));
-    metrics::gauge("stream.makespan").set(stats_.makespan);
-  }
+  metrics::count("stream.arc_pool_bytes", dep_.arc_pool_bytes());
+  // End-of-stream gauges: stream_report --validate reconciles the latency
+  // histogram counts against stream.admitted.
+  metrics::gauge("stream.arrived")
+      .set(static_cast<std::int64_t>(stats_.arrived));
+  metrics::gauge("stream.admitted")
+      .set(static_cast<std::int64_t>(stats_.admitted));
+  metrics::gauge("stream.committed")
+      .set(static_cast<std::int64_t>(stats_.committed));
+  metrics::gauge("stream.deferrals")
+      .set(static_cast<std::int64_t>(stats_.deferrals));
+  metrics::gauge("stream.windows")
+      .set(static_cast<std::int64_t>(stats_.windows));
+  metrics::gauge("stream.peak_backlog")
+      .set(static_cast<std::int64_t>(stats_.peak_backlog));
+  metrics::gauge("stream.makespan").set(stats_.makespan);
   drained_ = true;
 
   if (opts_.replay_check) {

@@ -6,7 +6,7 @@
 
 #include "sim/link_policy.hpp"
 #include "util/error.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 

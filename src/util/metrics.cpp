@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "util/error.hpp"
 #include "util/json_writer.hpp"
@@ -90,101 +91,98 @@ HistogramSnapshot MetricHistogram::snapshot() const {
   return snap;
 }
 
+TimerStats TimerStats::of(const HistogramSnapshot& h) {
+  TimerStats ts;
+  ts.count = h.count;
+  ts.total_ns = static_cast<double>(h.sum);
+  ts.mean_ns = h.mean();
+  ts.min_ns = static_cast<double>(h.min);
+  ts.max_ns = static_cast<double>(h.max);
+  ts.p50_ns = static_cast<double>(h.percentile(50));
+  ts.p90_ns = static_cast<double>(h.percentile(90));
+  ts.p95_ns = static_cast<double>(h.percentile(95));
+  ts.p99_ns = static_cast<double>(h.percentile(99));
+  return ts;
+}
+
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry reg;
   return reg;
 }
 
-MetricGauge& MetricsRegistry::gauge(const std::string& name) {
+template <class T>
+T& MetricsRegistry::find_or_add(Named<T>& map, const std::string& name) {
   std::lock_guard lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(name,
-                      std::unique_ptr<MetricGauge>(new MetricGauge(&enabled_)))
-             .first;
+  auto it = map.find(name);
+  if (it == map.end()) {
+    it = map.emplace(name, std::unique_ptr<T>(new T(&enabled_))).first;
   }
   return *it->second;
+}
+
+MetricCounter& MetricsRegistry::counter(const std::string& name) {
+  return find_or_add(counters_, name);
+}
+
+MetricGauge& MetricsRegistry::gauge(const std::string& name) {
+  return find_or_add(gauges_, name);
 }
 
 MetricHistogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(name, std::unique_ptr<MetricHistogram>(
-                                new MetricHistogram(&enabled_)))
-             .first;
-  }
-  return *it->second;
+  return find_or_add(histograms_, name);
+}
+
+MetricHistogram& MetricsRegistry::timer(const std::string& name) {
+  return find_or_add(timers_, name);
 }
 
 void MetricsRegistry::sample(
-    std::string series,
+    std::string_view series,
     std::initializer_list<std::pair<const char*, std::int64_t>> fields) {
-  if (!enabled()) return;
-  MetricSample row;
-  row.series = std::move(series);
-  row.fields.reserve(fields.size());
-  for (const auto& [k, v] : fields) row.fields.emplace_back(k, v);
+  if (!sink_open_.load(std::memory_order_relaxed) || !enabled()) return;
+  JsonWriter w;
+  w.begin_object().key("series").value(std::string(series));
+  for (const auto& [k, v] : fields) w.key(k).value(v);
+  w.end_object();
   std::lock_guard lock(mu_);
-  samples_.push_back(std::move(row));
+  if (sink_ != nullptr) *sink_ << w.str() << '\n';
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
+void MetricsRegistry::set_sink(std::ostream* out) {
   std::lock_guard lock(mu_);
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges[name] = g->value();
-  }
-  for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot hs = h->snapshot();
-    if (hs.count != 0) snap.histograms[name] = std::move(hs);
-  }
-  snap.samples = samples_;
-  return snap;
+  DTM_REQUIRE(out == nullptr || sink_ == nullptr,
+              "a metrics sink is already open on this registry");
+  sink_ = out;
+  sink_open_.store(out != nullptr, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::reset() {
-  std::lock_guard lock(mu_);
-  for (auto& [name, g] : gauges_) {
-    (void)name;
-    g->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, h] : histograms_) {
-    (void)name;
-    h->reset();
-  }
-  samples_.clear();
+MetricsSink::MetricsSink(std::ostream& out, MetricsRegistry& reg)
+    : out_(&out), reg_(&reg) {
+  JsonWriter w;
+  w.begin_object().key("schema").value("dtm-metrics-v1");
+  w.key("provenance").begin_object();
+  for (const auto& [k, v] : build_provenance()) w.key(k).value(v);
+  w.end_object().end_object();
+  out << w.str() << '\n';
+  reg.set_sink(out_);
 }
 
-std::string MetricsSnapshot::to_jsonl() const {
-  std::string out;
-  {
-    JsonWriter w;
-    w.begin_object().key("schema").value("dtm-metrics-v1");
-    w.key("provenance").begin_object();
-    for (const auto& [k, v] : build_provenance()) w.key(k).value(v);
-    w.end_object().end_object();
-    out += w.str();
-    out += '\n';
-  }
-  for (const MetricSample& s : samples) {
-    JsonWriter w;
-    w.begin_object().key("series").value(s.series);
-    for (const auto& [k, v] : s.fields) w.key(k).value(v);
-    w.end_object();
-    out += w.str();
-    out += '\n';
-  }
-  for (const auto& [name, v] : gauges) {
+MetricsSink::~MetricsSink() {
+  if (reg_ != nullptr) reg_->set_sink(nullptr);
+}
+
+void MetricsSink::finish() {
+  DTM_REQUIRE(reg_ != nullptr, "metrics sink already finished");
+  reg_->set_sink(nullptr);
+  const MetricsSnapshot snap = reg_->snapshot();
+  reg_ = nullptr;
+  for (const auto& [name, v] : snap.gauges) {
     JsonWriter w;
     w.begin_object().key("gauge").value(name).key("value").value(v);
     w.end_object();
-    out += w.str();
-    out += '\n';
+    *out_ << w.str() << '\n';
   }
-  for (const auto& [name, h] : histograms) {
+  for (const auto& [name, h] : snap.histograms) {
     JsonWriter w;
     w.begin_object().key("hist").value(name);
     w.key("count").value(h.count).key("sum").value(h.sum);
@@ -197,10 +195,95 @@ std::string MetricsSnapshot::to_jsonl() const {
           .end_array();
     }
     w.end_array().end_object();
-    out += w.str();
-    out += '\n';
+    *out_ << w.str() << '\n';
   }
-  return out;
+  out_->flush();
+}
+
+MetricsSnapshot MetricsRegistry::snapshot() const {
+  MetricsSnapshot snap;
+  std::lock_guard lock(mu_);
+  for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
+  for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
+  for (const auto& [name, h] : histograms_) {
+    HistogramSnapshot hs = h->snapshot();
+    if (hs.count != 0) snap.histograms[name] = std::move(hs);
+  }
+  for (const auto& [name, h] : timers_) {
+    const HistogramSnapshot hs = h->snapshot();
+    if (hs.count != 0) snap.timers[name] = TimerStats::of(hs);
+  }
+  return snap;
+}
+
+void MetricsRegistry::reset() {
+  std::lock_guard lock(mu_);
+  for (auto& [name, c] : counters_) {
+    (void)name;
+    c->value_.store(0, std::memory_order_relaxed);
+  }
+  for (auto& [name, g] : gauges_) {
+    (void)name;
+    g->value_.store(0, std::memory_order_relaxed);
+  }
+  for (auto& [name, h] : histograms_) {
+    (void)name;
+    h->reset();
+  }
+  for (auto& [name, h] : timers_) {
+    (void)name;
+    h->reset();
+  }
+}
+
+void MetricsSnapshot::write_json(JsonWriter& w) const {
+  w.key("counters").begin_object();
+  for (const auto& [name, v] : counters) {
+    if (v > 0) w.key(name).value(v);
+  }
+  w.end_object();
+  w.key("timers").begin_object();
+  for (const auto& [name, ts] : timers) {
+    w.key(name).begin_object();
+    w.key("count").value(ts.count);
+    w.key("total_ns").value(ts.total_ns);
+    w.key("mean_ns").value(ts.mean_ns);
+    w.key("min_ns").value(ts.min_ns);
+    w.key("max_ns").value(ts.max_ns);
+    w.key("p50_ns").value(ts.p50_ns);
+    w.key("p90_ns").value(ts.p90_ns);
+    w.key("p95_ns").value(ts.p95_ns);
+    w.key("p99_ns").value(ts.p99_ns);
+    w.end_object();
+  }
+  w.end_object();
+  if (gauges.empty() && histograms.empty()) return;
+  w.key("metrics").begin_object();
+  w.key("gauges").begin_object();
+  for (const auto& [name, v] : gauges) w.key(name).value(v);
+  w.end_object();
+  w.key("histograms").begin_object();
+  for (const auto& [name, h] : histograms) {
+    w.key(name).begin_object();
+    w.key("count").value(h.count);
+    w.key("sum").value(h.sum);
+    w.key("min").value(h.min);
+    w.key("max").value(h.max);
+    w.key("p50").value(h.percentile(50));
+    w.key("p95").value(h.percentile(95));
+    w.key("p99").value(h.percentile(99));
+    w.end_object();
+  }
+  w.end_object();
+  w.end_object();
+}
+
+std::string MetricsSnapshot::to_json() const {
+  JsonWriter w;
+  w.begin_object();
+  write_json(w);
+  w.end_object();
+  return w.str();
 }
 
 }  // namespace dtm

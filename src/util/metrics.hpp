@@ -1,21 +1,32 @@
-// Time-series stream health metrics: named gauges, deterministic mergeable
-// log-bucket histograms, and per-window sample rows, collected in a
-// MetricsRegistry whose snapshot serializes to deterministic JSONL
-// ("dtm-metrics-v1"). This is the third leg of the observability spine —
-// telemetry counts *events*, traces record *spans*, metrics record
-// *distributions and time series* (latency percentiles, backlog drift,
-// quota oscillation).
+// The observability registry: named monotonic counters, last-value gauges,
+// deterministic mergeable log-bucket histograms and wall-clock phase
+// timers, collected in one MetricsRegistry. Counters count *events*,
+// gauges and histograms record *distributions* (latency percentiles,
+// backlog, quota), timers record where wall time went; traces record
+// *spans* (util/trace.hpp).
 //
-// Cost model (mirrors util/telemetry.hpp — the standing invariant):
-//  * The registry is DISABLED by default. MetricGauge::set()/add() and
-//    MetricHistogram::record() are one relaxed atomic load of the enabled
-//    flag when off — no stores, no locks.
-//  * Handles are stable for the registry's life: hot code looks a gauge or
-//    histogram up once (function-local static or member) and keeps the
-//    reference; only the lookup and snapshot take the registry mutex.
-//  * MetricsRegistry::sample() appends one row under the mutex; samples are
-//    per scheduling window (coarse), never in an inner loop, and the
-//    enabled check happens before the lock.
+// Two outputs:
+//  * snapshot(): a point-in-time copy of every aggregate. Bench artifacts
+//    embed it; dtm_cli --telemetry dumps it.
+//  * A dtm-metrics-v1 JSONL document (MetricsSink). Opening the sink
+//    writes the header line; each sample() while it is open writes one
+//    time-series row; finishing it writes the gauge and histogram lines.
+//    Rows are never stored, so no registry state grows with stream length.
+// Timers are histograms of nanoseconds kept in their own map, so wall-clock
+// data never reaches the deterministic JSONL.
+//
+// Cost model (this sits on makespan-critical paths, so it must stay cheap):
+//  * One gate, ON by default. When it is off, every counter add, gauge
+//    write, histogram record, timer and sample() is one relaxed atomic load
+//    of the gate — no stores, no locks.
+//  * Handles are stable for the registry's life: hot code looks a handle up
+//    once (function-local static or member) and keeps the reference; only
+//    the lookup, a sample() with a sink open and snapshots take the
+//    registry mutex.
+//  * ScopedPhaseTimer looks its timer up once per scope (before the clock
+//    starts), reads the clock twice and records one histogram sample;
+//    phases are coarse (per scheduler run or stream window), never an
+//    inner loop.
 //
 // Histogram bucketing (HDR-style, fixed for all histograms so snapshots
 // merge bucket-by-bucket and are byte-stable across shard counts):
@@ -27,22 +38,31 @@
 // Merging is element-wise count addition — exactly associative and
 // commutative — and percentiles are nearest-rank over the cumulative bucket
 // counts, reported as the containing bucket's lower bound (a deterministic
-// integer, never an interpolated double).
+// integer, never an interpolated double). Timer percentiles follow the same
+// rule.
 //
-// Thread-safety: bucket counts / sums are relaxed atomics (concurrent
-// record() is safe and totals are exact); min/max use CAS loops; snapshots
-// are consistent per-cell, sufficient for post-run reporting.
+// Thread-safety: counters, gauges, bucket counts and sums are relaxed
+// atomics (concurrent adds and record() are safe and totals are exact);
+// min/max use CAS loops; registration and the sink are
+// mutex-guarded. Snapshots are consistent per cell, sufficient for
+// post-run reporting.
 #pragma once
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <initializer_list>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/trace.hpp"
 
 namespace dtm {
 
@@ -109,6 +129,31 @@ struct HistogramSnapshot {
                          const HistogramSnapshot&) = default;
 };
 
+/// One named monotonic counter. Obtained from and owned by a
+/// MetricsRegistry; never outlives it.
+class MetricCounter {
+ public:
+  void add(std::uint64_t n = 1) noexcept {
+    if (enabled_->load(std::memory_order_relaxed)) {
+      value_.fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+  std::uint64_t value() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+  MetricCounter(const MetricCounter&) = delete;
+  MetricCounter& operator=(const MetricCounter&) = delete;
+
+ private:
+  friend class MetricsRegistry;
+  explicit MetricCounter(const std::atomic<bool>* enabled)
+      : enabled_(enabled) {}
+
+  std::atomic<std::uint64_t> value_{0};
+  const std::atomic<bool>* enabled_;
+};
+
 /// One named last-value gauge (signed: backlog deltas may go negative in
 /// principle). Obtained from and owned by a MetricsRegistry.
 class MetricGauge {
@@ -173,32 +218,42 @@ class MetricHistogram {
   const std::atomic<bool>* enabled_;
 };
 
-/// One time-series row: a named series plus ordered integer fields. Field
-/// order is the emission order (fixed per call site), which makes the JSONL
-/// byte-stable.
-struct MetricSample {
-  std::string series;
-  std::vector<std::pair<std::string, std::int64_t>> fields;
+/// One phase timer's aggregate, in nanoseconds: a view of its histogram.
+/// count, total, min and max are exact and mean is total / count; the
+/// percentiles are nearest-rank bucket lower bounds, the rule
+/// HistogramSnapshot::percentile uses (within 1/32 of the exact sample).
+struct TimerStats {
+  std::uint64_t count = 0;
+  double total_ns = 0;
+  double mean_ns = 0;
+  double min_ns = 0;
+  double max_ns = 0;
+  double p50_ns = 0;
+  double p90_ns = 0;
+  double p95_ns = 0;
+  double p99_ns = 0;
 
-  friend bool operator==(const MetricSample&, const MetricSample&) = default;
+  static TimerStats of(const HistogramSnapshot& h);
 };
 
-/// Point-in-time copy of a registry: gauges and histograms in name order
-/// (std::map), samples in recording order.
+class JsonWriter;
+
+/// Point-in-time copy of a registry, every map in name order. Zero-count
+/// histograms and timers are left out.
 struct MetricsSnapshot {
+  std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-  std::vector<MetricSample> samples;
+  std::map<std::string, TimerStats> timers;
 
-  bool empty() const {
-    return gauges.empty() && histograms.empty() && samples.empty();
-  }
-
-  /// Deterministic JSONL ("dtm-metrics-v1"): a schema+provenance header
-  /// line, then samples in recording order, then gauges and histograms in
-  /// name order. Carries only build provenance (no invocation), so two runs
-  /// of the same build and workload serialize byte-identically.
-  std::string to_jsonl() const;
+  /// Writes the snapshot's members into an open JSON object: "counters"
+  /// (non-zero ones), "timers" {name: {count, total_ns, mean_ns, min_ns,
+  /// max_ns, p50_ns, p90_ns, p95_ns, p99_ns}}, and, when any gauge or
+  /// histogram exists, "metrics" {"gauges", "histograms" {name: {count, sum,
+  /// min, max, p50, p95, p99}}}. The bench artifact and --telemetry share it.
+  void write_json(JsonWriter& w) const;
+  /// write_json wrapped in its own object.
+  std::string to_json() const;
 };
 
 class MetricsRegistry {
@@ -210,46 +265,136 @@ class MetricsRegistry {
 
   /// Finds or registers; the reference stays valid (and keeps its value
   /// across reset()) for the registry's life.
+  MetricCounter& counter(const std::string& name);
   MetricGauge& gauge(const std::string& name);
   MetricHistogram& histogram(const std::string& name);
 
-  /// Appends one time-series row (no-op while disabled). The enabled check
-  /// runs before the mutex, so disabled call sites pay one relaxed load.
-  void sample(std::string series,
+  /// Finds or registers a phase timer: a histogram of nanoseconds kept
+  /// apart from histogram(), so it never reaches the JSONL.
+  MetricHistogram& timer(const std::string& name);
+
+  /// Writes one time-series row to the open MetricsSink; a no-op (one
+  /// relaxed load) while no sink is open or the gate is off. Field order is
+  /// the emission order, fixed per call site, which makes the JSONL
+  /// byte-stable.
+  void sample(std::string_view series,
               std::initializer_list<std::pair<const char*, std::int64_t>>
                   fields);
 
-  /// Disabled by default: gauge/histogram/sample calls are no-ops until a
-  /// sink (--metrics-out, a bench, a test) opts in.
+  /// The one gate. On by default; when off, every handle and sample() is a
+  /// no-op and existing values are kept.
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   MetricsSnapshot snapshot() const;
 
-  /// Zeroes gauges and histograms and drops all samples; handles stay
-  /// valid. Benches call this between artifact runs.
+  /// Zeroes every counter, gauge, histogram and timer; handles stay valid.
   void reset();
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
  private:
+  friend class MetricsSink;
+  /// Points sample() at `out` (nullptr stops it); at most one sink at once.
+  void set_sink(std::ostream* out);
+
+  template <class T>
+  using Named = std::map<std::string, std::unique_ptr<T>>;
+  template <class T>
+  T& find_or_add(Named<T>& map, const std::string& name);
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<MetricGauge>> gauges_;
-  std::map<std::string, std::unique_ptr<MetricHistogram>> histograms_;
-  std::vector<MetricSample> samples_;
-  std::atomic<bool> enabled_{false};
+  Named<MetricCounter> counters_;
+  Named<MetricGauge> gauges_;
+  Named<MetricHistogram> histograms_;
+  Named<MetricHistogram> timers_;
+  std::ostream* sink_ = nullptr;  // guarded by mu_
+  std::atomic<bool> sink_open_{false};
+  std::atomic<bool> enabled_{true};
+};
+
+/// One dtm-metrics-v1 JSONL document streamed from a registry into `out`.
+/// Construction writes the schema+provenance header line and opens the
+/// registry's sample() stream onto `out`; finish() writes one line per
+/// gauge, then one per non-empty histogram (timers excluded), both in name
+/// order, and closes it. A sink destroyed unfinished (an exception unwound
+/// past it) only closes the stream. `out` must outlive the sink. The header
+/// carries only build provenance (no invocation), so two runs of the same
+/// build and workload serialize byte-identically.
+class MetricsSink {
+ public:
+  explicit MetricsSink(std::ostream& out,
+                       MetricsRegistry& reg = MetricsRegistry::global());
+  ~MetricsSink();
+
+  void finish();
+
+  MetricsSink(const MetricsSink&) = delete;
+  MetricsSink& operator=(const MetricsSink&) = delete;
+
+ private:
+  std::ostream* out_;
+  MetricsRegistry* reg_;  // nullptr once finished
+};
+
+/// RAII wall-clock timer: records elapsed ns into `registry`'s timer
+/// `name` when the scope exits. Records nothing if the gate was off at
+/// construction. The timer is looked up before the clock starts, so the
+/// lookup is not timed and the timer's storage is allocated ahead of the
+/// phase's own. Every timed phase doubles as a wall-domain span in the
+/// global TraceRecorder when tracing is on, so schedulers, APSP, bounds,
+/// and simulate() all show up as phase spans for free.
+class ScopedPhaseTimer {
+ public:
+  explicit ScopedPhaseTimer(std::string name,
+                            MetricsRegistry& reg = MetricsRegistry::global())
+      : name_(std::move(name)),
+        timer_(reg.enabled() ? &reg.timer(name_) : nullptr),
+        traced_(TraceRecorder::global().enabled()),
+        start_(std::chrono::steady_clock::now()) {}
+
+  ~ScopedPhaseTimer() {
+    if (timer_ == nullptr && !traced_) return;
+    const auto stop = std::chrono::steady_clock::now();
+    if (traced_) {
+      TraceRecorder::global().wall_span(TraceCat::kPhase, name_, start_, stop);
+    }
+    if (timer_ == nullptr) return;
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start_)
+            .count();
+    timer_->record(static_cast<std::uint64_t>(ns));
+  }
+
+  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
+  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
+
+ private:
+  std::string name_;
+  MetricHistogram* timer_;  // nullptr when the gate was off
+  bool traced_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 namespace metrics {
 
 /// Handle lookups on the global registry. Hot paths call these once and
 /// keep the reference (function-local static or member).
+inline MetricCounter& counter(const std::string& name) {
+  return MetricsRegistry::global().counter(name);
+}
 inline MetricGauge& gauge(const std::string& name) {
   return MetricsRegistry::global().gauge(name);
 }
 inline MetricHistogram& histogram(const std::string& name) {
   return MetricsRegistry::global().histogram(name);
+}
+
+/// One-shot increment (map lookup per call — fine outside per-transaction
+/// and per-window paths).
+inline void count(const std::string& name, std::uint64_t n = 1) {
+  counter(name).add(n);
 }
 
 }  // namespace metrics

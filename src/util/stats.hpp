@@ -9,10 +9,10 @@ namespace dtm {
 
 /// Linear-interpolated percentile of an ascending-sorted sample vector,
 /// p in [0, 100]: rank = p/100 * (n-1), interpolating between the
-/// surrounding samples. The single shared implementation behind
-/// Stats::percentile and telemetry's TimerStats — keep call sites pinned to
-/// this one definition so artifact percentiles never drift apart.
-/// Returns 0 on an empty vector.
+/// surrounding samples. Shared by Stats::percentile and the trace
+/// analyzer's latency block, which keep every sample; the metrics
+/// registry's histograms and timers use nearest-rank bucket lower bounds
+/// instead (HistogramSnapshot::percentile). Returns 0 on an empty vector.
 double percentile_of_sorted(const std::vector<double>& sorted, double p);
 
 /// Online accumulator plus exact percentiles (keeps all samples; our sweeps

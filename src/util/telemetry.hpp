@@ -1,177 +1,14 @@
-// Lightweight instrumentation layer: named monotonic counters plus scoped
-// wall-clock phase timers, collected in a TelemetryRegistry whose snapshot
-// serializes to JSON. Benches use it to emit machine-readable BENCH_*.json
-// artifacts; dtm_cli dumps it behind --telemetry.
-//
-// Cost model (this sits on makespan-critical paths, so it must stay cheap):
-//  * Counter::add() is one relaxed atomic load of the enabled flag and, only
-//    when enabled, one relaxed fetch_add. Disabled runs therefore do no
-//    stores at all on the hot path.
-//  * Counter handles are stable for the life of the registry — hot code
-//    looks a counter up once (function-local static or member) and keeps the
-//    reference; only the lookup takes the registry mutex.
-//  * ScopedPhaseTimer reads the clock twice per scope and appends one sample
-//    under the registry mutex; phases are coarse (per scheduler run), so
-//    this never sits in an inner loop.
-//
-// Thread-safety: counters are shared atomics; registry registration and
-// timer recording are mutex-guarded. Snapshots are consistent per-counter
-// (relaxed reads), which is sufficient for post-run reporting.
+// Compatibility shim: the telemetry registry is MetricsRegistry
+// (util/metrics.hpp). perfbench/driver.cpp still names the old types; the
+// next change to the benchmark moves it to the new names and deletes this
+// header.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "util/trace.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
-class TelemetryRegistry;
-
-/// One named monotonic counter. Obtained from (and owned by) a
-/// TelemetryRegistry; never outlives it.
-class TelemetryCounter {
- public:
-  void add(std::uint64_t n = 1) noexcept {
-    if (enabled_->load(std::memory_order_relaxed)) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    }
-  }
-  std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
-  TelemetryCounter(const TelemetryCounter&) = delete;
-  TelemetryCounter& operator=(const TelemetryCounter&) = delete;
-
- private:
-  friend class TelemetryRegistry;
-  explicit TelemetryCounter(const std::atomic<bool>* enabled)
-      : enabled_(enabled) {}
-
-  std::atomic<std::uint64_t> value_{0};
-  const std::atomic<bool>* enabled_;
-};
-
-/// Aggregate of one timer's recorded samples (all values in nanoseconds).
-struct TimerStats {
-  std::uint64_t count = 0;
-  double total_ns = 0;
-  double mean_ns = 0;
-  double min_ns = 0;
-  double max_ns = 0;
-  double p50_ns = 0;
-  double p90_ns = 0;
-  double p95_ns = 0;
-  double p99_ns = 0;
-};
-
-/// Point-in-time copy of a registry's state.
-struct TelemetrySnapshot {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, TimerStats> timers;
-
-  /// Serializes as {"counters": {...}, "timers": {name: {count, total_ns,
-  /// mean_ns, min_ns, max_ns, p50_ns, p90_ns, p95_ns, p99_ns}, ...}}.
-  std::string to_json() const;
-};
-
-class TelemetryRegistry {
- public:
-  TelemetryRegistry() = default;
-
-  /// Process-wide registry used by the convenience helpers below and by all
-  /// built-in instrumentation sites.
-  static TelemetryRegistry& global();
-
-  /// Finds or registers a counter. The returned reference stays valid (and
-  /// keeps its accumulated value across reset()) for the registry's life.
-  TelemetryCounter& counter(const std::string& name);
-
-  /// Appends one duration sample to the named phase timer.
-  void record_timer(const std::string& name, std::uint64_t ns);
-
-  /// When disabled, counter adds and timer recordings become no-ops;
-  /// existing values are kept. Enabled by default.
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  TelemetrySnapshot snapshot() const;
-
-  /// Zeroes every counter and drops all timer samples; registered counter
-  /// handles remain valid.
-  void reset();
-
-  TelemetryRegistry(const TelemetryRegistry&) = delete;
-  TelemetryRegistry& operator=(const TelemetryRegistry&) = delete;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<TelemetryCounter>> counters_;
-  std::map<std::string, std::vector<double>> timer_samples_;
-  std::atomic<bool> enabled_{true};
-};
-
-/// RAII wall-clock timer: records elapsed ns into `registry` under `name`
-/// when the scope exits. Records nothing if the registry was disabled at
-/// construction time. Every timed phase doubles as a wall-domain span in
-/// the global TraceRecorder when tracing is on, so schedulers, APSP,
-/// bounds, and simulate() all show up as phase spans for free.
-class ScopedPhaseTimer {
- public:
-  explicit ScopedPhaseTimer(std::string name,
-                            TelemetryRegistry& reg = TelemetryRegistry::global())
-      : name_(std::move(name)),
-        reg_(&reg),
-        active_(reg.enabled()),
-        traced_(TraceRecorder::global().enabled()),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ~ScopedPhaseTimer() {
-    if (!active_ && !traced_) return;
-    const auto stop = std::chrono::steady_clock::now();
-    if (traced_) {
-      TraceRecorder::global().wall_span(TraceCat::kPhase, name_, start_, stop);
-    }
-    if (!active_) return;
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start_)
-            .count();
-    reg_->record_timer(name_, static_cast<std::uint64_t>(ns));
-  }
-
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
- private:
-  std::string name_;
-  TelemetryRegistry* reg_;
-  bool active_;
-  bool traced_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-namespace telemetry {
-
-/// Handle lookup on the global registry. Hot paths call this once and keep
-/// the reference (e.g. in a function-local static).
-inline TelemetryCounter& counter(const std::string& name) {
-  return TelemetryRegistry::global().counter(name);
-}
-
-/// One-shot increment (map lookup per call — fine outside inner loops).
-inline void count(const std::string& name, std::uint64_t n = 1) {
-  counter(name).add(n);
-}
-
-}  // namespace telemetry
+using TelemetryRegistry = MetricsRegistry;
+using TelemetrySnapshot = MetricsSnapshot;
 
 }  // namespace dtm

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cstdio>
 
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 
@@ -71,7 +71,7 @@ ThreadPool& shared_pool() {
   // recorded run documents how wide its parallel phases ran.
   static ThreadPool pool;
   static const bool recorded = [] {
-    telemetry::count("pool.workers", pool.thread_count());
+    metrics::count("pool.workers", pool.thread_count());
     return true;
   }();
   (void)recorded;

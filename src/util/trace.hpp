@@ -19,7 +19,7 @@
 //    export skips this domain; the Chrome export shows it as a second
 //    process ("host phases").
 //
-// Cost model (same discipline as telemetry.hpp): enabled() is one relaxed
+// Cost model (same discipline as metrics.hpp): enabled() is one relaxed
 // atomic load, and the recorder ships DISABLED — a run that never opts in
 // takes no mutex and allocates nothing. Instrumentation sites either check
 // enabled() or hold a pointer resolved once per run (the engine's

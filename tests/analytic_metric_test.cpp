@@ -13,7 +13,7 @@
 #include "graph/topologies/butterfly.hpp"
 #include "graph/topologies/detect.hpp"
 #include "util/rng.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 namespace {
@@ -220,11 +220,11 @@ TEST(DenseMetricGuard, RefusesOverCapMatrices) {
 }
 
 TEST(DenseMetricGuard, CountsProjectedBytes) {
-  TelemetryRegistry::global().reset();
+  MetricsRegistry::global().reset();
   const Line line(10);
   const DenseMetric m(line.graph);
   (void)m;
-  const auto snap = TelemetryRegistry::global().snapshot();
+  const auto snap = MetricsRegistry::global().snapshot();
   std::uint64_t bytes = 0;
   for (const auto& [name, v] : snap.counters) {
     if (name == "metric.dense_bytes") bytes = v;

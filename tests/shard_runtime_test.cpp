@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -404,8 +405,8 @@ TEST_P(ShardIdentity, AdaptiveAdmissionIsShardCountInvariant) {
   EXPECT_EQ(ref.cuts, got.cuts) << f.name;
 }
 
-// The metrics spine inherits the shard-count invariance: with the registry
-// enabled, the exported dtm-metrics-v1 JSONL of a shards=k run is
+// The metrics spine inherits the shard-count invariance: the
+// dtm-metrics-v1 JSONL a sink receives from a shards=k run is
 // byte-identical to the shards=1 run once the (explicitly per-shard)
 // "shard" series rows are dropped — histograms, gauges, and the "window"
 // series never see the shard count.
@@ -420,11 +421,12 @@ TEST_P(ShardIdentity, MetricsJsonlIsShardCountInvariant) {
     opts.max_live_admitted = 24;
     opts.shards = shards;
     mreg.reset();
-    mreg.set_enabled(true);
+    std::ostringstream doc;
+    MetricsSink sink(doc, mreg);
     run_stream(f.graph(), m, ArrivalModel::kBursty, seed, opts);
-    const std::string jsonl = mreg.snapshot().to_jsonl();
-    mreg.set_enabled(false);
+    sink.finish();
     mreg.reset();
+    const std::string jsonl = doc.str();
     // Drop the per-shard split series; everything else must be invariant.
     std::string out;
     std::size_t pos = 0;
@@ -510,16 +512,13 @@ TEST(ShardedRuntime, AccountsOneWindowExactly) {
   StreamingRuntime rt(cg.graph, m, {a0, b0, b1}, opts);
   ASSERT_EQ(rt.shard_stats().scheme, "cluster");
 
-  MetricsRegistry& mreg = MetricsRegistry::global();
-  mreg.reset();
-  mreg.set_enabled(true);
+  std::ostringstream out;
+  MetricsSink sink(out);
   rt.ingest({.arrival = 0, .home = a1, .objects = {0}});     // T0: local s0
   rt.ingest({.arrival = 1, .home = b0, .objects = {0, 1}});  // T1: cross
   rt.ingest({.arrival = 2, .home = b1, .objects = {2}});     // T2: local s1
   const StreamStats st = rt.drain();
-  const MetricsSnapshot snap = mreg.snapshot();
-  mreg.set_enabled(false);
-  mreg.reset();
+  sink.finish();
 
   EXPECT_EQ(st.windows, 1u);
   EXPECT_EQ(st.committed, 3u);
@@ -530,15 +529,15 @@ TEST(ShardedRuntime, AccountsOneWindowExactly) {
   EXPECT_EQ(shard.fixup_txns, 2u);
   EXPECT_EQ(shard.peak_shard_members, 1u);
 
-  std::vector<MetricSample> rows;
-  for (const MetricSample& s : snap.samples) {
-    if (s.series == "shard") rows.push_back(s);
+  std::vector<std::string> rows;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("{\"series\":\"shard\"", 0) == 0) rows.push_back(line);
   }
   ASSERT_EQ(rows.size(), 1u);
-  const std::vector<std::pair<std::string, std::int64_t>> want = {
-      {"t", 8},     {"shards", 2}, {"batch", 3},       {"local", 2},
-      {"cross", 1}, {"fixup", 2},  {"peak_members", 1}};
-  EXPECT_EQ(rows[0].fields, want);
+  EXPECT_EQ(rows[0],
+            "{\"series\":\"shard\",\"t\":8,\"shards\":2,\"batch\":3,"
+            "\"local\":2,\"cross\":1,\"fixup\":2,\"peak_members\":1}");
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #include "graph/metric.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
-#include "util/telemetry.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm::test {
 
@@ -35,7 +35,7 @@ inline Schedule run_and_check(Scheduler& sched, const Instance& inst,
 
 /// Row arrays written so far by row-built graphs (see Graph::from_rows).
 inline std::uint64_t materialized_count() {
-  return telemetry::counter("graph.materialized").value();
+  return metrics::counter("graph.materialized").value();
 }
 
 }  // namespace dtm::test

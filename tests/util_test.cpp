@@ -1,5 +1,5 @@
 // Unit tests for src/util: Rng, Stats, chernoff, Table, CsvWriter,
-// ThreadPool, parallel_for, error macros.
+// JsonWriter, ThreadPool, parallel_for, error macros.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,12 +8,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/json_writer.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -441,6 +443,74 @@ TEST(ParallelFor, PropagatesBodyException) {
                               if (i == 5) throw Error("body failed");
                             }),
                Error);
+}
+
+// -------------------------------------------------------------- JsonWriter
+
+TEST(JsonWriter, WritesNestedDocument) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("n").value(64);
+  w.key("ratio").value(4.5);
+  w.key("ok").value(true);
+  w.key("name").value("grid");
+  w.key("missing").null();
+  w.key("tags").begin_array().value("a").value("b").end_array();
+  w.end_object();
+  EXPECT_EQ(w.str(),
+            "{\"n\":64,\"ratio\":4.5,\"ok\":true,\"name\":\"grid\","
+            "\"missing\":null,\"tags\":[\"a\",\"b\"]}");
+}
+
+TEST(JsonWriter, EscapesStrings) {
+  EXPECT_EQ(JsonWriter::escape("plain"), "plain");
+  EXPECT_EQ(JsonWriter::escape("q\"q"), "q\\\"q");
+  EXPECT_EQ(JsonWriter::escape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(JsonWriter::escape("line\nbreak"), "line\\nbreak");
+  EXPECT_EQ(JsonWriter::escape("tab\there"), "tab\\there");
+  EXPECT_EQ(JsonWriter::escape(std::string("ctl\x01", 4)), "ctl\\u0001");
+}
+
+TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
+  JsonWriter w;
+  w.begin_array();
+  w.value(std::numeric_limits<double>::quiet_NaN());
+  w.value(std::numeric_limits<double>::infinity());
+  w.value(1.5);
+  w.end_array();
+  EXPECT_EQ(w.str(), "[null,null,1.5]");
+}
+
+TEST(JsonWriter, EmptyContainers) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("arr").begin_array().end_array();
+  w.key("obj").begin_object().end_object();
+  w.end_object();
+  EXPECT_EQ(w.str(), "{\"arr\":[],\"obj\":{}}");
+}
+
+TEST(JsonWriter, RejectsMisuse) {
+  {
+    JsonWriter w;
+    w.begin_array();
+    EXPECT_THROW(w.key("k"), Error);  // keys only inside objects
+  }
+  {
+    JsonWriter w;
+    w.begin_object();
+    EXPECT_THROW(w.value(1), Error);  // object values need a key first
+  }
+  {
+    JsonWriter w;
+    w.begin_object();
+    EXPECT_THROW(w.str(), Error);  // unterminated document
+  }
+  {
+    JsonWriter w;
+    w.begin_object();
+    EXPECT_THROW(w.end_array(), Error);  // mismatched close
+  }
 }
 
 }  // namespace

@@ -20,16 +20,20 @@
 // --validate runs structural checks for CI and exits 1 on any failure:
 //  - the header line carries schema dtm-metrics-v1;
 //  - "window" sample times are strictly increasing;
-//  - every histogram's bucket counts sum to its total count, and min/max
-//    fall inside its first/last occupied bucket;
+//  - every histogram's min/max fall inside its first/last occupied bucket;
 //  - the stream.latency.* histogram counts reconcile with the
 //    stream.admitted gauge and the per-window admitted samples;
 //  - the three latency stages tile arrival->commit exactly (equal counts,
 //    stage sums adding up to the total's sum) — the same identity
 //    metrics_test pins against an engine replay.
+// Every run, validating or not, rejects a histogram line whose bucket
+// indices are not ascending integers in [0, hdr::kNumBuckets), whose
+// count/sum/min/max/bucket counts are not non-negative integers, or whose
+// bucket counts do not sum to its count (exit 2, like any parse error).
 // --json emits the whole report (and the validation verdict) as one JSON
 // document instead of tables.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -63,6 +67,15 @@ struct SampleRow {
   }
   bool has(const std::string& name) const { return fields.count(name) != 0; }
 };
+
+/// A JSON number that is a non-negative integer representable as uint64;
+/// throws dtm::Error (naming `what`) otherwise.
+std::uint64_t non_negative_integer(const JsonValue& v, const std::string& what) {
+  DTM_REQUIRE(v.kind == JsonValue::Kind::kNumber && v.number >= 0 &&
+                  v.number == std::floor(v.number) && v.number < 0x1p64,
+              what << " must be a non-negative integer");
+  return static_cast<std::uint64_t>(v.number);
+}
 
 struct ParsedMetrics {
   std::map<std::string, std::string> provenance;
@@ -113,21 +126,39 @@ ParsedMetrics parse_file(const std::string& path) {
       continue;
     }
     if (const JsonValue* hist = v.find("hist")) {
+      // Checked here, not only under --validate: percentile() walks the
+      // buckets, so an index past the geometry, a negative or fractional
+      // number, or counts that miss the total would report garbage.
       HistogramSnapshot h;
+      const std::string where =
+          path + ":" + std::to_string(lineno) + ": hist " + hist->str;
       for (const char* f : {"count", "sum", "min", "max", "buckets"}) {
-        DTM_REQUIRE(v.find(f) != nullptr,
-                    path << ":" << lineno << ": hist line without " << f);
+        DTM_REQUIRE(v.find(f) != nullptr, where << " without " << f);
       }
-      h.count = static_cast<std::uint64_t>(v.find("count")->number);
-      h.sum = static_cast<std::uint64_t>(v.find("sum")->number);
-      h.min = static_cast<std::uint64_t>(v.find("min")->number);
-      h.max = static_cast<std::uint64_t>(v.find("max")->number);
+      h.count = non_negative_integer(*v.find("count"), where + " count");
+      h.sum = non_negative_integer(*v.find("sum"), where + " sum");
+      h.min = non_negative_integer(*v.find("min"), where + " min");
+      h.max = non_negative_integer(*v.find("max"), where + " max");
+      std::uint64_t total = 0;
       for (const JsonValue& b : v.find("buckets")->arr) {
         DTM_REQUIRE(b.arr.size() == 2,
-                    path << ":" << lineno << ": bucket entry must be [idx, count]");
-        h.buckets.emplace_back(static_cast<std::uint32_t>(b.arr[0].number),
-                               static_cast<std::uint64_t>(b.arr[1].number));
+                    where << ": bucket entry must be [idx, count]");
+        const std::uint64_t idx =
+            non_negative_integer(b.arr[0], where + " bucket index");
+        DTM_REQUIRE(idx < dtm::hdr::kNumBuckets,
+                    where << ": bucket index " << idx << " out of [0, "
+                          << dtm::hdr::kNumBuckets << ")");
+        DTM_REQUIRE(h.buckets.empty() || idx > h.buckets.back().first,
+                    where << ": bucket indices not ascending");
+        const std::uint64_t c =
+            non_negative_integer(b.arr[1], where + " bucket count");
+        DTM_REQUIRE(c <= h.count - total,  // also keeps `total` from wrapping
+                    where << ": bucket counts exceed count " << h.count);
+        h.buckets.emplace_back(static_cast<std::uint32_t>(idx), c);
+        total += c;
       }
+      DTM_REQUIRE(total == h.count, where << ": bucket counts sum to " << total
+                                          << " but count is " << h.count);
       out.histograms[hist->str] = std::move(h);
       continue;
     }
@@ -253,24 +284,9 @@ std::vector<std::string> validate(const ParsedMetrics& m) {
     }
   }
 
-  // Histogram internal consistency: bucket counts reconcile with the
-  // total, and min/max live inside the first/last occupied bucket.
+  // Histogram min/max live inside the first/last occupied bucket (bucket
+  // indices and counts were already checked while parsing).
   for (const auto& [name, h] : m.histograms) {
-    std::uint64_t total = 0;
-    std::uint32_t prev_idx = 0;
-    bool ordered = true;
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      total += h.buckets[i].second;
-      if (i > 0 && h.buckets[i].first <= prev_idx) ordered = false;
-      prev_idx = h.buckets[i].first;
-    }
-    if (!ordered) fail("hist " + name + ": bucket indices not ascending");
-    if (total != h.count) {
-      std::ostringstream os;
-      os << "hist " << name << ": bucket counts sum to " << total
-         << " but count is " << h.count;
-      fail(os.str());
-    }
     if (!h.buckets.empty()) {
       const std::uint32_t lo = h.buckets.front().first;
       const std::uint32_t hi = h.buckets.back().first;
