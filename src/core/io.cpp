@@ -1,5 +1,6 @@
 #include "core/io.hpp"
 
+#include <cctype>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -38,7 +39,11 @@ class LineReader {
     if (!cond) fail(what);
   }
 
+  /// A count or id: digits only. std::stoull alone would accept a leading
+  /// sign and negate the value modulo 2^64 ("-18446744073709551615" as 1).
   std::uint64_t to_u64(const std::string& tok) const {
+    expect(!tok.empty() && std::isdigit(static_cast<unsigned char>(tok[0])),
+           "expected an unsigned number, got '" + tok + "'");
     try {
       std::size_t pos = 0;
       const std::uint64_t v = std::stoull(tok, &pos);

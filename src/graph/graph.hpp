@@ -100,42 +100,48 @@ std::size_t checked_node_count(std::size_t a, std::size_t b);
 
 /// Immutable CSR graph. Construct via GraphBuilder or from_rows.
 ///
-/// The arcs live in one shared, once-written block: copies share it, a
-/// GraphBuilder graph hands it over filled, and a from_rows graph writes it
-/// on the first adjacency read (`neighbors()`, `adjacency()`, or an `==`
-/// that keys cannot settle). Node count, edge count, degrees and weights
-/// never write it. The first read may come from several threads at once;
-/// the rows are written exactly once.
+/// The offsets and arcs live in one shared block: copies share it, and a
+/// GraphBuilder graph hands it over written. A from_rows graph writes each
+/// array once, when first needed: the offsets on the first count read
+/// (`num_edges()`, `degree()`, or an `==` that keys, node counts and
+/// weights cannot settle) and the arcs on the first adjacency read
+/// (`neighbors()`, `adjacency()`, or such an `==`). The node count and
+/// weights are held by value and write neither. The first read may come
+/// from several threads at once; each array is written exactly once.
 class Graph {
  public:
   Graph() = default;
 
   /// Declares a graph by its rows, with no edge list and no sort:
-  /// `degree(u)` gives node u's arc count (called here, once per node) and
-  /// `fill(u, out)` writes its arcs through `out.add(to, weight)` in
-  /// ascending (to, weight) order. `fill` runs on the first adjacency read,
-  /// so it must own what it reads: capture family parameters by value.
-  /// `max_weight` declares the heaviest arc weight (ignored when there are
-  /// no arcs); `key`, when given, lets `==` match another graph with an
-  /// equal key without writing rows.
+  /// `degree(u)` gives node u's arc count and `fill(u, out)` writes its
+  /// arcs through `out.add(to, weight)` in ascending (to, weight) order.
+  /// `degree` runs on the first count read and `fill` on the first
+  /// adjacency read, so both must own what they read: capture family
+  /// parameters by value. `max_weight` declares the heaviest arc weight (0
+  /// when there are no arcs); `key`, when given, lets `==` match another
+  /// graph with an equal key without writing either array.
   ///
-  /// Checks: the total arc count is even and the node count valid, here;
-  /// when the rows are written, every arc is in range, not a self-loop and
-  /// of positive weight, every row is sorted and exactly `degree(u)` long,
-  /// and `max_weight` is the rows' heaviest weight. Any violation throws
-  /// dtm::Error. Symmetry (each arc u→v matched by v→u) is the caller's
-  /// contract and is not checked. The result equals (`==`) what
-  /// GraphBuilder builds from the same edges.
-  template <class DegreeFn, class FillFn>
+  /// Checks: the node count is valid and `max_weight` is not negative,
+  /// here; when the offsets are written, the total arc count is even and
+  /// `max_weight` is positive exactly when there are arcs; when the rows
+  /// are written, every arc is in range, not a self-loop and of positive
+  /// weight, every row is sorted and exactly `degree(u)` long, and
+  /// `max_weight` is the rows' heaviest weight. Any violation throws
+  /// dtm::Error, and a later read runs the check again. Symmetry (each arc
+  /// u→v matched by v→u) is the caller's contract and is not checked. The
+  /// result equals (`==`) what GraphBuilder builds from the same edges.
   static Graph from_rows(std::size_t num_nodes, Weight max_weight,
-                         DegreeFn&& degree, FillFn fill,
+                         std::function<std::size_t(NodeId)> degree,
+                         std::function<void(NodeId, RowWriter&)> fill,
                          std::optional<FamilyKey> key = std::nullopt);
 
-  std::size_t num_nodes() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
-  std::size_t num_edges() const { return offsets_.empty() ? 0 : offsets_.back() / 2; }
+  std::size_t num_nodes() const { return num_nodes_; }
+  std::size_t num_edges() const {
+    return block_ ? offset_data()[num_nodes_] / 2 : 0;
+  }
 
   /// Read view of the whole adjacency for loops that visit many rows:
-  /// Graph::adjacency() writes any unwritten rows once, so the view's
+  /// Graph::adjacency() writes any unwritten arrays once, so the view's
   /// neighbors() is two loads and no check of the block. Valid while the
   /// graph, or a copy of it, lives.
   class Adjacency {
@@ -152,18 +158,20 @@ class Graph {
     const Arc* arcs_;
   };
   Adjacency adjacency() const {
-    return {offsets_.data(), block_ ? arc_data() : nullptr};
+    if (!block_) return {nullptr, nullptr};
+    return {offset_data(), arc_data()};
   }
 
   /// Arcs leaving `u`, sorted by target id.
   std::span<const Arc> neighbors(NodeId u) const {
     DTM_ASSERT(u < num_nodes());
-    return Adjacency(offsets_.data(), arc_data()).neighbors(u);
+    return Adjacency(offset_data(), arc_data()).neighbors(u);
   }
 
   std::size_t degree(NodeId u) const {
     DTM_ASSERT(u < num_nodes());
-    return offsets_[u + 1] - offsets_[u];
+    const std::size_t* off = offset_data();
+    return off[u + 1] - off[u];
   }
 
   /// True when every edge has weight exactly 1 (lets callers pick BFS over
@@ -180,59 +188,57 @@ class Graph {
   /// Topology recovery (topologies/detect.hpp) uses this to certify that a
   /// rebuilt parameterized topology matches an instance's graph exactly.
   /// Graphs sharing a block, or built from rows with equal family keys,
-  /// are equal without reading arcs; otherwise the arcs are compared, which
-  /// writes any unwritten rows (different families can build the same
-  /// graph: Grid(1, n) == Line(n)).
+  /// are equal, and graphs whose node counts or weights differ unequal,
+  /// without reading either array. Otherwise the offsets, then the arcs,
+  /// are compared, which writes any unwritten ones (different families can
+  /// build the same graph: Grid(1, n) == Line(n)).
   friend bool operator==(const Graph& a, const Graph& b);
 
  private:
   friend class GraphBuilder;
 
-  // The arc array every copy of a Graph shares (a mutex can be neither
-  // copied nor moved). `ready` is set (release) once `arcs` is complete;
-  // `mu` serializes the write. `fill` and `key` describe the row source of
-  // a from_rows graph, and `fill` is dropped after it has run.
+  // The arrays every copy of a Graph shares (a mutex can be neither copied
+  // nor moved). `offsets_ready` is set (release) once `offsets` (size
+  // num_nodes+1) is complete, `arcs_ready` once `arcs` is; `mu` serializes
+  // both writes. `degree`, `fill` and `key` describe the row source of a
+  // from_rows graph; `degree` and `fill` are dropped after they have run.
   struct ArcBlock {
     std::mutex mu;
-    std::atomic<bool> ready{false};
+    std::atomic<bool> offsets_ready{false};
+    std::atomic<bool> arcs_ready{false};
+    std::vector<std::size_t> offsets;
     std::vector<Arc> arcs;
+    std::function<std::size_t(NodeId)> degree;
     std::function<void(NodeId, RowWriter&)> fill;
     std::optional<FamilyKey> key;
   };
 
   static Graph with_node_count(std::size_t num_nodes);
-  void set_rows(Weight max_weight,
-                std::function<void(NodeId, RowWriter&)> fill,
-                std::optional<FamilyKey> key);
 
+  const std::size_t* offset_data() const {
+    if (!block_->offsets_ready.load(std::memory_order_acquire)) {
+      write_offsets();
+    }
+    return block_->offsets.data();
+  }
   const Arc* arc_data() const {
-    if (!block_->ready.load(std::memory_order_acquire)) materialize();
+    if (!block_->arcs_ready.load(std::memory_order_acquire)) materialize();
     return block_->arcs.data();
   }
-  // Writes the rows of a from_rows graph, once per block. Not
+  // Write a from_rows graph's offsets, and its rows, once per block. Not
   // std::call_once: libstdc++ builds it on pthread_once, which does not
   // reset when the callable throws under every runtime (ThreadSanitizer's
   // interceptor leaves it held), and a bad row source must throw on every
   // read.
+  void write_offsets() const;
   void materialize() const;
   // Checks the row just appended for node u; returns its heaviest weight.
-  Weight check_row(NodeId u, const std::vector<Arc>& arcs) const;
+  Weight check_row(NodeId u, const std::size_t* offsets,
+                   const std::vector<Arc>& arcs) const;
 
-  std::vector<std::size_t> offsets_;  // size num_nodes+1
-  std::shared_ptr<ArcBlock> block_;
+  std::size_t num_nodes_ = 0;
   Weight max_weight_ = 0;
+  std::shared_ptr<ArcBlock> block_;
 };
-
-template <class DegreeFn, class FillFn>
-Graph Graph::from_rows(std::size_t num_nodes, Weight max_weight,
-                       DegreeFn&& degree, FillFn fill,
-                       std::optional<FamilyKey> key) {
-  Graph g = with_node_count(num_nodes);
-  for (NodeId u = 0; u < num_nodes; ++u) {
-    g.offsets_[u + 1] = g.offsets_[u] + degree(u);
-  }
-  g.set_rows(max_weight, std::move(fill), key);
-  return g;
-}
 
 }  // namespace dtm

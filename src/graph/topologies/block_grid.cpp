@@ -18,11 +18,13 @@ BlockGrid::BlockGrid(std::size_t s_in)
       rows(s_in),
       cols(checked_node_count(s_in, sqrt_s)) {
   DTM_REQUIRE(s >= 1, "block grid needs s >= 1");
-  // Row of (r, c) in ascending id order: up, left, right, down.
+  // Row of (r, c) in ascending id order: up, left, right, down. s = 1 is
+  // a single node with no edges.
   graph = Graph::from_rows(
-      checked_node_count(rows, cols), static_cast<Weight>(s),
-      [&](NodeId v) {
-        const std::size_t r = row_of(v), c = col_of(v);
+      checked_node_count(rows, cols), s > 1 ? static_cast<Weight>(s) : 0,
+      [rows = rows, cols = cols](NodeId v) {
+        const std::size_t r = BlockGrid::row_of(cols, v);
+        const std::size_t c = BlockGrid::col_of(cols, v);
         return std::size_t{r > 0} + (c > 0) + (c + 1 < cols) +
                (r + 1 < rows);
       },

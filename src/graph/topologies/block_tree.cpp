@@ -36,10 +36,12 @@ BlockTree::BlockTree(std::size_t s_in)
     return !on_right_edge(c) || (r == 0 && c + 1 < cols);
   };
   const auto weight_s = static_cast<Weight>(s);
+  // s = 1 is a single node with no edges.
   graph = Graph::from_rows(
-      checked_node_count(rows, cols), weight_s,
-      [&](NodeId v) {
-        const std::size_t r = row_of(v), c = col_of(v);
+      checked_node_count(rows, cols), s > 1 ? weight_s : 0,
+      [on_spine, has_left, has_right, rows = rows, cols = cols](NodeId v) {
+        const std::size_t r = BlockTree::row_of(cols, v);
+        const std::size_t c = BlockTree::col_of(cols, v);
         return std::size_t{on_spine(c) && r > 0} + has_left(r, c) +
                has_right(r, c) + (on_spine(c) && r + 1 < rows);
       },

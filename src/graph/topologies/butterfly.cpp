@@ -10,8 +10,8 @@ Butterfly::Butterfly(std::size_t dim_in) : dim(dim_in) {
   // l + 1 at rows r and r ^ 2^l; the row lists each pair in ascending order.
   graph = Graph::from_rows(
       num_nodes(), 1,
-      [&](NodeId v) {
-        const std::size_t l = level_of(v);
+      [dim = dim](NodeId v) {
+        const std::size_t l = Butterfly::level_of(dim, v);
         return 2 * (std::size_t{l > 0} + (l < dim));
       },
       [dim = dim](NodeId v, RowWriter& out) {

@@ -12,8 +12,12 @@ ClusterGraph::ClusterGraph(std::size_t alpha_in, std::size_t beta_in,
   // γ, bridges only), the rest of cluster c (weight 1), then the bridges
   // of clusters after c — already in ascending id order.
   graph = Graph::from_rows(
-      checked_node_count(alpha, beta), alpha > 1 ? gamma : 1,
-      [&](NodeId v) { return (beta - 1) + (is_bridge(v) ? alpha - 1 : 0); },
+      checked_node_count(alpha, beta),
+      alpha > 1 ? gamma : static_cast<Weight>(beta > 1),
+      [alpha = alpha, beta = beta](NodeId v) {
+        return (beta - 1) +
+               (ClusterGraph::is_bridge(beta, v) ? alpha - 1 : 0);
+      },
       [alpha = alpha, beta = beta, gamma = gamma](NodeId v, RowWriter& out) {
         const std::size_t c = ClusterGraph::cluster_of(beta, v);
         const bool bridge = ClusterGraph::is_bridge(beta, v);

@@ -7,9 +7,9 @@ Grid::Grid(std::size_t rows_in, std::size_t cols_in)
   DTM_REQUIRE(rows >= 1 && cols >= 1, "grid needs positive dimensions");
   // Row of (r, c) in ascending id order: up, left, right, down.
   graph = Graph::from_rows(
-      checked_node_count(rows, cols), 1,
-      [&](NodeId v) {
-        const std::size_t r = row_of(v), c = col_of(v);
+      checked_node_count(rows, cols), rows > 1 || cols > 1 ? 1 : 0,
+      [rows = rows, cols = cols](NodeId v) {
+        const std::size_t r = Grid::row_of(cols, v), c = Grid::col_of(cols, v);
         return std::size_t{r > 0} + (c > 0) + (c + 1 < cols) +
                (r + 1 < rows);
       },

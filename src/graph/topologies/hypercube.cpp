@@ -8,7 +8,7 @@ Hypercube::Hypercube(std::size_t dim_in) : dim(dim_in) {
   // bits from the highest down, then clear bits from the lowest up, give
   // the row in ascending id order.
   graph = Graph::from_rows(
-      num_nodes(), 1, [&](NodeId) { return dim; },
+      num_nodes(), 1, [dim = dim](NodeId) { return dim; },
       [dim = dim](NodeId u, RowWriter& out) {
         for (std::size_t bit = dim; bit-- > 0;) {
           const NodeId mask = NodeId{1} << bit;

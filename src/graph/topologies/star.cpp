@@ -13,8 +13,8 @@ Star::Star(std::size_t alpha_in, std::size_t beta_in)
   // its inner neighbor (the center at position 1), then its outer one.
   graph = Graph::from_rows(
       checked_node_count(alpha, beta) + 1, 1,
-      [&](NodeId v) -> std::size_t {
-        return is_center(v) ? alpha : 1 + (pos_of(v) < beta);
+      [alpha = alpha, beta = beta](NodeId v) -> std::size_t {
+        return v == 0 ? alpha : 1 + (Star::pos_of(beta, v) < beta);
       },
       [alpha = alpha, beta = beta](NodeId v, RowWriter& out) {
         if (v == 0) {

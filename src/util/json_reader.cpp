@@ -1,6 +1,7 @@
 #include "util/json_reader.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -127,8 +128,13 @@ std::string JsonReader::parse_string() {
       case 't': out += '\t'; break;
       case 'u': {
         DTM_REQUIRE(pos_ + 4 <= text_.size(), "JSON: short \\u escape");
-        const unsigned code = static_cast<unsigned>(
-            std::stoul(text_.substr(pos_, 4), nullptr, 16));
+        // from_chars into an unsigned reads hex digits only: no sign, no
+        // space, no "0x".
+        const char* first = text_.data() + pos_;
+        unsigned code = 0;
+        const auto [last, ec] = std::from_chars(first, first + 4, code, 16);
+        DTM_REQUIRE(ec == std::errc() && last == first + 4,
+                    "JSON: \\u escape needs four hex digits");
         pos_ += 4;
         // Our artifacts only escape ASCII control chars; reject the rest
         // rather than mis-decoding surrogate pairs.

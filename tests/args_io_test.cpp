@@ -303,5 +303,58 @@ TEST(Io, ErrorsCarryLineNumbers) {
   }
 }
 
+// Expects `read` to throw a parse error that names line `line`.
+template <class ReadFn>
+void expect_parse_error_at(ReadFn read, const std::string& text, int line) {
+  std::stringstream buf(text);
+  try {
+    read(buf);
+    ADD_FAILURE() << "expected a parse error for:\n" << text;
+  } catch (const Error& e) {
+    const std::string want = "parse error at line " + std::to_string(line);
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+// Signed counts and ids are parse errors. std::stoull negates a leading
+// '-' modulo 2^64, so "-18446744073709551614" used to read as 2,
+// "-18446744073709551615" as 1 and "-0" as 0: every case below was once
+// accepted.
+TEST(Io, SignedNumbersAreParseErrors) {
+  const auto graph = [](std::istream& is) { return read_graph(is); };
+  const std::string g_head = "dtm-graph v1\n";
+  expect_parse_error_at(graph, g_head + "nodes -18446744073709551614\n", 2);
+  expect_parse_error_at(graph, g_head + "nodes +2\n", 2);
+  expect_parse_error_at(
+      graph, g_head + "nodes 2\nedge -18446744073709551615 0 1\n", 3);
+  expect_parse_error_at(
+      graph, g_head + "nodes 2\nedge 0 -18446744073709551615 1\n", 3);
+
+  const Grid grid(3);
+  const auto instance = [&](std::istream& is) {
+    return read_instance(is, grid.graph);
+  };
+  const std::string i_head = "dtm-instance v1\n";
+  const std::string one_object = i_head + "objects 1\nobject 0 home 0\n";
+  expect_parse_error_at(instance, i_head + "objects -18446744073709551615\n",
+                        2);
+  expect_parse_error_at(instance, i_head + "objects 1\nobject -0 home 0\n", 3);
+  expect_parse_error_at(
+      instance, i_head + "objects 1\nobject 0 home -18446744073709551615\n",
+      3);
+  expect_parse_error_at(
+      instance, one_object + "txn home -18446744073709551615 objs 0\n", 4);
+  expect_parse_error_at(instance, one_object + "txn home 0 objs +0\n", 4);
+
+  const auto schedule = [](std::istream& is) { return read_schedule(is); };
+  const std::string s_head = "dtm-schedule v1\n";
+  expect_parse_error_at(schedule, s_head + "commits -18446744073709551615\n",
+                        2);
+  expect_parse_error_at(schedule, s_head + "commits 1\ncommit -0 step 0\n", 3);
+  expect_parse_error_at(schedule, s_head + "commits 1\norder -0 0\n", 3);
+  expect_parse_error_at(schedule, s_head + "commits 1\norder 0 -0\n", 3);
+}
+
 }  // namespace
 }  // namespace dtm

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -17,6 +20,7 @@ namespace dtm {
 namespace {
 
 using test::materialized_count;
+using test::offsets_written_count;
 
 Graph triangle_with_tail() {
   // 0-1 (1), 1-2 (2), 0-2 (4), 2-3 (1)
@@ -78,7 +82,8 @@ TEST(Graph, SingleNodeIsConnected) {
 // Builds a graph through Graph::from_rows from explicit rows; `degrees`
 // overrides each row's declared length (defaults to the row's size) and
 // `max_weight` the declared heaviest weight (defaults to the rows' own).
-// The row source owns its rows: from_rows graphs write them on first read.
+// The row source owns its rows and degrees: from_rows graphs read them on
+// first use.
 Graph from_arc_rows(std::vector<std::vector<Arc>> rows,
                     std::vector<std::size_t> degrees = {},
                     Weight max_weight = 0) {
@@ -92,7 +97,8 @@ Graph from_arc_rows(std::vector<std::vector<Arc>> rows,
   }
   const std::size_t n = rows.size();
   return Graph::from_rows(
-      n, max_weight, [&](NodeId u) { return degrees[u]; },
+      n, max_weight,
+      [degrees = std::move(degrees)](NodeId u) { return degrees[u]; },
       [rows = std::move(rows)](NodeId u, RowWriter& out) {
         for (const Arc& a : rows[u]) out.add(a.to, a.weight);
       });
@@ -194,6 +200,84 @@ TEST(LazyRows, DeclaredMaxWeightMustMatchRows) {
   expect_rows_rejected(weighted, "declared 1", {}, 1);
   expect_rows_rejected({{{1, 1}}, {{0, 1}}}, "declared 2", {}, 2);
   EXPECT_THROW(from_arc_rows(weighted, {}, -1), Error);
+}
+
+TEST(LazyRows, EdgelessRowsDeclareWeightZero) {
+  // A negative declaration throws at construction, arcs or not.
+  EXPECT_THROW(from_arc_rows({{}}, {}, -1), Error);
+  EXPECT_THROW(from_arc_rows({{}, {}}, {}, -3), Error);
+  const Graph edgeless = from_arc_rows({{}, {}});
+  EXPECT_EQ(edgeless.max_weight(), 0);
+  EXPECT_EQ(edgeless.num_edges(), 0u);
+  EXPECT_EQ(edgeless, GraphBuilder(2).build());
+  // A positive declaration on edgeless rows throws from the first count
+  // read, as an arc total that is odd or declared unweighted does.
+  const Graph heavy = from_arc_rows({{}, {}}, {}, 5);
+  EXPECT_EQ(heavy.max_weight(), 5);  // declared values are read freely
+  EXPECT_THROW((void)heavy.num_edges(), Error);
+  EXPECT_THROW((void)heavy.degree(1), Error);  // a failed write is not kept
+  const Graph odd = from_arc_rows({{{1, 1}}, {{0, 1}}, {}}, {1, 1, 1});
+  EXPECT_THROW((void)odd.degree(0), Error);
+}
+
+// Builds the path 0-1-...-(n-1) from rows, counting calls to `degree`.
+Graph counted_path(std::size_t n, std::shared_ptr<std::atomic<int>> calls) {
+  return Graph::from_rows(
+      n, 1,
+      [n, calls](NodeId u) {
+        ++*calls;
+        return std::size_t{u > 0} + (u + 1 < n);
+      },
+      [n](NodeId u, RowWriter& out) {
+        if (u > 0) out.add(u - 1, 1);
+        if (u + 1 < n) out.add(u + 1, 1);
+      });
+}
+
+TEST(LazyRows, DegreeRunsOnceOnFirstCountRead) {
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  const auto before = offsets_written_count();
+  const Graph g = counted_path(6, calls);
+  EXPECT_EQ(g.num_nodes(), 6u);
+  EXPECT_EQ(g.max_weight(), 1);
+  EXPECT_TRUE(g.unit_weights());
+  const Graph early_copy = g;
+  EXPECT_EQ(*calls, 0);
+  EXPECT_EQ(offsets_written_count(), before);
+  EXPECT_EQ(g.num_edges(), 5u);
+  EXPECT_EQ(*calls, 6);
+  EXPECT_EQ(offsets_written_count(), before + 1);
+  // Later reads, through the graph or any copy, call it no more.
+  const Graph late_copy = g;
+  EXPECT_EQ(early_copy.degree(0), 1u);
+  EXPECT_EQ(late_copy.degree(3), 2u);
+  EXPECT_EQ(g.neighbors(5).size(), 1u);
+  EXPECT_EQ(early_copy, late_copy);
+  EXPECT_EQ(*calls, 6);
+  EXPECT_EQ(offsets_written_count(), before + 1);
+}
+
+// Concurrent first count readers of one block see the same offsets, and
+// the offsets are written once. Run under ThreadSanitizer in CI.
+TEST(LazyRows, ConcurrentFirstDegreeReadsWriteOnce) {
+  constexpr std::size_t kNodes = 5000;
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  const Graph g = counted_path(kNodes, calls);
+  const Graph copy = g;
+  const auto before = offsets_written_count();
+  constexpr int kThreads = 8;
+  std::vector<std::size_t> sums(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const Graph& mine = t % 2 ? copy : g;
+      for (NodeId u = 0; u < kNodes; ++u) sums[t] += mine.degree(u);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(offsets_written_count(), before + 1);
+  EXPECT_EQ(*calls, static_cast<int>(kNodes));
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(sums[t], 2 * (kNodes - 1)) << t;
 }
 
 TEST(LazyRows, CopiesShareOneMaterialization) {

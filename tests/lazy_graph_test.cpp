@@ -1,10 +1,11 @@
-// Which layers read a row-built graph's arcs. A ClusterGraph declares its
-// rows and writes them on the first adjacency read; the
-// `graph.materialized` counter counts those writes. The batch-cluster
+// Which layers read a row-built graph's offsets and arcs. A ClusterGraph
+// declares its rows and writes its offsets on the first count read and its
+// arcs on the first adjacency read; the `graph.offsets_written` and
+// `graph.materialized` counters count those writes. The batch-cluster
 // pipeline (closed-form metric, uniform workload, greedy cluster
-// scheduler, validation, simulation) and the stream set-up (shard map,
-// home placement, runtime) must never write them; adjacency readers
-// write them exactly once per shared block, however many copies read.
+// scheduler, validation, simulation) must write neither, and the stream
+// set-up (shard map, home placement, runtime) no arcs; adjacency readers
+// write the arcs exactly once per shared block, however many copies read.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -26,6 +27,7 @@ namespace dtm {
 namespace {
 
 using test::materialized_count;
+using test::offsets_written_count;
 
 // 4 clusters of 5 with γ = 6: no other (α, β) split of 20 nodes has the
 // same edge count, so detection rebuilds only the matching candidate.
@@ -33,9 +35,9 @@ ClusterGraph small_cluster() { return ClusterGraph(4, 5, 6); }
 
 TEST(LazyGraphPipeline, BatchClusterNeverWritesRows) {
   const auto before = materialized_count();
+  const auto offsets_before = offsets_written_count();
   const ClusterGraph topo = small_cluster();
   const auto metric = make_analytic_metric(topo);
-  ASSERT_NE(make_analytic_metric(topo.graph), nullptr);
   for (std::uint64_t b = 0; b < 3; ++b) {
     Rng rng(b + 1);
     const Instance inst = generate_uniform(
@@ -49,10 +51,18 @@ TEST(LazyGraphPipeline, BatchClusterNeverWritesRows) {
     EXPECT_EQ(sim.realized_makespan, s.makespan());
   }
   EXPECT_EQ(materialized_count(), before);
+  EXPECT_EQ(offsets_written_count(), offsets_before);
+  // Detection from the bare graph settles the family by key, but its
+  // edge-count pre-check writes the offsets: once, and no arcs.
+  ASSERT_NE(make_analytic_metric(topo.graph), nullptr);
+  ASSERT_NE(make_analytic_metric(topo.graph), nullptr);
+  EXPECT_EQ(materialized_count(), before);
+  EXPECT_EQ(offsets_written_count(), offsets_before + 1);
 }
 
 TEST(LazyGraphPipeline, StreamSetupNeverWritesRows) {
   const auto before = materialized_count();
+  const auto offsets_before = offsets_written_count();
   const ClusterGraph topo = small_cluster();
   const auto metric = make_analytic_metric(topo);
   const ShardMap map = make_shard_map(topo.graph, 2);
@@ -72,6 +82,9 @@ TEST(LazyGraphPipeline, StreamSetupNeverWritesRows) {
   EXPECT_EQ(rt.drain().committed, 12u);
   EXPECT_EQ(spread.size(), 16u);
   EXPECT_EQ(materialized_count(), before);
+  // Only the substrate's own offsets, for detection's edge-count check:
+  // the shard map's rebuilt candidate matches by key and writes none.
+  EXPECT_EQ(offsets_written_count(), offsets_before + 1);
 }
 
 // Each reader below writes the rows on first use, once per block: a copy

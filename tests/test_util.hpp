@@ -38,4 +38,9 @@ inline std::uint64_t materialized_count() {
   return metrics::counter("graph.materialized").value();
 }
 
+/// Offset arrays written so far by row-built graphs.
+inline std::uint64_t offsets_written_count() {
+  return metrics::counter("graph.offsets_written").value();
+}
+
 }  // namespace dtm::test

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/metric.hpp"
@@ -573,6 +574,32 @@ TEST(RowBuiltTopologies, ButterflyMatchesEdgeList) {
   }
 }
 
+// Every family that has a one-node member declares it edgeless with
+// weight 0, so it equals the one-node edge-list graph. Star, hypercube and
+// butterfly have no one-node member.
+TEST(RowBuiltTopologies, SingleNodeFamiliesAreEdgeless) {
+  const Graph single = GraphBuilder(1).build();
+  const std::vector<std::pair<const char*, Graph>> cases = {
+      {"line", Line(1).graph},
+      {"clique", Clique(1).graph},
+      {"grid", Grid(1, 1).graph},
+      {"cluster", ClusterGraph(1, 1, 7).graph},
+      {"block_grid", BlockGrid(1).graph},
+      {"block_tree", BlockTree(1).graph},
+  };
+  for (const auto& [name, g] : cases) {
+    EXPECT_EQ(g.max_weight(), 0) << name;
+    EXPECT_EQ(g.num_nodes(), 1u) << name;
+    EXPECT_EQ(g.num_edges(), 0u) << name;
+    EXPECT_EQ(g.degree(0), 0u) << name;
+    EXPECT_TRUE(g.neighbors(0).empty()) << name;
+    EXPECT_EQ(g, single) << name;
+  }
+  EXPECT_THROW(Star(0, 1), Error);
+  EXPECT_THROW(Hypercube(0), Error);
+  EXPECT_THROW(Butterfly(0), Error);
+}
+
 // ------------------------------------------------------------ lazy rows
 
 TEST(LazyRows, SameParametersCompareEqualWithoutRows) {
@@ -602,10 +629,25 @@ TEST(LazyRows, DifferentFamiliesFallBackToArcs) {
 }
 
 TEST(LazyRows, FamilyCopiesOutliveTheirTopology) {
-  // The row source captures parameters by value: a graph copied out of a
-  // temporary topology still writes the right rows.
-  const Graph g = ClusterGraph(3, 4, 5).graph;
-  EXPECT_TRUE(equals_reference(g, reference_cluster(3, 4, 5)));
+  // Both row functions capture parameters by value: each graph below is
+  // copied out of a temporary topology, which is gone before the first
+  // read, and still writes the right offsets and rows when `==` compares
+  // it with its edge list. A capture by reference reads freed memory here,
+  // which the address sanitizer reports.
+  const std::vector<std::pair<Graph, Graph>> copies = {
+      {Line(7).graph, reference_line(7)},
+      {Clique(5).graph, reference_clique(5)},
+      {Grid(3, 5).graph, reference_grid(3, 5)},
+      {ClusterGraph(3, 4, 5).graph, reference_cluster(3, 4, 5)},
+      {Hypercube(4).graph, reference_hypercube(4)},
+      {Star(3, 4).graph, reference_star(3, 4)},
+      {BlockGrid(4).graph, reference_block_grid(4, 2)},
+      {BlockTree(4).graph, reference_block_tree(4, 2)},
+      {Butterfly(3).graph, reference_butterfly(3)},
+  };
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    EXPECT_TRUE(equals_reference(copies[i].first, copies[i].second)) << i;
+  }
   const auto make_grid = [] { return Grid(3, 5); };
   const Grid moved = make_grid();
   EXPECT_TRUE(equals_reference(moved.graph, reference_grid(3, 5)));

@@ -15,6 +15,7 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -511,6 +512,36 @@ TEST(JsonWriter, RejectsMisuse) {
     w.begin_object();
     EXPECT_THROW(w.end_array(), Error);  // mismatched close
   }
+}
+
+// -------------------------------------------------------------- JsonReader
+
+// Parses `text` as one JSON string literal.
+std::string read_json_string(const std::string& text) {
+  return JsonReader(text).parse().str;
+}
+
+TEST(JsonReader, UnicodeEscapeTakesFourHexDigits) {
+  EXPECT_EQ(read_json_string(R"("a\u0041b")"), "aAb");
+  EXPECT_EQ(read_json_string(R"("\u007e\u007E")"), "~~");
+  EXPECT_EQ(read_json_string(R"("ctl\u0001")"), std::string("ctl\x01", 4));
+  // The writer's own control-character escapes read back unchanged.
+  const std::string ctl("\x01\x1f", 2);
+  EXPECT_EQ(read_json_string('"' + JsonWriter::escape(ctl) + '"'), ctl);
+}
+
+TEST(JsonReader, MalformedUnicodeEscapesThrowError) {
+  // Each used to decode a prefix of its digits, or to escape as
+  // std::invalid_argument.
+  for (const char* text :
+       {R"("\u12zz")", R"("\u+7fx")", R"("\uzzzz")", R"("\u-001")",
+        R"("\u 041")", R"("\u0x41")", R"("\u004")", R"("\u")"}) {
+    const std::string doc = text;
+    EXPECT_THROW(JsonReader(doc).parse(), Error) << doc;
+  }
+  // Non-ASCII code points stay unsupported.
+  const std::string wide = R"("\u00e9")";
+  EXPECT_THROW(JsonReader(wide).parse(), Error);
 }
 
 }  // namespace
