@@ -44,6 +44,11 @@ InstanceBuilder& InstanceBuilder::allow_shared_homes() {
   return *this;
 }
 
+InstanceBuilder& InstanceBuilder::reserve(std::size_t num_transactions) {
+  txns_.reserve(num_transactions);
+  return *this;
+}
+
 TxnId InstanceBuilder::add_transaction(NodeId home,
                                        std::vector<ObjectId> objects) {
   DTM_REQUIRE(home < graph_->num_nodes(),
@@ -76,7 +81,15 @@ Instance InstanceBuilder::build() {
   inst.txns_ = std::move(txns_);
   inst.object_home_ = std::move(object_home_);
   inst.txn_at_node_ = std::move(txn_at_node_);
-  inst.requesters_.assign(inst.object_home_.size(), {});
+  // A count pass sizes each requester list exactly before it is filled.
+  std::vector<std::size_t> count(inst.object_home_.size(), 0);
+  for (const auto& t : inst.txns_) {
+    for (ObjectId o : t.objects) ++count[o];
+  }
+  inst.requesters_.resize(inst.object_home_.size());
+  for (std::size_t o = 0; o < count.size(); ++o) {
+    inst.requesters_[o].reserve(count[o]);
+  }
   for (const auto& t : inst.txns_) {
     for (ObjectId o : t.objects) inst.requesters_[o].push_back(t.id);
   }

@@ -85,6 +85,9 @@ class InstanceBuilder {
   /// reports the first transaction added at the node in shared mode.
   InstanceBuilder& allow_shared_homes();
 
+  /// Reserves room for `num_transactions` transactions (a capacity hint).
+  InstanceBuilder& reserve(std::size_t num_transactions);
+
   /// Adds a transaction at `home` requesting `objects` (any order,
   /// duplicates rejected). At most one transaction per node unless
   /// allow_shared_homes() was called.

@@ -11,6 +11,8 @@
 // simulator re-derives operationally.
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -33,5 +35,36 @@ struct Schedule {
   static Schedule from_commit_times(const Instance& inst,
                                     std::vector<Time> commit_time);
 };
+
+/// Per-object visit orders read off commit times, for schedules built
+/// window by window (sched/online.hpp, sim/runtime.hpp): object o's order
+/// lists the transactions t that request o (`objects_of(t)`) and are
+/// placed (commit[t] > 0), by (commit time, id). Unplaced transactions are
+/// left out. A count pass sizes each order exactly, a scatter in id order
+/// fills it, and a stable sort by commit time orders it.
+template <class ObjectsOf>
+std::vector<std::vector<TxnId>> placed_object_orders(
+    std::size_t num_objects, std::span<const Time> commit,
+    const ObjectsOf& objects_of) {
+  std::vector<std::size_t> count(num_objects, 0);
+  for (std::size_t t = 0; t < commit.size(); ++t) {
+    if (commit[t] == 0) continue;
+    for (ObjectId o : objects_of(static_cast<TxnId>(t))) ++count[o];
+  }
+  std::vector<std::vector<TxnId>> order(num_objects);
+  for (std::size_t o = 0; o < num_objects; ++o) order[o].reserve(count[o]);
+  for (std::size_t t = 0; t < commit.size(); ++t) {
+    if (commit[t] == 0) continue;
+    for (ObjectId o : objects_of(static_cast<TxnId>(t))) {
+      order[o].push_back(static_cast<TxnId>(t));
+    }
+  }
+  for (std::vector<TxnId>& chain : order) {
+    std::stable_sort(chain.begin(), chain.end(), [&](TxnId a, TxnId b) {
+      return commit[a] < commit[b];
+    });
+  }
+  return order;
+}
 
 }  // namespace dtm

@@ -181,6 +181,12 @@ class Graph {
   /// Largest edge weight (0 for an edgeless graph).
   Weight max_weight() const { return max_weight_; }
 
+  /// The family key a from_rows graph was declared with, if any (copies
+  /// share it). Reads neither array.
+  std::optional<FamilyKey> family_key() const {
+    return block_ ? block_->key : std::nullopt;
+  }
+
   /// True if there is a path between every pair of nodes.
   bool connected() const;
 

@@ -103,13 +103,20 @@ ShardMap make_shard_map(const Graph& g, std::size_t num_shards) {
 
 std::vector<NodeId> shard_aligned_homes(const ShardMap& map,
                                         std::size_t num_objects) {
+  // Object o goes to shard s = o mod S, at pool index (o / S) mod |pool|:
+  // s and each shard's pool index advance as wrap-around counters, so no
+  // object pays a division.
   const auto nodes = map.members();
+  std::vector<std::size_t> next(map.num_shards, 0);
   std::vector<NodeId> homes(num_objects);
-  for (std::size_t o = 0; o < num_objects; ++o) {
-    const auto& pool = nodes[o % map.num_shards];
-    DTM_REQUIRE(!pool.empty(), "shard " << o % map.num_shards
-                                        << " has no nodes to home objects");
-    homes[o] = pool[(o / map.num_shards) % pool.size()];
+  std::size_t s = 0;
+  for (NodeId& home : homes) {
+    const auto& pool = nodes[s];
+    DTM_REQUIRE(!pool.empty(),
+                "shard " << s << " has no nodes to home objects");
+    home = pool[next[s]];
+    if (++next[s] == pool.size()) next[s] = 0;
+    if (++s == map.num_shards) s = 0;
   }
   return homes;
 }

@@ -7,18 +7,37 @@ namespace {
 
 // Cheap structural pre-checks let us skip rebuilding candidates that cannot
 // possibly match; the authoritative test is always `candidate.graph == g`.
+// A graph that carries a family key is first compared by key, over every
+// candidate, before any count read: a family's own graph is then recovered
+// without writing its offsets (a star's candidate needs node 0's degree,
+// so a star always reads its offsets). Graphs without a key, or whose key
+// no candidate shares (Grid(1, n) is a Line), take the edge-count
+// pre-check.
 
 bool plausible_unit_graph(const Graph& g, std::size_t min_nodes) {
   return g.num_nodes() >= min_nodes && g.unit_weights();
+}
+
+/// True when g carries a family key and `candidate` was built with it.
+/// Reads neither graph's arrays.
+bool same_key(const Graph& candidate, const Graph& g) {
+  const std::optional<FamilyKey> key = g.family_key();
+  return key && candidate.family_key() == key;
+}
+
+/// The one-candidate test: by key, else the edge-count pre-check and the
+/// full comparison.
+bool matches(const Graph& candidate, const Graph& g, std::size_t edges) {
+  return same_key(candidate, g) || (g.num_edges() == edges && candidate == g);
 }
 
 }  // namespace
 
 std::unique_ptr<Line> recover_line(const Graph& g) {
   const std::size_t n = g.num_nodes();
-  if (!plausible_unit_graph(g, 2) || g.num_edges() != n - 1) return nullptr;
+  if (!plausible_unit_graph(g, 2)) return nullptr;
   auto candidate = std::make_unique<Line>(n);
-  if (candidate->graph == g) return candidate;
+  if (matches(candidate->graph, g, n - 1)) return candidate;
   return nullptr;
 }
 
@@ -27,14 +46,21 @@ std::unique_ptr<Grid> recover_grid(const Graph& g) {
   if (!plausible_unit_graph(g, 4)) return nullptr;
   // rows, cols >= 2 (a 1×n mesh is a Line). Row-major numbering makes an
   // r×c grid and its c×r transpose distinct CSR layouts unless r == c, so
-  // at most one divisor pair matches.
-  for (std::size_t rows = 2; rows * 2 <= n; ++rows) {
-    if (n % rows != 0) continue;
-    const std::size_t cols = n / rows;
-    if (cols < 2) continue;
-    if (g.num_edges() != rows * (cols - 1) + cols * (rows - 1)) continue;
-    auto candidate = std::make_unique<Grid>(rows, cols);
-    if (candidate->graph == g) return candidate;
+  // at most one divisor pair matches. Keys first, then counts.
+  for (const bool by_key : {true, false}) {
+    if (by_key && !g.family_key()) continue;
+    for (std::size_t rows = 2; rows * 2 <= n; ++rows) {
+      if (n % rows != 0) continue;
+      const std::size_t cols = n / rows;
+      if (cols < 2) continue;
+      if (!by_key && g.num_edges() != rows * (cols - 1) + cols * (rows - 1)) {
+        continue;
+      }
+      auto candidate = std::make_unique<Grid>(rows, cols);
+      if (by_key ? same_key(candidate->graph, g) : candidate->graph == g) {
+        return candidate;
+      }
+    }
   }
   return nullptr;
 }
@@ -47,15 +73,21 @@ std::unique_ptr<ClusterGraph> recover_cluster(const Graph& g) {
   // round-trips through the exact comparison).
   const Weight gamma = g.max_weight();
   if (gamma < 1) return nullptr;
-  for (std::size_t alpha = 2; alpha * 2 <= n; ++alpha) {
-    if (n % alpha != 0) continue;
-    const std::size_t beta = n / alpha;
-    if (beta < 2) continue;
-    const std::size_t expected_edges =
-        alpha * (beta * (beta - 1) / 2) + alpha * (alpha - 1) / 2;
-    if (g.num_edges() != expected_edges) continue;
-    auto candidate = std::make_unique<ClusterGraph>(alpha, beta, gamma);
-    if (candidate->graph == g) return candidate;
+  // Keys first, then counts.
+  for (const bool by_key : {true, false}) {
+    if (by_key && !g.family_key()) continue;
+    for (std::size_t alpha = 2; alpha * 2 <= n; ++alpha) {
+      if (n % alpha != 0) continue;
+      const std::size_t beta = n / alpha;
+      if (beta < 2) continue;
+      const std::size_t expected_edges =
+          alpha * (beta * (beta - 1) / 2) + alpha * (alpha - 1) / 2;
+      if (!by_key && g.num_edges() != expected_edges) continue;
+      auto candidate = std::make_unique<ClusterGraph>(alpha, beta, gamma);
+      if (by_key ? same_key(candidate->graph, g) : candidate->graph == g) {
+        return candidate;
+      }
+    }
   }
   return nullptr;
 }
@@ -75,11 +107,9 @@ std::unique_ptr<Star> recover_star(const Graph& g) {
 
 std::unique_ptr<Clique> recover_clique(const Graph& g) {
   const std::size_t n = g.num_nodes();
-  if (!plausible_unit_graph(g, 3) || g.num_edges() != n * (n - 1) / 2) {
-    return nullptr;
-  }
+  if (!plausible_unit_graph(g, 3)) return nullptr;
   auto candidate = std::make_unique<Clique>(n);
-  if (candidate->graph == g) return candidate;
+  if (matches(candidate->graph, g, n * (n - 1) / 2)) return candidate;
   return nullptr;
 }
 
@@ -87,9 +117,9 @@ std::unique_ptr<Hypercube> recover_hypercube(const Graph& g) {
   const std::size_t n = g.num_nodes();
   if (!plausible_unit_graph(g, 8) || !std::has_single_bit(n)) return nullptr;
   const auto dim = static_cast<std::size_t>(std::countr_zero(n));
-  if (dim < 3 || dim > 24 || g.num_edges() != dim * n / 2) return nullptr;
+  if (dim < 3 || dim > 24) return nullptr;
   auto candidate = std::make_unique<Hypercube>(dim);
-  if (candidate->graph == g) return candidate;
+  if (matches(candidate->graph, g, dim * n / 2)) return candidate;
   return nullptr;
 }
 
@@ -110,12 +140,11 @@ std::unique_ptr<BlockGrid> recover_block_grid(const Graph& g) {
   const std::size_t t = fifth_root_of(g.num_nodes());
   if (t == 0) return nullptr;
   const std::size_t s = t * t, rows = s, cols = s * t;
-  if (g.max_weight() != static_cast<Weight>(s) ||
-      g.num_edges() != (rows - 1) * cols + rows * (cols - 1)) {
-    return nullptr;
-  }
+  if (g.max_weight() != static_cast<Weight>(s)) return nullptr;
   auto candidate = std::make_unique<BlockGrid>(s);
-  if (candidate->graph == g) return candidate;
+  if (matches(candidate->graph, g, (rows - 1) * cols + rows * (cols - 1))) {
+    return candidate;
+  }
   return nullptr;
 }
 
@@ -124,11 +153,9 @@ std::unique_ptr<BlockTree> recover_block_tree(const Graph& g) {
   const std::size_t t = fifth_root_of(n);
   if (t == 0) return nullptr;
   const std::size_t s = t * t;
-  if (g.max_weight() != static_cast<Weight>(s) || g.num_edges() != n - 1) {
-    return nullptr;
-  }
+  if (g.max_weight() != static_cast<Weight>(s)) return nullptr;
   auto candidate = std::make_unique<BlockTree>(s);
-  if (candidate->graph == g) return candidate;
+  if (matches(candidate->graph, g, n - 1)) return candidate;
   return nullptr;
 }
 

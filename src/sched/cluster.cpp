@@ -32,17 +32,17 @@ Schedule ClusterScheduler::run(const Instance& inst, const Metric& metric) {
   // requesters. One stamp array shared across objects (stamp = o + 1)
   // keeps this O(α + Σ requesters) instead of O(w·α) — the difference
   // between instant and hours on a million-object instance.
-  std::vector<std::vector<std::size_t>> zi(inst.num_objects());
   std::vector<ObjectId> seen(topo_->alpha, 0);
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
+    std::size_t clusters = 0;
     for (TxnId t : inst.requesters(o)) {
       const std::size_t c = topo_->cluster_of(inst.txn(t).home);
       if (seen[c] != o + 1) {
         seen[c] = o + 1;
-        zi[o].push_back(c);
+        ++clusters;
       }
     }
-    stats_.sigma = std::max(stats_.sigma, zi[o].size());
+    stats_.sigma = std::max(stats_.sigma, clusters);
   }
 
   ClusterApproach approach = opts_.approach;

@@ -162,10 +162,15 @@ void OnlineBatchScheduler::flush_batch() {
 
 Schedule OnlineBatchScheduler::on_finish() {
   if (!batch_.empty()) flush_batch();
-  timer_.reset();
+  const Instance& inst = feed_instance();
   Schedule s;
+  s.object_order = placed_object_orders(
+      inst.num_objects(), commit_,
+      [&](TxnId t) -> const std::vector<ObjectId>& {
+        return inst.txn(t).objects;
+      });
   s.commit_time = std::move(commit_);
-  s.object_order = placer_.take_chains();
+  timer_.reset();
   return s;
 }
 

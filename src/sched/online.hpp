@@ -35,7 +35,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -140,19 +139,25 @@ class OnlineFifoScheduler final : public OnlineScheduler {
 };
 
 /// Window placement shared by OnlineBatchScheduler and the streaming
-/// runtime (sim/runtime.hpp). Owns the per-object visit chains, the chain
-/// tail positions and the live horizon. A colored batch whose window closes
-/// at `close` starts at base = max(horizon, close - 1) plus the worst
-/// transition from an object's chain tail to its first requester in the
-/// batch, and is appended to the chains in color order (ties by id).
-/// Feasibility is by construction: the triangle inequality covers every
-/// in-batch hop once the batch starts after the transition.
+/// runtime (sim/runtime.hpp). Owns each object's tail position (the node of
+/// its last placed requester) and the live horizon. A colored batch whose
+/// window closes at `close` starts at base = max(horizon, close - 1) plus
+/// the worst transition from an object's tail to its first requester in the
+/// batch. Feasibility is by construction: the triangle inequality covers
+/// every in-batch hop once the batch starts after the transition.
+///
+/// The visit chains are not stored. Each window starts at or after the
+/// horizon and its members commit at start + local_time >= start + 1, so a
+/// later window commits strictly later, and inside a window an object's
+/// requesters visit in (local_time, id) order. An object's chain is thus
+/// its placed requesters by (commit time, id), which placed_object_orders
+/// (core/schedule.hpp) derives on demand.
 class WindowPlacer {
  public:
   WindowPlacer() = default;
-  /// Empty chains, every object at its initial node.
+  /// Every object at its initial node.
   explicit WindowPlacer(std::vector<NodeId> object_home)
-      : chains_(object_home.size()), pos_(std::move(object_home)) {}
+      : pos_(std::move(object_home)) {}
 
   /// Places `colored` and returns its start offset: batch member i commits
   /// at offset + colored.local_time[i]. `home(t)` is transaction t's node
@@ -161,10 +166,6 @@ class WindowPlacer {
   template <class HomeOf, class ObjectsOf>
   Time place(const Metric& metric, const ColoredSubset& colored, Time close,
              const HomeOf& home, const ObjectsOf& objects);
-
-  /// Per-object visit chains, in commit order.
-  const std::vector<std::vector<TxnId>>& chains() const { return chains_; }
-  std::vector<std::vector<TxnId>> take_chains() { return std::move(chains_); }
 
  private:
   /// An object's first and last requester within the batch being placed.
@@ -175,14 +176,12 @@ class WindowPlacer {
     NodeId last_v = kInvalidNode;
   };
 
-  std::vector<std::vector<TxnId>> chains_;
   std::vector<NodeId> pos_;  // chain-tail positions
   Time horizon_ = 0;
   // Reused place() scratch: visits_ is all-default between calls (touched_
-  // lists the entries to reset), by_color_ is the batch in color order.
+  // lists the entries to reset).
   std::vector<BatchVisit> visits_;
   std::vector<ObjectId> touched_;
-  std::vector<std::size_t> by_color_;
 };
 
 template <class HomeOf, class ObjectsOf>
@@ -213,19 +212,6 @@ Time WindowPlacer::place(const Metric& metric, const ColoredSubset& colored,
         std::max(transition, metric.distance(pos_[o], visits_[o].first_v));
   }
   const Time start = std::max(horizon_, close - 1) + transition;
-  by_color_.resize(n);
-  std::iota(by_color_.begin(), by_color_.end(), 0);
-  std::sort(by_color_.begin(), by_color_.end(),
-            [&](std::size_t a, std::size_t b) {
-              return colored.local_time[a] != colored.local_time[b]
-                         ? colored.local_time[a] < colored.local_time[b]
-                         : colored.txns[a] < colored.txns[b];
-            });
-  for (std::size_t i : by_color_) {
-    for (ObjectId o : objects(colored.txns[i])) {
-      chains_[o].push_back(colored.txns[i]);
-    }
-  }
   for (ObjectId o : touched_) {
     pos_[o] = visits_[o].last_v;
     visits_[o] = {};

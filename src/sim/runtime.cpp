@@ -1,6 +1,7 @@
 #include "sim/runtime.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "sim/engine.hpp"
@@ -53,9 +54,14 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
 
 std::vector<NodeId> StreamingRuntime::spread_homes(const Graph& g,
                                                    std::size_t num_objects) {
+  // o mod n by a wrap-around counter: no division per object.
+  const std::size_t n = g.num_nodes();
+  DTM_REQUIRE(n > 0 || num_objects == 0, "no nodes to home objects on");
   std::vector<NodeId> homes(num_objects);
-  for (std::size_t o = 0; o < num_objects; ++o) {
-    homes[o] = static_cast<NodeId>(o % g.num_nodes());
+  NodeId v = 0;
+  for (NodeId& home : homes) {
+    home = v;
+    if (++v == n) v = 0;
   }
   return homes;
 }
@@ -77,6 +83,14 @@ TxnId StreamingRuntime::ingest(const ArrivingTxn& txn) {
     DTM_REQUIRE(o < object_home_.size(),
                 "object id " << o << " out of range");
   }
+  // Runtime ids stay below kInvalidTxn, and object_end_ offsets fit in 32
+  // bits.
+  DTM_REQUIRE(home_.size() < kInvalidTxn,
+              "stream is full: " << home_.size() << " transactions");
+  DTM_REQUIRE(object_ids_.size() + objects.size() <=
+                  std::numeric_limits<std::uint32_t>::max(),
+              "stream is full: " << object_ids_.size()
+                                 << " object-set entries");
 
   // Windows that provably closed before this arrival flush first, so the
   // new transaction never joins a window earlier arrivals already fixed.
@@ -86,7 +100,7 @@ TxnId StreamingRuntime::ingest(const ArrivingTxn& txn) {
   dep_.add_txn(id, txn.home, objects);
   home_.push_back(txn.home);
   object_ids_.insert(object_ids_.end(), objects.begin(), objects.end());
-  object_end_.push_back(object_ids_.size());
+  object_end_.push_back(static_cast<std::uint32_t>(object_ids_.size()));
   arrival_.push_back(txn.arrival);
   commit_.push_back(0);
 
@@ -393,7 +407,7 @@ const StreamStats& StreamingRuntime::drain() {
 
 Instance StreamingRuntime::materialize() const {
   InstanceBuilder b(*g_, object_home_.size());
-  b.allow_shared_homes();
+  b.allow_shared_homes().reserve(home_.size());
   for (std::size_t t = 0; t < home_.size(); ++t) {
     const std::span<const ObjectId> objs = objects_of(static_cast<TxnId>(t));
     b.add_transaction(home_[t], {objs.begin(), objs.end()});
@@ -407,7 +421,8 @@ Instance StreamingRuntime::materialize() const {
 Schedule StreamingRuntime::schedule() const {
   Schedule s;
   s.commit_time = commit_;
-  s.object_order = placer_.chains();
+  s.object_order = placed_object_orders(
+      object_home_.size(), commit_, [&](TxnId t) { return objects_of(t); });
   return s;
 }
 

@@ -144,6 +144,7 @@ class StreamingRuntime {
                    StreamingRuntimeOptions opts = {});
 
   /// Deterministic default placement: object o starts at node o mod n.
+  /// Throws dtm::Error when objects need homes and g has no nodes.
   static std::vector<NodeId> spread_homes(const Graph& g,
                                           std::size_t num_objects);
 
@@ -173,7 +174,10 @@ class StreamingRuntime {
   // --- materialized results (tests, replay, validation) ---------------
   /// The ingested stream as a (shared-homes) batch Instance.
   Instance materialize() const;
-  /// Planned commit times + per-object visit chains over the stream.
+  /// Planned commit times + per-object visit chains over the stream. The
+  /// chains are derived here from the commit times (placed_object_orders):
+  /// O(stream) per call. Mid-stream, unplaced transactions keep commit 0
+  /// and appear in no chain.
   Schedule schedule() const;
   /// Arrival step per runtime id (validate_online's vector).
   const ArrivalTimes& arrivals() const { return arrival_; }
@@ -217,16 +221,19 @@ class StreamingRuntime {
   // Stream transcript (runtime ids are dense, in arrival order). It stays
   // O(stream): schedule(), materialize() and arrivals() read all of it.
   // Object sets are flat CSR: t's ids end at object_end_[t] and start
-  // where t - 1's end.
+  // where t - 1's end (32-bit offsets; ingest() refuses a stream that
+  // would wrap them). The per-object visit chains are not stored:
+  // schedule() derives them from commit_ and the object sets (see
+  // WindowPlacer).
   std::vector<NodeId> home_;
-  std::vector<std::size_t> object_end_;
+  std::vector<std::uint32_t> object_end_;
   std::vector<ObjectId> object_ids_;
   ArrivalTimes arrival_;
   std::vector<Time> commit_;
   std::vector<ObjectId> object_scratch_;  // ingest's sort/validate buffer
 
   std::vector<NodeId> object_home_;  // initial placement
-  WindowPlacer placer_;              // chains, tail positions, horizon
+  WindowPlacer placer_;              // tail positions, horizon
 
   ShardMap shard_map_;
   IncrementalConflictGraph dep_;

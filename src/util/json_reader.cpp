@@ -150,17 +150,44 @@ std::string JsonReader::parse_string() {
 }
 
 JsonValue JsonReader::parse_number() {
+  // The JSON grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?. The
+  // scan stops at the first character outside it, so "1-2" yields 1 and
+  // the caller then rejects the '-'.
   const std::size_t start = pos_;
-  while (pos_ < text_.size() &&
-         (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-          text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-          text_[pos_] == 'e' || text_[pos_] == 'E')) {
+  const auto at = [&](char c) {
+    return pos_ < text_.size() && text_[pos_] == c;
+  };
+  const auto digits = [&] {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ > from;
+  };
+  if (at('-')) ++pos_;
+  if (at('0')) {
     ++pos_;
+  } else {
+    DTM_REQUIRE(digits(), "JSON: expected a value at " << start);
   }
-  DTM_REQUIRE(pos_ > start, "JSON: expected a value at " << start);
+  if (at('.')) {
+    ++pos_;
+    DTM_REQUIRE(digits(), "JSON: expected a digit after '.' at " << pos_);
+  }
+  if (at('e') || at('E')) {
+    ++pos_;
+    if (at('+') || at('-')) ++pos_;
+    DTM_REQUIRE(digits(), "JSON: expected an exponent digit at " << pos_);
+  }
   JsonValue v;
   v.kind = JsonValue::Kind::kNumber;
-  v.number = std::stod(text_.substr(start, pos_ - start));
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  const auto [end, ec] = std::from_chars(first, last, v.number);
+  DTM_REQUIRE(ec == std::errc() && end == last,
+              "JSON: number " << std::string(first, last)
+                              << " out of range at " << start);
   return v;
 }
 

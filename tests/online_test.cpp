@@ -259,6 +259,37 @@ TEST(OnlineFeed, NeverReleasedTransactionsAreRejectedByValidation) {
   EXPECT_FALSE(vr.ok);
 }
 
+TEST(OnlineFeed, NeverReleasedTransactionsStayOutOfVisitChains) {
+  const Grid g(3);
+  const DenseMetric m(g.graph);
+  InstanceBuilder b(g.graph, 3);
+  for (NodeId v = 0; v < 6; ++v) {
+    b.add_transaction(v, {static_cast<ObjectId>(v % 3),
+                          static_cast<ObjectId>((v + 1) % 3)});
+  }
+  const Instance inst = b.build();
+
+  OnlineBatchScheduler sched({.window = 4});
+  sched.begin_feed(inst, m);
+  sched.push(0, 0);
+  sched.push(2, 1);
+  sched.push(3, 5);
+  sched.push(5, 9);
+  const Schedule s = sched.finish();  // T1 and T4 never released
+  EXPECT_EQ(s.commit_time[1], 0);
+  EXPECT_EQ(s.commit_time[4], 0);
+  for (ObjectId o = 0; o < inst.num_objects(); ++o) {
+    std::vector<TxnId> expect;
+    for (TxnId t : inst.requesters(o)) {
+      if (t != 1 && t != 4) expect.push_back(t);
+    }
+    std::sort(expect.begin(), expect.end(), [&](TxnId a, TxnId c) {
+      return s.commit_time[a] < s.commit_time[c];
+    });
+    EXPECT_EQ(s.object_order[o], expect) << "object " << o;
+  }
+}
+
 TEST(OnlineFeed, RunTreatsOfflineAsExplicitZeroArrivals) {
   const Grid g(5);
   const DenseMetric m(g.graph);

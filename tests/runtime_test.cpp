@@ -399,6 +399,99 @@ TEST(StreamingRuntime, ConflictCountsPinned) {
   }
 }
 
+// Object o's placed requesters (commit > 0) by (commit, id), computed
+// directly from the instance.
+std::vector<std::vector<TxnId>> placed_by_commit(
+    const Instance& inst, const std::vector<Time>& commit) {
+  std::vector<std::vector<TxnId>> out(inst.num_objects());
+  for (ObjectId o = 0; o < inst.num_objects(); ++o) {
+    for (TxnId t : inst.requesters(o)) {
+      if (commit[t] > 0) out[o].push_back(t);
+    }
+    std::sort(out[o].begin(), out[o].end(), [&](TxnId a, TxnId b) {
+      return std::pair(commit[a], a) < std::pair(commit[b], b);
+    });
+  }
+  return out;
+}
+
+// Ingests `stream`, checking schedule()'s visit chains every few arrivals
+// (while some transactions are still unplaced) and once drained.
+void expect_chains_follow_commits(StreamingRuntime& rt,
+                                  const std::vector<ArrivingTxn>& stream) {
+  std::size_t mid_stream_checks = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    rt.ingest(stream[i]);
+    if (i % 5 != 4) continue;
+    const Schedule s = rt.schedule();
+    const auto unplaced = static_cast<std::size_t>(
+        std::count(s.commit_time.begin(), s.commit_time.end(), Time{0}));
+    if (unplaced > 0 && unplaced < s.commit_time.size()) ++mid_stream_checks;
+    EXPECT_EQ(s.object_order, placed_by_commit(rt.materialize(), s.commit_time))
+        << "after " << i + 1 << " arrivals";
+  }
+  EXPECT_GT(mid_stream_checks, 0u);
+  rt.drain();
+  const Schedule s = rt.schedule();
+  EXPECT_EQ(std::count(s.commit_time.begin(), s.commit_time.end(), Time{0}),
+            0);
+  EXPECT_EQ(s.object_order,
+            Schedule::from_commit_times(rt.materialize(), s.commit_time)
+                .object_order);
+}
+
+std::vector<ArrivingTxn> collect(ArrivalSource& src) {
+  std::vector<ArrivingTxn> out;
+  ArrivingTxn t;
+  while (src.next(t)) out.push_back(t);
+  return out;
+}
+
+TEST(StreamingRuntime, VisitChainsFollowCommitTimes) {
+  const Grid g(6);
+  const DenseMetric m(g.graph);
+  {
+    SCOPED_TRACE("bursty under AIMD");
+    StreamingRuntimeOptions opts;
+    opts.admission = {.policy = AdmissionPolicy::kAimd};
+    StreamingRuntime rt(g.graph, m, StreamingRuntime::spread_homes(g.graph, 8),
+                        opts);
+    auto src = make_arrival_source(ArrivalModel::kBursty, g.graph,
+                                   small_stream(150, 2.0), 5);
+    expect_chains_follow_commits(rt, collect(*src));
+    EXPECT_GT(rt.stats().deferrals, 0u);  // the backlog path ran
+  }
+  {
+    SCOPED_TRACE("Poisson");
+    StreamingRuntime rt(g.graph, m,
+                        StreamingRuntime::spread_homes(g.graph, 8));
+    auto src = make_arrival_source(ArrivalModel::kPoisson, g.graph,
+                                   small_stream(150, 1.0), 7);
+    expect_chains_follow_commits(rt, collect(*src));
+  }
+  {
+    // Every transaction on node 0 or 1 and every object homed at node 0:
+    // requesters of one object share homes, so hops cost 0 or 1.
+    SCOPED_TRACE("shared homes");
+    StreamingRuntime rt(g.graph, m, std::vector<NodeId>(8, 0));
+    Rng rng(11);
+    std::vector<ArrivingTxn> stream;
+    Time arrival = 0;
+    for (std::size_t i = 0; i < 120; ++i) {
+      ArrivingTxn in;
+      in.arrival = arrival;
+      in.home = static_cast<NodeId>(rng.uniform(0, 1));
+      for (std::size_t o : rng.sample_indices(8, 2)) {
+        in.objects.push_back(static_cast<ObjectId>(o));
+      }
+      std::sort(in.objects.begin(), in.objects.end());
+      stream.push_back(std::move(in));
+      arrival += rng.uniform(0, 1);
+    }
+    expect_chains_follow_commits(rt, stream);
+  }
+}
+
 TEST(StreamingRuntime, DeterministicAcrossRuns) {
   const Clique c(16);
   const DenseMetric m(c.graph);

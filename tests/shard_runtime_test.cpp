@@ -147,6 +147,47 @@ TEST(ShardMap, ShardAlignedHomesLandInTheirShard) {
   }
 }
 
+TEST(ShardMap, HomePlacementMatchesItsClosedForm) {
+  // spread_homes: o mod n. shard_aligned_homes: shard o mod S, node
+  // (o / S) mod |pool| of it. Both count with wrap-around counters; this
+  // pins them to the closed forms, with w below and above n and shards of
+  // uneven size (range maps of 10 nodes into 3 or 4 shards).
+  for (const std::size_t nodes : {1u, 5u, 10u}) {
+    const Line line(nodes);
+    for (const std::size_t w : {0u, 3u, 10u, 37u}) {
+      const std::vector<NodeId> spread =
+          StreamingRuntime::spread_homes(line.graph, w);
+      ASSERT_EQ(spread.size(), w);
+      for (std::size_t o = 0; o < w; ++o) {
+        EXPECT_EQ(spread[o], o % nodes) << "n=" << nodes << " o=" << o;
+      }
+      for (const std::size_t shards : {1u, 2u, 3u, 4u}) {
+        const ShardMap map = make_shard_map(line.graph, shards);
+        const auto pools = map.members();
+        const std::vector<NodeId> aligned = shard_aligned_homes(map, w);
+        ASSERT_EQ(aligned.size(), w);
+        for (std::size_t o = 0; o < w; ++o) {
+          const auto& pool = pools[o % map.num_shards];
+          EXPECT_EQ(aligned[o], pool[(o / map.num_shards) % pool.size()])
+              << "n=" << nodes << " shards=" << shards << " o=" << o;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(StreamingRuntime::spread_homes(Graph(), 0).empty());
+  EXPECT_THROW(StreamingRuntime::spread_homes(Graph(), 3), Error);
+  // Uneven pools from a cluster map too: 5 clusters over 2 shards.
+  const ClusterGraph cg(5, 3, 4);
+  const ShardMap map = make_shard_map(cg.graph, 2);
+  const auto pools = map.members();
+  ASSERT_NE(pools[0].size(), pools[1].size());
+  const std::vector<NodeId> aligned = shard_aligned_homes(map, 50);
+  for (std::size_t o = 0; o < aligned.size(); ++o) {
+    const auto& pool = pools[o % 2];
+    EXPECT_EQ(aligned[o], pool[(o / 2) % pool.size()]) << "o=" << o;
+  }
+}
+
 // ------------------------------------------------------------------------
 // Group-local arrivals.
 

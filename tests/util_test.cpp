@@ -544,5 +544,34 @@ TEST(JsonReader, MalformedUnicodeEscapesThrowError) {
   EXPECT_THROW(JsonReader(wide).parse(), Error);
 }
 
+TEST(JsonReader, NumbersFollowTheJsonGrammar) {
+  const auto number = [](const std::string& doc) {
+    return JsonReader(doc).parse().number;
+  };
+  EXPECT_EQ(number("0"), 0.0);
+  EXPECT_EQ(number("-0"), 0.0);
+  EXPECT_EQ(number("42"), 42.0);
+  EXPECT_EQ(number("-7.25"), -7.25);
+  EXPECT_EQ(number("1e3"), 1000.0);
+  EXPECT_EQ(number("2.5E-2"), 0.025);
+  EXPECT_EQ(number("1e+20"), 1e20);
+  EXPECT_EQ(number(" 123456789012 "), 123456789012.0);
+  const JsonValue arr = JsonReader("[1,-2.5,3e1]").parse();
+  ASSERT_EQ(arr.arr.size(), 3u);
+  EXPECT_EQ(arr.arr[1].number, -2.5);
+  EXPECT_EQ(arr.arr[2].number, 30.0);
+}
+
+TEST(JsonReader, MalformedNumbersThrowError) {
+  // "[1-2]" used to read as [1]; "[--1]" and "[1e999]" escaped as
+  // std::invalid_argument and std::out_of_range.
+  for (const char* text :
+       {"[1-2]", "[--1]", "[1e999]", "[-1e999]", "[+1]", "[.5]", "[1.]",
+        "[1e]", "[1e+]", "[01]", "[-]", "[1.2.3]", "[0x10]", "[1ee2]"}) {
+    const std::string doc = text;
+    EXPECT_THROW(JsonReader(doc).parse(), Error) << doc;
+  }
+}
+
 }  // namespace
 }  // namespace dtm
