@@ -34,12 +34,12 @@ std::vector<Time> earliest_commit_times(
     if (order.empty()) continue;
     const NodeId home = inst.object_home(o);
     const TxnId first = order.front();
-    time[first] =
-        std::max(time[first], metric.distance(home, inst.txn(first).home));
+    time[first] = std::max(
+        time[first], hop_steps(metric.distance(home, inst.txn(first).home)));
     for (std::size_t i = 0; i + 1 < order.size(); ++i) {
       const TxnId a = order[i], b = order[i + 1];
       succ[a].push_back(
-          {b, metric.distance(inst.txn(a).home, inst.txn(b).home)});
+          {b, hop_steps(metric.distance(inst.txn(a).home, inst.txn(b).home))});
       ++indegree[b];
     }
   }

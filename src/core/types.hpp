@@ -18,4 +18,11 @@ using Time = Weight;
 constexpr ObjectId kInvalidObject = static_cast<ObjectId>(-1);
 constexpr TxnId kInvalidTxn = static_cast<TxnId>(-1);
 
+/// Steps an object needs between two consecutive commits whose homes are
+/// `distance` apart. An object has one copy and serves one commit per
+/// step, so two requesters on the same node are still a step apart.
+constexpr Weight hop_steps(Weight distance) {
+  return distance > 1 ? distance : 1;
+}
+
 }  // namespace dtm

@@ -49,17 +49,18 @@ ValidationResult validate(const Instance& inst, const Metric& metric,
       fail(os.str());
       continue;
     }
-    // Timing along the visit chain.
+    // Timing along the visit chain: each hop takes its distance, and at
+    // least one step even between requesters on one node.
     NodeId prev_node = inst.object_home(o);
     Time prev_time = 0;
     for (TxnId t : s.object_order[o]) {
       const NodeId node = inst.txn(t).home;
-      const Weight d = metric.distance(prev_node, node);
+      const Weight d = hop_steps(metric.distance(prev_node, node));
       if (s.commit_time[t] < prev_time + d) {
         std::ostringstream os;
         os << "o" << o << ": cannot reach T" << t << " @node " << node
            << " by step " << s.commit_time[t] << " (leaves node " << prev_node
-           << " at step " << prev_time << ", distance " << d << ")";
+           << " at step " << prev_time << ", hop " << d << ")";
         fail(os.str());
       }
       prev_node = node;

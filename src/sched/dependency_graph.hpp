@@ -1,6 +1,8 @@
 // Transaction dependency (conflict) graph H (§2.3): one node per
 // transaction, an edge between transactions sharing at least one object,
-// edge weight = distance in G between their home nodes.
+// edge weight = distance in G between their home nodes, at least 1
+// (hop_steps: an object serves one commit per step, so requesters sharing
+// a node are still a step apart).
 //
 // H is stored in CSR form (offsets + flat edge array), built by a two-pass
 // count-then-fill assembler shared with the read/write-conflict variant
@@ -59,208 +61,115 @@ struct DependencyGraph {
   std::size_t size() const { return txns.size(); }
 };
 
-/// Builds H over `txns` (pass all transactions for the global graph).
-/// Distances come from `metric`. Runs in O(sum over objects of the squared
-/// requester count within the subset), the natural conflict-graph size.
-DependencyGraph build_dependency_graph(const Instance& inst,
-                                       const Metric& metric,
-                                       std::span<const TxnId> txns);
-
-/// Convenience overload over all transactions.
-DependencyGraph build_dependency_graph(const Instance& inst,
-                                       const Metric& metric);
-
-/// H maintained under transaction *arrival* (sim/runtime.hpp's streaming
-/// ingest). Each add_txn() inserts only the delta — edges from the new
-/// transaction to the still-live (uncommitted) requesters of its objects —
-/// into one arc pool; nothing is ever rebuilt. Arcs are appended at the
-/// chain *tail*: partners are inserted in ascending id order and later
-/// arrivals always carry larger ids, so every chain stays ascending by
-/// neighbor id and window extraction needs no sort (and no allocation
-/// beyond the exact-sized output). retire() removes a committed
-/// transaction from the live requester sets so future arrivals stop
-/// conflicting with it. subgraph() exports any subset of the unplaced
-/// transactions — in practice a scheduling window's batch — as the
-/// standard CSR DependencyGraph that greedy_color() consumes, filtering
-/// pool arcs to subset members.
-///
-/// Placed transactions form an id prefix [0, frontier): the runtime admits
-/// FIFO, so no later window can contain them. release_through() advances
-/// the frontier and recycles the released chains through a free list that
-/// push_arc() reuses, and add_txn() stores an arc only when both ends are
-/// at or above the frontier (edges to placed partners are still counted
-/// and weighed). So the pool, the per-transaction chain slots (a ring over
-/// [frontier, num_txns)) and the live requester lists are all sized by the
-/// unplaced, uncommitted work, not by the stream length. With a
-/// `max_window` bound (a fixed admission quota: no window holds two ids
-/// that far apart) arcs between ids at least that far apart are counted
-/// but not stored either, so an overloaded backlog holds O(backlog ·
-/// max_window) arcs instead of O(backlog²).
-class IncrementalConflictGraph {
- public:
-  /// `max_window` = 0: windows may span any number of ids.
-  IncrementalConflictGraph(const Metric& metric, std::size_t num_objects,
-                           std::size_t max_window = 0);
-
-  /// Registers transaction `t` (ids must arrive dense, in order: the next
-  /// expected id is num_txns()) homed at `home` touching `objects`
-  /// (strictly ascending, in range). Inserts the delta edges. Every
-  /// argument is checked before any state changes, so a rejected call
-  /// throws dtm::Error and leaves the graph as it was.
-  void add_txn(TxnId t, NodeId home, std::span<const ObjectId> objects);
-
-  /// Marks `t` committed: it leaves the live requester sets of its
-  /// `objects` (which must be the set it was added with).
-  void retire(TxnId t, std::span<const ObjectId> objects);
-
-  /// Declares every id below `frontier` placed: their chains return to the
-  /// free list and later subgraph() calls may no longer name them.
-  /// Monotone; `frontier` may not pass num_txns().
-  void release_through(TxnId frontier);
-
-  /// CSR view over `txns` (ascending ids already added and not released);
-  /// only edges with both endpoints in the subset are included. Local
-  /// indices follow the subset's order, matching build_dependency_graph's
-  /// convention.
-  DependencyGraph subgraph(std::span<const TxnId> txns) const;
-
-  std::size_t num_txns() const { return num_txns_; }
-  /// Undirected edges counted so far: retired ones, and those to placed
-  /// partners that were never stored, included.
-  std::size_t num_edges() const { return num_edges_; }
-  /// Heaviest edge ever counted.
-  Weight max_edge_weight() const { return max_w_; }
-  /// Live (added, not retired) transactions.
-  std::size_t live() const { return live_; }
-  /// First id not yet released.
-  TxnId frontier() const { return frontier_; }
-  /// Arc slots the pool ever held at once (its high-water mark: released
-  /// slots are reused before the pool grows).
-  std::size_t arc_slots() const { return arcs_.size(); }
-  /// Chain slots in the ring (its high-water size; it never shrinks).
-  std::size_t ring_slots() const { return chains_.size(); }
-  /// Bytes held by the arc pool and the chain ring, at their high-water
-  /// marks (telemetry: stream.arc_pool_bytes).
-  std::size_t arc_pool_bytes() const;
-
- private:
-  struct Arc {
-    TxnId to;
-    Weight weight;
-    // The owner's next (larger-id) arc, or the next free slot while on the
-    // free list; -1 at the end.
-    std::int32_t next;
-  };
-  /// One transaction's arc chain, -1/-1 while it has no stored arcs.
-  struct Chain {
-    std::int32_t head = -1;
-    std::int32_t tail = -1;
-  };
-  /// A live requester of an object, with its home so add_txn can weigh the
-  /// new edges without a per-transaction home table.
-  struct Requester {
-    TxnId txn;
-    NodeId home;
-  };
-
-  void push_arc(TxnId owner, TxnId to, Weight w);
-  /// Ring slot of an unreleased id; the ring size is a power of two no
-  /// smaller than num_txns - frontier, so live ids never collide.
-  Chain& chain(TxnId t) { return chains_[t & (chains_.size() - 1)]; }
-  const Chain& chain(TxnId t) const {
-    return chains_[t & (chains_.size() - 1)];
-  }
-
-  const Metric* metric_;
-  /// The arc pool; freed chains are threaded through Arc::next from free_.
-  std::vector<Arc> arcs_;
-  std::int32_t free_ = -1;
-  /// Chain ring over [frontier_, num_txns_); grows on first use.
-  std::vector<Chain> chains_;
-  /// Per object: live requesters, ascending (insertion is in id order and
-  /// retire preserves order).
-  std::vector<std::vector<Requester>> live_req_;
-  std::size_t max_window_;
-  std::size_t num_txns_ = 0;
-  TxnId frontier_ = 0;
-  std::size_t num_edges_ = 0;
-  Weight max_w_ = 0;
-  std::size_t live_ = 0;
-  /// Reused add_txn scratch: partners, their homes and distances.
-  std::vector<Requester> partner_scratch_;
-  std::vector<NodeId> target_scratch_;
-  std::vector<Weight> dist_scratch_;
+/// How a build's distance fill weighs an edge.
+enum class EdgeWeighing {
+  /// One batched query per node over all its neighbors, so each edge is
+  /// queried from both ends. The batch schedulers' builds keep this: their
+  /// recorded query counts are baseline cells.
+  kFromBothEnds,
+  /// Each edge is queried once, from its lower end, and the upper end
+  /// copies the weight. Window builds use this, so a stream queries each
+  /// of its conflict edges once (see IncrementalConflictGraph).
+  kOnce,
 };
 
 namespace detail {
 
 /// Two-pass CSR assembly shared by the object-conflict and read/write-
-/// conflict builders. `emit_pairs(emit)` must call emit(a, b) with local
-/// indices a != b once per conflicting pair occurrence; parallel pairs
-/// from multiple shared objects are deduplicated here. It runs twice —
-/// once to count, once to fill — so it must be deterministic.
-template <typename EmitPairs>
-DependencyGraph assemble_dependency_csr(const Instance& inst,
-                                        const Metric& metric,
+/// conflict builders. `txns` are the covered transactions, ascending, and
+/// `home(t)` is transaction t's node. `emit_pairs(emit)` must call
+/// emit(a, b) with local indices a != b once per conflicting pair
+/// occurrence; parallel pairs from multiple shared objects are
+/// deduplicated here. It runs twice — once to count, once to fill — so it
+/// must be deterministic. The assembler takes it over: it is destroyed,
+/// with any scratch it owns, before the distance fill.
+template <typename HomeOf, typename EmitPairs>
+DependencyGraph assemble_dependency_csr(const Metric& metric,
                                         std::vector<TxnId> txns,
-                                        const EmitPairs& emit_pairs) {
+                                        const HomeOf& home,
+                                        EdgeWeighing weighing,
+                                        EmitPairs emit_pairs) {
   DependencyGraph h;
   h.txns = std::move(txns);
   const std::size_t n = h.txns.size();
-
-  // Pass 1: arc counts (parallel pairs still included), prefix-summed into
-  // provisional offsets.
-  std::vector<std::uint32_t> raw_offsets(n + 1, 0);
-  emit_pairs([&](TxnId a, TxnId b) {
-    ++raw_offsets[a + 1];
-    ++raw_offsets[b + 1];
-  });
-  for (std::size_t i = 0; i < n; ++i) raw_offsets[i + 1] += raw_offsets[i];
-
-  // Pass 2: scatter raw targets.
-  std::vector<TxnId> raw(raw_offsets[n]);
-  std::vector<std::uint32_t> cursor(raw_offsets.begin(), raw_offsets.end() - 1);
-  emit_pairs([&](TxnId a, TxnId b) {
-    raw[cursor[a]++] = b;
-    raw[cursor[b]++] = a;
-  });
-
-  // Dedup each node's range in place; the compaction cursor never
-  // overtakes the range it reads from.
   h.offsets.assign(n + 1, 0);
-  std::size_t write = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = raw_offsets[i], hi = raw_offsets[i + 1];
-    std::sort(raw.begin() + lo, raw.begin() + hi);
-    const std::size_t deg =
-        static_cast<std::size_t>(std::unique(raw.begin() + lo,
-                                             raw.begin() + hi) -
-                                 (raw.begin() + lo));
-    for (std::size_t k = 0; k < deg; ++k) raw[write + k] = raw[lo + k];
-    write += deg;
-    h.offsets[i + 1] = static_cast<std::uint32_t>(write);
-    h.max_degree = std::max(h.max_degree, deg);
+  std::vector<TxnId> raw;
+  {
+    const EmitPairs emit_all = std::move(emit_pairs);
+    // Pass 1: arc counts (parallel pairs still included), prefix-summed
+    // into provisional offsets.
+    std::vector<std::uint32_t> raw_offsets(n + 1, 0);
+    emit_all([&](TxnId a, TxnId b) {
+      ++raw_offsets[a + 1];
+      ++raw_offsets[b + 1];
+    });
+    for (std::size_t i = 0; i < n; ++i) raw_offsets[i + 1] += raw_offsets[i];
+
+    // Pass 2: scatter raw targets.
+    raw.resize(raw_offsets[n]);
+    std::vector<std::uint32_t> cursor(raw_offsets.begin(),
+                                      raw_offsets.end() - 1);
+    emit_all([&](TxnId a, TxnId b) {
+      raw[cursor[a]++] = b;
+      raw[cursor[b]++] = a;
+    });
+
+    // Dedup each node's range in place; the compaction cursor never
+    // overtakes the range it reads from.
+    std::size_t write = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t lo = raw_offsets[i], hi = raw_offsets[i + 1];
+      std::sort(raw.begin() + lo, raw.begin() + hi);
+      const std::size_t deg =
+          static_cast<std::size_t>(std::unique(raw.begin() + lo,
+                                               raw.begin() + hi) -
+                                   (raw.begin() + lo));
+      for (std::size_t k = 0; k < deg; ++k) raw[write + k] = raw[lo + k];
+      write += deg;
+      h.offsets[i + 1] = static_cast<std::uint32_t>(write);
+      h.max_degree = std::max(h.max_degree, deg);
+    }
   }
 
   // Distance fill, one batched query per node: targets are the neighbors'
   // home nodes, so a DenseMetric walks its matrix row sequentially and a
-  // LazyMetric resolves the source tree once.
+  // LazyMetric resolves the source tree once. Weighing kOnce, a node
+  // queries only its upper neighbors and copies the rest: each lower
+  // neighbor j was filled first, and j's sorted range holds the arc.
   std::vector<NodeId> homes(n);
-  for (std::size_t i = 0; i < n; ++i) homes[i] = inst.txn(h.txns[i]).home;
-  h.edges.resize(write);
+  for (std::size_t i = 0; i < n; ++i) homes[i] = home(h.txns[i]);
+  h.edges.resize(h.offsets[n]);
   std::vector<NodeId> targets;
   std::vector<Weight> dist;
+  const auto by_neighbor = [](const DependencyEdge& e, TxnId v) {
+    return e.neighbor < v;
+  };
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = h.offsets[i];
-    const std::size_t deg = h.offsets[i + 1] - lo;
-    if (deg == 0) continue;
-    targets.resize(deg);
-    dist.resize(deg);
-    for (std::size_t k = 0; k < deg; ++k) targets[k] = homes[raw[lo + k]];
+    const std::size_t lo = h.offsets[i], hi = h.offsets[i + 1];
+    const auto self = static_cast<TxnId>(i);
+    const std::size_t mid =
+        weighing == EdgeWeighing::kFromBothEnds
+            ? lo
+            : static_cast<std::size_t>(
+                  std::lower_bound(raw.begin() + lo, raw.begin() + hi, self) -
+                  raw.begin());
+    for (std::size_t k = lo; k < mid; ++k) {
+      const TxnId j = raw[k];
+      const DependencyEdge* arc = std::lower_bound(
+          h.edges.data() + h.offsets[j], h.edges.data() + h.offsets[j + 1],
+          self, by_neighbor);
+      h.edges[k] = {j, arc->weight};
+    }
+    const std::size_t up = hi - mid;
+    if (up == 0) continue;
+    targets.resize(up);
+    dist.resize(up);
+    for (std::size_t k = 0; k < up; ++k) targets[k] = homes[raw[mid + k]];
     metric.distances(homes[i], targets, dist.data());
-    for (std::size_t k = 0; k < deg; ++k) {
-      h.edges[lo + k] = {raw[lo + k], dist[k]};
-      h.max_edge_weight = std::max(h.max_edge_weight, dist[k]);
+    for (std::size_t k = 0; k < up; ++k) {
+      const Weight w = hop_steps(dist[k]);
+      h.edges[mid + k] = {raw[mid + k], w};
+      h.max_edge_weight = std::max(h.max_edge_weight, w);
     }
   }
   static MetricCounter& csr_edges = metrics::counter("dep.csr_edges");
@@ -269,5 +178,188 @@ DependencyGraph assemble_dependency_csr(const Instance& inst,
 }
 
 }  // namespace detail
+
+/// Builds H over the transactions `txns` (any order, no duplicates):
+/// `home(t)` is transaction t's node and `objects(t)` its object set
+/// (distinct ids). The members are grouped by the objects they touch, so
+/// the cost is O(m + o) for the m object-set entries of the subset and its
+/// largest object id o, plus the conflict pairs it holds.
+template <class HomeOf, class ObjectsOf>
+DependencyGraph build_dependency_graph(const Metric& metric,
+                                       std::span<const TxnId> txns,
+                                       const HomeOf& home,
+                                       const ObjectsOf& objects,
+                                       EdgeWeighing weighing) {
+  std::vector<TxnId> sorted(txns.begin(), txns.end());
+  std::sort(sorted.begin(), sorted.end());
+  DTM_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                  sorted.end(),
+              "dependency graph: duplicate transaction in subset");
+
+  // Group the members by object, counting-sort style over the objects
+  // they touch: `end[o]` first counts o's members, then holds the end of
+  // o's run in `members`. Runs follow `touched` order and ascend by local
+  // index.
+  ObjectId max_object = 0;
+  std::size_t entries = 0;
+  for (TxnId t : sorted) {
+    for (ObjectId o : objects(t)) max_object = std::max(max_object, o);
+    entries += objects(t).size();
+  }
+  std::vector<std::uint32_t> end(entries == 0 ? 0 : max_object + 1, 0);
+  std::vector<ObjectId> touched;
+  for (TxnId t : sorted) {
+    for (ObjectId o : objects(t)) {
+      if (end[o]++ == 0) touched.push_back(o);
+    }
+  }
+  std::uint32_t at = 0;
+  for (ObjectId o : touched) {
+    const std::uint32_t count = end[o];
+    end[o] = at;  // the run's start; the scatter advances it to the end
+    at += count;
+  }
+  std::vector<TxnId> members(entries);
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    for (ObjectId o : objects(sorted[i])) {
+      members[end[o]++] = static_cast<TxnId>(i);
+    }
+  }
+
+  // For every touched object, connect all pairs of its members.
+  return detail::assemble_dependency_csr(
+      metric, std::move(sorted), home, weighing,
+      [members = std::move(members), touched = std::move(touched),
+       end = std::move(end)](const auto& emit) {
+        std::size_t lo = 0;
+        for (ObjectId o : touched) {
+          const std::size_t hi = end[o];
+          for (std::size_t i = lo; i < hi; ++i) {
+            for (std::size_t j = i + 1; j < hi; ++j) {
+              emit(members[i], members[j]);
+            }
+          }
+          lo = hi;
+        }
+      });
+}
+
+/// H over `txns` of `inst`, distances from `metric`, each edge queried
+/// from both ends.
+DependencyGraph build_dependency_graph(const Instance& inst,
+                                       const Metric& metric,
+                                       std::span<const TxnId> txns);
+
+/// Convenience overload over all transactions.
+DependencyGraph build_dependency_graph(const Instance& inst,
+                                       const Metric& metric);
+
+/// The stream's conflict tally (sim/runtime.hpp): per object, the live —
+/// added, not retired — requesters, and the count and heaviest weight of
+/// the edges H gains under arrival. It stores no edges. A scheduling
+/// window is a FIFO run of unplaced ids, so its H is the batch-local graph,
+/// built from the window's own object sets by build_dependency_graph.
+///
+/// add_txn() counts an edge from the new transaction to every live
+/// requester of its objects; retire() takes a committed transaction off
+/// the live lists, so later arrivals stop conflicting with it. Each
+/// counted edge is weighed exactly once, by one of three queries: add_txn()
+/// weighs the edges to partners already placed; a placed window's graph
+/// weighed the edges among its members (place_window() takes its heaviest
+/// edge); place_window() weighs the edges from the window's members to the
+/// later arrivals still unplaced. State is sized by the live transactions,
+/// never by the stream length or by their conflicts.
+class IncrementalConflictGraph {
+ public:
+  IncrementalConflictGraph(const Metric& metric, std::size_t num_objects);
+
+  /// Registers transaction `t` (ids must arrive dense, in order: the next
+  /// expected id is num_txns()) homed at `home` touching `objects`
+  /// (strictly ascending, in range) and counts its edges. Every argument
+  /// is checked before any state changes, so a rejected call throws
+  /// dtm::Error and leaves the tally as it was.
+  void add_txn(TxnId t, NodeId home, std::span<const ObjectId> objects);
+
+  /// Marks `t` committed: it leaves the live requester lists of its
+  /// `objects` (which must be the set it was added with).
+  void retire(TxnId t, std::span<const ObjectId> objects);
+
+  /// Declares `window` placed: the next run of unplaced ids, ascending,
+  /// whose dependency graph weighed the edges among them, the heaviest
+  /// `inner_weight`. `home(t)` and `objects(t)` are member t's node and
+  /// object set.
+  template <class HomeOf, class ObjectsOf>
+  void place_window(std::span<const TxnId> window, Weight inner_weight,
+                    const HomeOf& home, const ObjectsOf& objects);
+
+  std::size_t num_txns() const { return num_txns_; }
+  /// Undirected edges counted so far, retired ones included.
+  std::size_t num_edges() const { return num_edges_; }
+  /// Heaviest edge weighed so far.
+  Weight max_edge_weight() const { return max_w_; }
+  /// Live (added, not retired) transactions.
+  std::size_t live() const { return live_; }
+  /// Bytes the live requester lists hold at their capacities (each list
+  /// keeps the capacity of its longest run of live requesters).
+  std::size_t requester_bytes() const;
+
+ private:
+  /// A live requester of an object, with its home so the tally can weigh
+  /// edges without a per-transaction home table.
+  struct Requester {
+    TxnId txn;
+    NodeId home;
+  };
+
+  /// Sorts partner_scratch_ by id and drops repeats (a pair sharing
+  /// several objects is one edge).
+  void dedup_partners();
+  /// One batched distance query from `from` to partner_scratch_'s homes;
+  /// raises max_w_.
+  void weigh_partners(NodeId from);
+
+  const Metric* metric_;
+  /// Per object: live requesters, ascending (insertion is in id order and
+  /// retire preserves order).
+  std::vector<std::vector<Requester>> live_req_;
+  std::size_t num_txns_ = 0;
+  /// Ids below this are placed (windows are FIFO runs of unplaced ids).
+  TxnId placed_ = 0;
+  std::size_t num_edges_ = 0;
+  Weight max_w_ = 0;
+  std::size_t live_ = 0;
+  /// Reused scratch: partners, their homes and distances.
+  std::vector<Requester> partner_scratch_;
+  std::vector<NodeId> target_scratch_;
+  std::vector<Weight> dist_scratch_;
+};
+
+template <class HomeOf, class ObjectsOf>
+void IncrementalConflictGraph::place_window(std::span<const TxnId> window,
+                                            Weight inner_weight,
+                                            const HomeOf& home,
+                                            const ObjectsOf& objects) {
+  DTM_REQUIRE(!window.empty() && window.front() == placed_ &&
+                  window.back() < num_txns_ &&
+                  window.back() - window.front() + 1 == window.size(),
+              "conflict tally: a placed window must be the next run of "
+              "unplaced ids");
+  max_w_ = std::max(max_w_, inner_weight);
+  // Later arrivals sit at the tails of the ascending live lists.
+  const TxnId last = window.back();
+  for (TxnId p : window) {
+    partner_scratch_.clear();
+    for (ObjectId o : objects(p)) {
+      const std::vector<Requester>& req = live_req_[o];
+      const auto later = std::upper_bound(
+          req.begin(), req.end(), last,
+          [](TxnId id, const Requester& r) { return id < r.txn; });
+      partner_scratch_.insert(partner_scratch_.end(), later, req.end());
+    }
+    dedup_partners();
+    weigh_partners(home(p));
+  }
+  placed_ = last + 1;
+}
 
 }  // namespace dtm

@@ -46,9 +46,9 @@ ColoredSubset greedy_color(const Instance& inst, const Metric& metric,
                            ColoringOrder order = ColoringOrder::kById,
                            Rng* rng = nullptr);
 
-/// Colors an already-built dependency graph (the streaming runtime hands in
-/// window subgraphs extracted from its incrementally-maintained graph, so
-/// no per-window rebuild happens). Same rules and result as above.
+/// Colors an already-built dependency graph (the window step in
+/// sched/online.hpp builds it first, since the runtime's shard accounting
+/// reads it too). Same rules and result as above.
 ColoredSubset greedy_color(const DependencyGraph& h, ColoringRule rule,
                            ColoringOrder order = ColoringOrder::kById,
                            Rng* rng = nullptr);

@@ -82,8 +82,8 @@ void OnlineFifoScheduler::on_push(TxnId t, Time arrival) {
   const NodeId home = inst.txn(t).home;
   Time ready = std::max<Time>(arrival, 1);
   for (ObjectId o : inst.txn(t).objects) {
-    ready = std::max(ready,
-                     tail_time_[o] + metric.distance(tail_pos_[o], home));
+    ready = std::max(
+        ready, tail_time_[o] + hop_steps(metric.distance(tail_pos_[o], home)));
   }
   commit_[t] = ready;
   for (ObjectId o : inst.txn(t).objects) {
@@ -147,15 +147,14 @@ void OnlineBatchScheduler::flush_batch() {
   const Time close = (batch_window_ + 1) * opts_.window;
   ++last_batches_;
 
-  const ColoredSubset colored =
-      greedy_color(inst, metric, batch_, opts_.rule);
-  const Time start = placer_.place(
-      metric, colored, close, [&](TxnId t) { return inst.txn(t).home; },
+  const WindowStep step = window_step(
+      placer_, metric, batch_, close, opts_.rule,
+      [&](TxnId t) { return inst.txn(t).home; },
       [&](TxnId t) -> const std::vector<ObjectId>& {
         return inst.txn(t).objects;
       });
-  for (std::size_t i = 0; i < colored.txns.size(); ++i) {
-    commit_[colored.txns[i]] = start + colored.local_time[i];
+  for (std::size_t i = 0; i < step.colored.txns.size(); ++i) {
+    commit_[step.colored.txns[i]] = step.start + step.colored.local_time[i];
   }
   batch_.clear();
 }

@@ -35,6 +35,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -219,6 +220,33 @@ Time WindowPlacer::place(const Metric& metric, const ColoredSubset& colored,
   touched_.clear();
   horizon_ = std::max(horizon_, start + colored.duration);
   return start;
+}
+
+/// One window of a window-batched schedule: the batch's dependency graph,
+/// its §2.3 greedy coloring, and the start offset the placer gave it
+/// (member i commits at start + colored.local_time[i]).
+struct WindowStep {
+  DependencyGraph graph;
+  ColoredSubset colored;
+  Time start = 0;
+};
+
+/// The window step OnlineBatchScheduler and the streaming runtime share:
+/// builds H over `batch` from its own object sets (each edge queried
+/// once), colors it with the §2.3 greedy under `rule` and places it with
+/// `placer` for a window closing at `close`. `home(t)` and `objects(t)` are
+/// transaction t's node and object set.
+template <class HomeOf, class ObjectsOf>
+WindowStep window_step(WindowPlacer& placer, const Metric& metric,
+                       std::span<const TxnId> batch, Time close,
+                       ColoringRule rule, const HomeOf& home,
+                       const ObjectsOf& objects) {
+  WindowStep step;
+  step.graph = build_dependency_graph(metric, batch, home, objects,
+                                      EdgeWeighing::kOnce);
+  step.colored = greedy_color(step.graph, rule);
+  step.start = placer.place(metric, step.colored, close, home, objects);
+  return step;
 }
 
 struct OnlineBatchOptions {

@@ -19,7 +19,8 @@ DependencyGraph build_rw_dependency_graph(const Instance& inst,
   std::iota(all.begin(), all.end(), 0);
   // Local index == global TxnId here (all transactions, ascending).
   return detail::assemble_dependency_csr(
-      inst, metric, std::move(all), [&](const auto& emit) {
+      metric, std::move(all), [&](TxnId t) { return inst.txn(t).home; },
+      EdgeWeighing::kFromBothEnds, [&](const auto& emit) {
         for (ObjectId o = 0; o < inst.num_objects(); ++o) {
           const auto& reqs = inst.requesters(o);
           for (std::size_t i = 0; i < reqs.size(); ++i) {

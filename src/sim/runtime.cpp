@@ -21,13 +21,6 @@ AdmissionConfig admission_config(const StreamingRuntimeOptions& opts) {
   return ac;
 }
 
-/// The widest id span a window can hold: admission takes the next unplaced
-/// ids in order, up to the quota. Bounded only when the quota is fixed.
-std::size_t max_window(const StreamingRuntimeOptions& opts) {
-  const AdmissionConfig ac = admission_config(opts);
-  return ac.policy == AdmissionPolicy::kFixed ? ac.max_live : 0;
-}
-
 }  // namespace
 
 StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
@@ -39,7 +32,7 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
       object_home_(std::move(object_home)),
       placer_(object_home_),
       shard_map_(make_shard_map(g, std::max<std::size_t>(opts.shards, 1))),
-      dep_(metric, object_home_.size(), max_window(opts)),
+      dep_(metric, object_home_.size()),
       next_close_(opts.window) {
   DTM_REQUIRE(opts_.window >= 1, "stream window must be >= 1 step");
   for (NodeId v : object_home_) {
@@ -227,16 +220,17 @@ void StreamingRuntime::schedule_window(Time close,
   }
   std::sort(batch.begin(), batch.end());  // backlog ids precede fresh ids
 
-  // Delta coloring: the batch's subgraph view of the incremental conflict
-  // graph, colored by the §2.3 greedy and placed after the live horizon by
-  // the WindowPlacer OnlineBatchScheduler uses too.
-  const DependencyGraph h = dep_.subgraph(batch);
-  const ColoredSubset colored = greedy_color(h, opts_.rule);
+  // The window step OnlineBatchScheduler runs too: the batch's own
+  // dependency graph, colored by the §2.3 greedy and placed after the live
+  // horizon.
+  const auto home = [&](TxnId t) { return home_[t]; };
+  const auto objects = [&](TxnId t) { return objects_of(t); };
+  const WindowStep step =
+      window_step(placer_, *metric_, batch, close, opts_.rule, home, objects);
+  const ColoredSubset& colored = step.colored;
+  const Time start = step.start;
   const WindowShardSplit split =
-      opts_.shards > 1 ? account_shards(h) : WindowShardSplit{};
-  const Time start = placer_.place(
-      *metric_, colored, close, [&](TxnId t) { return home_[t]; },
-      [&](TxnId t) { return objects_of(t); });
+      opts_.shards > 1 ? account_shards(step.graph) : WindowShardSplit{};
   for (std::size_t i = 0; i < colored.txns.size(); ++i) {
     const TxnId t = colored.txns[i];
     commit_[t] = start + colored.local_time[i];
@@ -244,11 +238,9 @@ void StreamingRuntime::schedule_window(Time close,
     stats_.makespan = std::max(stats_.makespan, commit_[t]);
   }
   // Admission is FIFO (backlog, then fresh arrivals), so the batch is the
-  // next run of unplaced ids; no later window can contain them, and their
-  // conflict-graph chains go back to the pool.
-  DTM_ASSERT(batch.front() == dep_.frontier() &&
-             batch.back() - batch.front() + 1 == batch.size());
-  dep_.release_through(batch.back() + 1);
+  // next run of unplaced ids: the tally weighs its members' edges to the
+  // arrivals still waiting.
+  dep_.place_window(batch, step.graph.max_edge_weight, home, objects);
   // Per-transaction latency stages. They tile commit - arrival exactly:
   // the admit wait runs from arrival to the admitting window's close - 1
   // (>= 0: members arrived before the close), the scheduling gap is the
@@ -379,7 +371,6 @@ const StreamStats& StreamingRuntime::drain() {
       static_cast<double>(std::max<Time>(stats_.makespan, 1));
   stats_.dep_edges = dep_.num_edges();
   stats_.dep_max_weight = dep_.max_edge_weight();
-  metrics::count("stream.arc_pool_bytes", dep_.arc_pool_bytes());
   // End-of-stream gauges: stream_report --validate reconciles the latency
   // histogram counts against stream.admitted.
   metrics::gauge("stream.arrived")

@@ -9,25 +9,25 @@
 // loop:
 //
 //   * ingest — transactions stream in from an ArrivalSource
-//     (core/generators.hpp) in non-decreasing arrival order; each is
-//     registered with the incrementally-maintained conflict graph
-//     (IncrementalConflictGraph: delta edge insertion against the live —
-//     uncommitted — requester sets, never a rebuild);
+//     (core/generators.hpp) in non-decreasing arrival order; each joins
+//     the live (uncommitted) requester lists of the conflict tally
+//     (IncrementalConflictGraph), which counts its conflict edges but
+//     stores none;
 //   * admit — at each window close, deferred work plus the window's
 //     arrivals are admitted up to the AdmissionController's quota
 //     (sim/admission.hpp: a fixed bound, or AIMD closed-loop control fed
 //     by backlog/commit feedback); the excess stays in a FIFO backlog and
 //     is counted, so overload sheds latency instead of memory;
-//   * schedule — the admitted batch is colored by the §2.3 greedy
-//     (sched/greedy's coloring over a subgraph *view* extracted from the
-//     incremental graph) and placed after the live horizon by the
-//     WindowPlacer OnlineBatchScheduler uses (sched/online.hpp):
-//     base = max(horizon, close-1), plus the worst transition distance
-//     from each object's current chain tail. Feasibility is by
-//     construction — the same triangle-inequality argument. Admission
-//     is FIFO, so the placed transactions are an id prefix: the graph
-//     then releases the window's arc chains for reuse and stops storing
-//     arcs to them, which keeps it sized by the unplaced work.
+//   * schedule — the admitted batch goes through the window step
+//     OnlineBatchScheduler runs too (window_step, sched/online.hpp): its
+//     dependency graph is built from the batch's own object sets (a
+//     window is a FIFO run of unplaced ids, so it conflicts only within
+//     itself), colored by the §2.3 greedy and placed after the live
+//     horizon by the WindowPlacer: base = max(horizon, close-1), plus the
+//     worst transition distance from each object's current chain tail.
+//     Feasibility is by construction — the same triangle-inequality
+//     argument. The batch scheduler and the runtime differ only in
+//     admission and bookkeeping.
 //     With shards > 1 the runtime also reports how each window splits
 //     over a locality partition of the substrate (graph/partition.hpp —
 //     an object belongs to its home node's shard; DESIGN.md §10):
@@ -166,7 +166,7 @@ class StreamingRuntime {
   std::size_t backlog() const { return stats_.arrived - stats_.committed; }
   const StreamStats& stats() const { return stats_; }
   const ShardLoadStats& shard_stats() const { return shard_stats_; }
-  /// The incremental conflict graph (its size accounting for soak tests).
+  /// The conflict tally (its live-list footprint for soak tests).
   const IncrementalConflictGraph& conflict_graph() const { return dep_; }
   /// The live admission controller (quota / raises / cuts for benches).
   const AdmissionController& admission() const { return *admission_; }
@@ -192,7 +192,7 @@ class StreamingRuntime {
   /// Closes every window with close step <= `up_to`, scheduling batches.
   void close_windows_through(Time up_to);
   /// Schedules one window: retire commits the clock passed, admit, color
-  /// the batch subgraph, place after the horizon.
+  /// the batch graph, place after the horizon.
   void schedule_window(Time close, std::vector<TxnId>&& fresh);
   /// One window's split over the shard partition (see ShardLoadStats).
   struct WindowShardSplit {

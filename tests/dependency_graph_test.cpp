@@ -1,7 +1,8 @@
 // Equivalence tests for the two-pass CSR dependency-graph assembler: the
 // CSR form must encode exactly the conflict relation a naive set-based
-// construction produces, with distances matching the metric, on random
-// instances and on subset restrictions.
+// construction produces, with weights matching the metric (at least 1:
+// requesters sharing a node are still a step apart), on random instances,
+// on subset restrictions and on instances whose homes repeat.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 #include "graph/metric.hpp"
 #include "graph/topologies/clique.hpp"
 #include "graph/topologies/grid.hpp"
+#include "graph/topologies/line.hpp"
 #include "sched/dependency_graph.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace dtm {
@@ -59,8 +62,9 @@ void expect_matches_naive(const Instance& inst, const Metric& metric,
     for (TxnId expected : adj[i]) {  // std::set iterates ascending
       EXPECT_EQ(nbrs[k].neighbor, expected);
       EXPECT_EQ(nbrs[k].weight,
-                metric.distance(inst.txn(txns[i]).home,
-                                inst.txn(txns[expected]).home));
+                std::max<Weight>(metric.distance(inst.txn(txns[i]).home,
+                                                 inst.txn(txns[expected]).home),
+                                 1));
       expect_max_weight = std::max(expect_max_weight, nbrs[k].weight);
       ++k;
     }
@@ -99,6 +103,77 @@ TEST(DependencyGraphCsr, MatchesNaiveOnSubsets) {
     }
     expect_matches_naive(inst, metric,
                          build_dependency_graph(inst, metric, subset), subset);
+  }
+}
+
+TEST(DependencyGraphCsr, MatchesNaiveOnSharedHomes) {
+  // Homes drawn from three nodes of a line, so many conflicts join two
+  // transactions on one node: those edges weigh 1, not 0.
+  const Line topo(5);
+  const DenseMetric metric(topo.graph);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    InstanceBuilder b(topo.graph, /*num_objects=*/8);
+    b.allow_shared_homes();
+    for (std::size_t i = 0; i < 30; ++i) {
+      std::vector<ObjectId> objs;
+      for (std::size_t o : rng.sample_indices(8, 3)) {
+        objs.push_back(static_cast<ObjectId>(o));
+      }
+      b.add_transaction(static_cast<NodeId>(rng.uniform(0, 2)), objs);
+    }
+    const Instance inst = b.build();
+    std::vector<TxnId> all(inst.num_transactions());
+    for (TxnId t = 0; t < all.size(); ++t) all[t] = t;
+    const DependencyGraph h = build_dependency_graph(inst, metric);
+    expect_matches_naive(inst, metric, h, all);
+    std::size_t same_node = 0;
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      for (const DependencyEdge& e : h.neighbors(i)) {
+        if (inst.txn(h.txns[i]).home == inst.txn(h.txns[e.neighbor]).home) {
+          EXPECT_EQ(e.weight, 1);
+          ++same_node;
+        }
+      }
+    }
+    EXPECT_GT(same_node, 0u);
+  }
+}
+
+TEST(DependencyGraphCsr, WeighingOnceBuildsTheSameGraph) {
+  // kOnce copies each edge's weight to its upper end instead of querying
+  // it again: the same CSR from half the distance queries.
+  const Grid topo(6);
+  const DenseMetric metric(topo.graph);
+  MetricCounter& queries = metrics::counter("metric.distance_queries");
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    const Instance inst = generate_uniform(
+        topo.graph, {.num_objects = 12, .objects_per_txn = 3}, rng);
+    std::vector<TxnId> subset;
+    for (TxnId t = 0; t < inst.num_transactions(); t += 2) {
+      subset.push_back(t);
+    }
+    const auto home = [&](TxnId t) { return inst.txn(t).home; };
+    const auto objects = [&](TxnId t) -> const std::vector<ObjectId>& {
+      return inst.txn(t).objects;
+    };
+    const std::uint64_t q0 = queries.value();
+    const DependencyGraph both = build_dependency_graph(
+        metric, subset, home, objects, EdgeWeighing::kFromBothEnds);
+    const std::uint64_t q1 = queries.value();
+    const DependencyGraph once = build_dependency_graph(
+        metric, subset, home, objects, EdgeWeighing::kOnce);
+    const std::uint64_t q2 = queries.value();
+    expect_matches_naive(inst, metric, once, subset);
+    ASSERT_EQ(once.offsets, both.offsets);
+    for (std::size_t i = 0; i < once.edges.size(); ++i) {
+      EXPECT_EQ(once.edges[i].neighbor, both.edges[i].neighbor);
+      EXPECT_EQ(once.edges[i].weight, both.edges[i].weight);
+    }
+    ASSERT_GT(both.edges.size(), 0u);
+    EXPECT_EQ(q1 - q0, both.edges.size());
+    EXPECT_EQ(q2 - q1, once.edges.size() / 2);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "core/generators.hpp"
 #include "core/online.hpp"
+#include "core/validate.hpp"
 #include "graph/metric.hpp"
 #include "graph/topologies/clique.hpp"
 #include "graph/topologies/grid.hpp"
@@ -102,6 +103,47 @@ TEST(OnlineBatch, FeasibleAcrossWindows) {
     EXPECT_TRUE(simulate(inst, m, s).ok);
     EXPECT_GE(sched.last_batches(), 1u);
   }
+}
+
+// An object has one copy and serves one commit per step, even between two
+// requesters on the same node: three transactions at node 0 on object 0
+// (homed at node 1) need three steps. validate, the §2.3 greedy and both
+// online schedulers keep that rule, so the stepwise engine realizes
+// exactly the planned makespan.
+TEST(HopRule, SharedNodeRequestersCommitOneStepApart) {
+  const Clique c(4);
+  const DenseMetric m(c.graph);
+  InstanceBuilder b(c.graph, 1);
+  b.allow_shared_homes();
+  b.set_object_home(0, 1);
+  for (int i = 0; i < 3; ++i) b.add_transaction(0, {0});
+  const Instance inst = b.build();
+
+  GreedyScheduler first_fit({.rule = ColoringRule::kFirstFit});
+  GreedyScheduler compacted(
+      {.rule = ColoringRule::kFirstFit, .compact = true});
+  OnlineBatchScheduler batch;
+  OnlineFifoScheduler fifo;
+  EXPECT_EQ(first_fit.run(inst, m).makespan(), 3);
+  EXPECT_EQ(fifo.run(inst, m).makespan(), 3);
+  for (Scheduler* sched : std::initializer_list<Scheduler*>{
+           &first_fit, &compacted, &batch, &fifo}) {
+    SCOPED_TRACE(sched->name());
+    const Schedule s = sched->run(inst, m);
+    const auto vr = validate(inst, m, s);
+    EXPECT_TRUE(vr.ok) << vr.summary();
+    std::vector<Time> steps = s.commit_time;
+    std::sort(steps.begin(), steps.end());
+    EXPECT_EQ(std::adjacent_find(steps.begin(), steps.end()), steps.end());
+    const SimResult r = simulate(inst, m, s);
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.realized_makespan, r.planned_makespan);
+  }
+
+  Schedule same_step;
+  same_step.commit_time = {1, 1, 1};
+  same_step.object_order = {{0, 1, 2}};
+  EXPECT_FALSE(validate(inst, m, same_step).ok);
 }
 
 TEST(OnlineBatch, LargerWindowsFewerBatches) {

@@ -77,54 +77,6 @@ TEST(ArrivalSources, HotObjectAlwaysTouchesObjectZero) {
   }
 }
 
-// The subgraph view filters each chain to subset members; the builder
-// gets the same subset. Beyond the full range (no arc filtered), every
-// other id, a contiguous middle range and a single id drop arcs whose
-// partner is outside the subset.
-TEST(IncrementalGraph, MatchesBatchBuilderOnSubsets) {
-  const Grid g(6);
-  const DenseMetric m(g.graph);
-  Rng rng(11);
-  const Instance inst = generate_uniform(
-      g.graph, {.num_objects = 6, .objects_per_txn = 3}, rng);
-  const auto n = static_cast<TxnId>(inst.num_transactions());
-  ASSERT_GE(n, 8u);
-
-  IncrementalConflictGraph inc(m, inst.num_objects());
-  std::vector<TxnId> all, every_other, middle;
-  for (TxnId t = 0; t < n; ++t) {
-    inc.add_txn(t, inst.txn(t).home, inst.txn(t).objects);
-    all.push_back(t);
-    if (t % 2 == 0) every_other.push_back(t);
-    if (t >= n / 4 && t < 3 * n / 4) middle.push_back(t);
-  }
-  const std::vector<TxnId> single = {n / 2};
-  const std::pair<const char*, const std::vector<TxnId>*> subsets[] = {
-      {"all", &all},
-      {"every_other", &every_other},
-      {"middle", &middle},
-      {"single", &single}};
-  for (const auto& [name, subset] : subsets) {
-    const DependencyGraph batch = build_dependency_graph(inst, m, *subset);
-    const DependencyGraph view = inc.subgraph(*subset);
-    ASSERT_EQ(view.txns, batch.txns) << name;
-    ASSERT_EQ(view.offsets, batch.offsets) << name;
-    ASSERT_EQ(view.edges.size(), batch.edges.size()) << name;
-    for (std::size_t i = 0; i < view.edges.size(); ++i) {
-      EXPECT_EQ(view.edges[i].neighbor, batch.edges[i].neighbor) << name;
-      EXPECT_EQ(view.edges[i].weight, batch.edges[i].weight) << name;
-    }
-    EXPECT_EQ(view.max_degree, batch.max_degree) << name;
-    EXPECT_EQ(view.max_edge_weight, batch.max_edge_weight) << name;
-  }
-  // The proper subsets really filter: each drops arcs of the full view.
-  const std::size_t full_edges = inc.subgraph(all).edges.size();
-  ASSERT_GT(full_edges, 0u);
-  EXPECT_LT(inc.subgraph(every_other).edges.size(), full_edges);
-  EXPECT_LT(inc.subgraph(middle).edges.size(), full_edges);
-  EXPECT_TRUE(inc.subgraph(single).edges.empty());
-}
-
 TEST(IncrementalGraph, RetireStopsFutureConflicts) {
   const Clique c(4);
   const DenseMetric m(c.graph);
@@ -137,131 +89,73 @@ TEST(IncrementalGraph, RetireStopsFutureConflicts) {
   inc.add_txn(2, 2, o0);  // only 1 still live
   EXPECT_EQ(inc.num_edges(), 2u);
   EXPECT_EQ(inc.live(), 2u);
-  // The T0-T1 edge remains visible to subgraphs containing both.
-  const std::vector<TxnId> both = {0, 1};
-  EXPECT_EQ(inc.subgraph(both).edges.size(), 2u);  // one edge, two arcs
 }
 
-// Windows extracted after release_through still equal the batch builder
-// on the same subsets. The windows are the runtime's shape — the next run
-// of at most 4 unplaced ids — and some ids stay unplaced across several
-// windows, so chains keep arcs to partners released since they were
-// stored. With max_window = 4 the graph also skips arcs between ids 4 or
-// more apart, which no such window can hold.
-TEST(IncrementalGraph, ReleasedWindowsMatchBatchBuilder) {
-  const Grid g(6);
-  const DenseMetric m(g.graph);
-  Rng rng(29);
-  const Instance inst = generate_uniform(
-      g.graph, {.num_objects = 5, .objects_per_txn = 2}, rng);
-  const auto n = static_cast<TxnId>(inst.num_transactions());
-  ASSERT_GE(n, 30u);
-  const std::size_t all_edges =
-      build_dependency_graph(inst, m).edges.size() / 2;
-
-  std::size_t pool[2] = {0, 0};
-  for (std::size_t max_window : {0, 4}) {
-    SCOPED_TRACE(max_window);
-    IncrementalConflictGraph inc(m, inst.num_objects(), max_window);
-    TxnId added = 0;
+// Each counted edge is weighed exactly once: add_txn weighs the edges to
+// placed partners, a placed window's graph those among its members, and
+// place_window those from its members to later arrivals still unplaced.
+TEST(IncrementalGraph, WeighsEachCountedEdgeOnce) {
+  MetricCounter& queries = metrics::counter("metric.distance_queries");
+  {
+    const Line line(8);
+    const DenseMetric m(line.graph);
+    IncrementalConflictGraph inc(m, 1);
+    const std::vector<ObjectId> o0 = {0};
+    inc.add_txn(0, 0, o0);
+    inc.add_txn(1, 4, o0);  // T0-T1, weight 4: weighed when T0 is placed
+    EXPECT_EQ(inc.max_edge_weight(), 0);
+    const std::uint64_t before = queries.value();
+    inc.place_window(std::vector<TxnId>{0}, 0,
+                     [](TxnId t) { return NodeId{t == 0 ? 0u : 4u}; },
+                     [&](TxnId) { return o0; });
+    EXPECT_EQ(queries.value() - before, 1u);
+    EXPECT_EQ(inc.max_edge_weight(), 4);
+    inc.add_txn(2, 5, o0);  // T0-T2 (placed partner): weight 5 weighed now
+    EXPECT_EQ(inc.num_edges(), 3u);
+    EXPECT_EQ(inc.max_edge_weight(), 5);
+    EXPECT_EQ(queries.value() - before, 2u);
+    EXPECT_THROW(inc.place_window(std::vector<TxnId>{2}, 1,
+                                  [](TxnId) { return NodeId{0}; },
+                                  [&](TxnId) { return o0; }),
+                 Error);  // T1 is still unplaced: windows are FIFO runs
+  }
+  {
+    // Nothing retires: the counted edges are exactly the batch graph's.
+    // Windows take the runtime's shape, the next run of at most 4 unplaced
+    // ids, while arrivals run ahead of placement.
+    const Grid g(6);
+    const DenseMetric m(g.graph);
+    Rng rng(29);
+    const Instance inst = generate_uniform(
+        g.graph, {.num_objects = 5, .objects_per_txn = 2}, rng);
+    const auto n = static_cast<TxnId>(inst.num_transactions());
+    const DependencyGraph all = build_dependency_graph(inst, m);
+    const auto home = [&](TxnId t) { return inst.txn(t).home; };
+    const auto objects = [&](TxnId t) -> const std::vector<ObjectId>& {
+      return inst.txn(t).objects;
+    };
+    const std::uint64_t before = queries.value();
+    IncrementalConflictGraph inc(m, inst.num_objects());
+    TxnId added = 0, placed = 0;
     std::size_t windows = 0;
-    while (inc.frontier() < n) {
-      // Arrivals run ahead of placement: add up to 7, place up to 4.
+    while (placed < n) {
       for (TxnId k = 0; k < 7 && added < n; ++k, ++added) {
         inc.add_txn(added, inst.txn(added).home, inst.txn(added).objects);
       }
       std::vector<TxnId> window;
-      for (TxnId t = inc.frontier(); t < added && window.size() < 4; ++t) {
-        window.push_back(t);
+      for (; placed < added && window.size() < 4; ++placed) {
+        window.push_back(placed);
       }
-      const DependencyGraph batch = build_dependency_graph(inst, m, window);
-      const DependencyGraph view = inc.subgraph(window);
-      ASSERT_EQ(view.offsets, batch.offsets) << "window at T" << window[0];
-      for (std::size_t i = 0; i < view.edges.size(); ++i) {
-        EXPECT_EQ(view.edges[i].neighbor, batch.edges[i].neighbor);
-        EXPECT_EQ(view.edges[i].weight, batch.edges[i].weight);
-      }
-      EXPECT_EQ(view.max_edge_weight, batch.max_edge_weight);
-      inc.release_through(window.back() + 1);
+      const DependencyGraph h = build_dependency_graph(
+          m, window, home, objects, EdgeWeighing::kOnce);
+      inc.place_window(window, h.max_edge_weight, home, objects);
       ++windows;
     }
     EXPECT_GT(windows, 5u);
-    // Nothing retired: every pair sharing an object was counted once.
-    EXPECT_EQ(inc.num_edges(), all_edges);
-    pool[max_window == 0 ? 0 : 1] = inc.arc_slots();
+    EXPECT_EQ(inc.num_edges(), all.edges.size() / 2);
+    EXPECT_EQ(inc.max_edge_weight(), all.max_edge_weight);
+    EXPECT_EQ(queries.value() - before, inc.num_edges());
   }
-  EXPECT_LT(pool[1], pool[0]);
-}
-
-TEST(IncrementalGraph, ArcsToPlacedIdsCountedNotStored) {
-  const Line line(8);
-  const DenseMetric m(line.graph);
-  IncrementalConflictGraph inc(m, 1);
-  const std::vector<ObjectId> o0 = {0};
-  inc.add_txn(0, 0, o0);
-  inc.add_txn(1, 4, o0);  // T0-T1, weight 4: two arcs stored
-  EXPECT_EQ(inc.arc_slots(), 2u);
-  inc.release_through(1);  // T0 placed; its arc goes to the free list
-  inc.add_txn(2, 5, o0);   // T0-T2 (weight 5) counted only; T1-T2 stored
-  EXPECT_EQ(inc.num_edges(), 3u);
-  EXPECT_EQ(inc.max_edge_weight(), 5);
-  // T1-T2's two arcs: one in T0's freed slot, one new.
-  EXPECT_EQ(inc.arc_slots(), 3u);
-  const std::vector<TxnId> both = {1, 2};
-  const DependencyGraph h = inc.subgraph(both);
-  ASSERT_EQ(h.edges.size(), 2u);
-  EXPECT_EQ(h.max_edge_weight, 1);
-  EXPECT_TRUE(inc.subgraph(std::vector<TxnId>{2}).edges.empty());
-}
-
-TEST(IncrementalGraph, FreedSlotsKeepThePoolFlat) {
-  // A steady stream on four objects: each window adds 8 transactions,
-  // retires the previous window's and places its own. Edges to the
-  // previous window are counted but not stored, so the pool never holds
-  // more than one window's arcs, 2·C(8,2) = 56, and the ring never more
-  // than one window's slots.
-  const Grid g(4);
-  const DenseMetric m(g.graph);
-  IncrementalConflictGraph inc(m, 4);
-  Rng rng(3);
-  std::vector<std::vector<ObjectId>> objs;
-  std::size_t ring_after_10 = 0;
-  for (std::size_t w = 0; w < 200; ++w) {
-    const auto first = static_cast<TxnId>(objs.size());
-    for (TxnId k = 0; k < 8; ++k) {
-      std::vector<ObjectId> o;
-      for (std::size_t i : rng.sample_indices(4, 2)) {
-        o.push_back(static_cast<ObjectId>(i));
-      }
-      std::sort(o.begin(), o.end());
-      objs.push_back(o);
-      inc.add_txn(first + k, static_cast<NodeId>(rng.uniform(0, 15)), o);
-    }
-    ASSERT_LE(inc.arc_slots(), 56u) << "window " << w;
-    if (first >= 8) {
-      for (TxnId t = first - 8; t < first; ++t) inc.retire(t, objs[t]);
-    }
-    inc.release_through(first + 8);
-    if (w == 10) ring_after_10 = inc.ring_slots();
-  }
-  // Far more arcs went through the pool than it ever held.
-  EXPECT_GT(2 * inc.num_edges(), 20 * inc.arc_slots());
-  EXPECT_EQ(inc.ring_slots(), ring_after_10);
-  EXPECT_EQ(inc.live(), 8u);
-}
-
-TEST(IncrementalGraph, SubgraphOfReleasedIdThrows) {
-  const Clique c(4);
-  const DenseMetric m(c.graph);
-  IncrementalConflictGraph inc(m, 1);
-  const std::vector<ObjectId> o0 = {0};
-  for (TxnId t = 0; t < 3; ++t) inc.add_txn(t, t, o0);
-  inc.release_through(2);
-  EXPECT_THROW(inc.subgraph(std::vector<TxnId>{1, 2}), Error);
-  EXPECT_THROW(inc.subgraph(std::vector<TxnId>{3}), Error);  // never added
-  EXPECT_EQ(inc.subgraph(std::vector<TxnId>{2}).size(), 1u);
-  EXPECT_THROW(inc.release_through(1), Error);  // frontier is monotone
-  EXPECT_THROW(inc.release_through(4), Error);  // past num_txns
 }
 
 TEST(IncrementalGraph, RejectedAddLeavesStateUnchanged) {
@@ -270,8 +164,6 @@ TEST(IncrementalGraph, RejectedAddLeavesStateUnchanged) {
   IncrementalConflictGraph inc(m, 3);
   inc.add_txn(0, 0, std::vector<ObjectId>{0, 1});
   inc.add_txn(1, 1, std::vector<ObjectId>{1, 2});
-  const std::vector<TxnId> pair = {0, 1};
-  const std::size_t arcs_before = inc.subgraph(pair).edges.size();
 
   const std::vector<std::vector<ObjectId>> bad = {
       {0, 3},     // second object out of range
@@ -290,9 +182,6 @@ TEST(IncrementalGraph, RejectedAddLeavesStateUnchanged) {
   // on o0/o2, and retiring T0 leaves no stale entry behind.
   inc.add_txn(2, 2, std::vector<ObjectId>{0, 2});
   EXPECT_EQ(inc.num_edges(), 3u);
-  EXPECT_EQ(inc.subgraph(pair).edges.size(), arcs_before);
-  const std::vector<TxnId> all = {0, 1, 2};
-  EXPECT_EQ(inc.subgraph(all).edges.size(), 6u);
   inc.retire(0, std::vector<ObjectId>{0, 1});
   inc.add_txn(3, 3, std::vector<ObjectId>{0});
   EXPECT_EQ(inc.num_edges(), 4u);  // T2 only: T0 left o0
@@ -328,12 +217,10 @@ TEST(StreamingRuntime, FeasibleValidatedAndReplayable) {
 }
 
 TEST(StreamingRuntime, MatchesOnlineBatchSchedulerWithoutBackpressure) {
-  // With unbounded admission and distinct homes the runtime IS the
-  // window-batched online scheduler run over the materialized stream:
-  // same windows, same coloring (the incremental subgraph equals the
-  // batch-built dependency graph once every conflict spans two nodes, so
-  // the streaming >=1 weight clamp is a no-op), same placement
-  // arithmetic.
+  // With unbounded admission the runtime IS the window-batched online
+  // scheduler run over the materialized stream: same windows, and the same
+  // window step (build, color, place). One transaction per node here;
+  // MatchesOnlineBatchSchedulerOnSharedHomes below lets homes repeat.
   const Grid g(6);
   const DenseMetric m(g.graph);
   Rng rng(23);
@@ -362,6 +249,40 @@ TEST(StreamingRuntime, MatchesOnlineBatchSchedulerWithoutBackpressure) {
     EXPECT_EQ(got.commit_time, expect.commit_time) << "window=" << window;
     EXPECT_EQ(got.object_order, expect.object_order) << "window=" << window;
   }
+}
+
+// Streams revisit homes, so requesters of one object share nodes. Both
+// paths weigh such a conflict 1 (an object serves one commit per step) and
+// must still agree commit for commit.
+TEST(StreamingRuntime, MatchesOnlineBatchSchedulerOnSharedHomes) {
+  const Clique c(4);
+  const DenseMetric m(c.graph);
+  Rng rng(31);
+  StreamingRuntimeOptions opts;
+  opts.window = 4;
+  StreamingRuntime rt(c.graph, m, StreamingRuntime::spread_homes(c.graph, 6),
+                      opts);
+  Time arrival = 0;
+  for (std::size_t i = 0; i < 60; ++i) {
+    ArrivingTxn in;
+    in.arrival = arrival;
+    in.home = static_cast<NodeId>(rng.uniform(0, 1));
+    for (std::size_t o : rng.sample_indices(6, 2)) {
+      in.objects.push_back(static_cast<ObjectId>(o));
+    }
+    std::sort(in.objects.begin(), in.objects.end());
+    rt.ingest(in);
+    arrival += rng.uniform(0, 2);
+  }
+  rt.drain();
+  EXPECT_GT(rt.stats().windows, 5u);
+  EXPECT_EQ(rt.stats().deferrals, 0u);
+  const Instance inst = rt.materialize();
+  OnlineBatchScheduler batch({.window = opts.window});
+  const Schedule expect = batch.run_online(inst, m, rt.arrivals());
+  EXPECT_EQ(rt.schedule().commit_time, expect.commit_time);
+  const auto vr = validate_online(inst, m, rt.arrivals(), expect);
+  EXPECT_TRUE(vr.ok) << vr.summary();
 }
 
 // StreamStats' conflict counts cover every edge to a live partner, stored

@@ -1,12 +1,13 @@
-// Bounded-state soak: the streaming runtime's conflict-graph state is sized
-// by the unplaced work, not by the stream length.
+// Bounded-state soak: the streaming runtime's conflict state — the live
+// requester lists of its conflict tally — is sized by the live work, not
+// by the stream length.
 //
 // Below capacity (Poisson at 0.8x the measured service rate, and bursty
 // arrivals under AIMD admission) the backlog reaches a steady state, so
-// doubling the stream must leave the arc pool's high-water mark and the
-// chain ring's size essentially unchanged while the counted conflict edges
-// double. Above capacity with a fixed quota the backlog grows linearly;
-// the pool and the ring may then grow no faster than the peak backlog.
+// doubling the stream must leave the lists' capacity essentially
+// unchanged while the counted conflict edges double. Above capacity with a
+// fixed quota the backlog grows linearly; the lists may then grow no
+// faster than the peak backlog.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -25,8 +26,7 @@ constexpr std::size_t kTxns = 10000;
 
 struct SoakResult {
   StreamStats stats;
-  std::size_t pool_bytes = 0;
-  std::size_t ring_slots = 0;
+  std::size_t requester_bytes = 0;
 };
 
 SoakResult soak(const Graph& g, const Metric& m, ArrivalModel model,
@@ -43,8 +43,7 @@ SoakResult soak(const Graph& g, const Metric& m, ArrivalModel model,
   rt.ingest_all(*src);
   SoakResult r;
   r.stats = rt.drain();
-  r.pool_bytes = rt.conflict_graph().arc_pool_bytes();
-  r.ring_slots = rt.conflict_graph().ring_slots();
+  r.requester_bytes = rt.conflict_graph().requester_bytes();
   return r;
 }
 
@@ -52,19 +51,17 @@ double ratio(std::size_t a, std::size_t b) {
   return static_cast<double>(a) / static_cast<double>(b);
 }
 
-/// At 2n the pool and the ring stay within 10% of their size at n, while
-/// the conflict edges counted over the stream roughly double. The pool's
-/// high-water mark is set by the most conflicted window, so it still creeps
-/// up with the extremes of the arrival process; the streams are long
-/// enough that those have settled.
+/// At 2n the live requester lists stay within 10% of their capacity at n,
+/// while the conflict edges counted over the stream roughly double. Each
+/// list keeps the capacity of its longest live run, so it still creeps up
+/// with the extremes of the arrival process; the streams are long enough
+/// that those have settled.
 void expect_flat(const SoakResult& at_n, const SoakResult& at_2n,
                  const std::string& what) {
   SCOPED_TRACE(what);
-  ASSERT_GT(at_n.pool_bytes, 0u);
-  EXPECT_LE(ratio(at_2n.pool_bytes, at_n.pool_bytes), 1.1)
-      << at_n.pool_bytes << " -> " << at_2n.pool_bytes;
-  EXPECT_LE(ratio(at_2n.ring_slots, at_n.ring_slots), 1.1)
-      << at_n.ring_slots << " -> " << at_2n.ring_slots;
+  ASSERT_GT(at_n.requester_bytes, 0u);
+  EXPECT_LE(ratio(at_2n.requester_bytes, at_n.requester_bytes), 1.1)
+      << at_n.requester_bytes << " -> " << at_2n.requester_bytes;
   const double edges = ratio(at_2n.stats.dep_edges, at_n.stats.dep_edges);
   EXPECT_GT(edges, 1.8) << at_n.stats.dep_edges << " -> "
                         << at_2n.stats.dep_edges;
@@ -137,11 +134,10 @@ TEST(StreamSoak, AboveCapacityStateGrowsNoFasterThanBacklog) {
   // Overloaded: the backlog grows with the stream.
   const double backlog = ratio(b.stats.peak_backlog, a.stats.peak_backlog);
   EXPECT_GT(backlog, 1.5);
-  EXPECT_LE(ratio(b.pool_bytes, a.pool_bytes), 1.1 * backlog)
-      << "pool " << a.pool_bytes << " -> " << b.pool_bytes << ", backlog "
-      << a.stats.peak_backlog << " -> " << b.stats.peak_backlog;
-  EXPECT_LE(ratio(b.ring_slots, a.ring_slots), 1.1 * backlog)
-      << "ring " << a.ring_slots << " -> " << b.ring_slots;
+  EXPECT_LE(ratio(b.requester_bytes, a.requester_bytes), 1.1 * backlog)
+      << "requesters " << a.requester_bytes << " -> " << b.requester_bytes
+      << ", backlog " << a.stats.peak_backlog << " -> "
+      << b.stats.peak_backlog;
 }
 
 }  // namespace

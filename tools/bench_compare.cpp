@@ -10,7 +10,8 @@
 //    different answers, not just at a different speed;
 //  - counters (counted work: queries, probes, legs moved) and phase-timer
 //    means/totals diff by percentage: growth beyond --threshold percent is
-//    a regression. Counters are deterministic for seeded benches; timers
+//    a regression, and so is a baseline counter the candidate no longer
+//    emits. Counters are deterministic for seeded benches; timers
 //    are wall-clock and need a generous threshold. --no-timers drops the
 //    timer layer entirely — use it when baseline and candidate come from
 //    different machines or runs too short to time stably (CI gates on a
@@ -208,7 +209,12 @@ int main(int argc, char** argv) {
     for (const auto& [name, old_v] : base_m) {
       const auto it = cand_m.find(name);
       if (it == cand_m.end()) {
-        table.add_row(name, old_v, "-", "-", "removed");
+        // A counter that stops being emitted would hide whatever it
+        // measured from every later comparison.
+        const bool vanished =
+            name.rfind("counter/", 0) == 0 && !informational(name);
+        if (vanished) ++regressions;
+        table.add_row(name, old_v, "-", "-", vanished ? "REMOVED" : "removed");
         continue;
       }
       const double new_v = it->second;
