@@ -34,7 +34,7 @@ void series(const char* topology, const Graph& g, const Metric& metric,
       const WriteSets writes = generate_write_sets(inst, frac, rng);
       WriteSets all(inst.num_transactions());
       for (TxnId t = 0; t < inst.num_transactions(); ++t) {
-        all[t] = inst.txn(t).objects;
+        all[t].assign(inst.objects(t).begin(), inst.objects(t).end());
       }
       RwGreedyOptions opts;
       opts.policy = RwPolicy::kMultiVersion;

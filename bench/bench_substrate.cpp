@@ -122,7 +122,7 @@ void BM_PrecedenceSolver(benchmark::State& state) {
       topo.graph, {.num_objects = 32, .objects_per_txn = 4}, rng);
   std::vector<std::vector<TxnId>> orders(inst.num_objects());
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-    orders[o] = inst.requesters(o);
+    orders[o].assign(inst.requesters(o).begin(), inst.requesters(o).end());
   }
   for (auto _ : state) {
     const auto times = earliest_commit_times(inst, metric, orders);

@@ -42,7 +42,7 @@ int main() {
 
   // Show which phase each board commits in.
   Table table({"board", "objects", "commit step", "phase"});
-  for (const Transaction& t : inst.transactions()) {
+  for (const TxnRef t : inst.transactions()) {
     if (t.home % 4 != 0) continue;  // sample every 4th board for brevity
     std::string objs;
     for (ObjectId o : t.objects) objs += (objs.empty() ? "o" : ",o") + std::to_string(o);

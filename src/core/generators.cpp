@@ -41,17 +41,18 @@ Instance generate_uniform(const Graph& g, const UniformOptions& opt, Rng& rng) {
   DTM_REQUIRE(opt.txn_density > 0.0 && opt.txn_density <= 1.0,
               "txn_density must be in (0,1]");
   InstanceBuilder b(g, opt.num_objects);
+  b.reserve(g.num_nodes(), g.num_nodes() * opt.objects_per_txn);
   std::vector<std::vector<NodeId>> requester_nodes(opt.num_objects);
+  std::vector<ObjectId> objs;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (opt.txn_density < 1.0 && !rng.chance(opt.txn_density)) continue;
-    std::vector<ObjectId> objs;
-    objs.reserve(opt.objects_per_txn);
+    objs.clear();
     for (std::size_t idx :
          rng.sample_indices(opt.num_objects, opt.objects_per_txn)) {
       objs.push_back(static_cast<ObjectId>(idx));
       requester_nodes[idx].push_back(v);
     }
-    b.add_transaction(v, std::move(objs));
+    b.add_transaction(v, objs);
   }
   place_objects(b, g, requester_nodes, opt.placement, rng);
   return b.build();
@@ -70,16 +71,18 @@ Instance generate_cluster_local(const ClusterGraph& cg,
                            << " (increase w or decrease k/alpha)");
   }
   InstanceBuilder b(cg.graph, num_objects);
+  b.reserve(cg.graph.num_nodes(), cg.graph.num_nodes() * objects_per_txn);
   std::vector<std::vector<NodeId>> requester_nodes(num_objects);
+  std::vector<ObjectId> objs;
   for (std::size_t c = 0; c < cg.alpha; ++c) {
     for (std::size_t i = 0; i < cg.beta; ++i) {
       const NodeId v = cg.node_at(c, i);
-      std::vector<ObjectId> objs;
+      objs.clear();
       for (std::size_t idx : rng.sample_indices(pool[c].size(), objects_per_txn)) {
         objs.push_back(pool[c][idx]);
         requester_nodes[pool[c][idx]].push_back(v);
       }
-      b.add_transaction(v, std::move(objs));
+      b.add_transaction(v, objs);
     }
   }
   place_objects(b, cg.graph, requester_nodes, ObjectPlacement::kAtRequester,
@@ -113,16 +116,18 @@ Instance generate_cluster_spread(const ClusterGraph& cg,
     std::sort(offered[c].begin(), offered[c].end());
   }
   InstanceBuilder b(cg.graph, num_objects);
+  b.reserve(cg.graph.num_nodes(), cg.graph.num_nodes() * objects_per_txn);
   std::vector<std::vector<NodeId>> requester_nodes(num_objects);
+  std::vector<ObjectId> objs;
   for (std::size_t c = 0; c < cg.alpha; ++c) {
     for (std::size_t i = 0; i < cg.beta; ++i) {
       const NodeId v = cg.node_at(c, i);
-      std::vector<ObjectId> objs;
+      objs.clear();
       for (std::size_t idx : rng.sample_indices(offered[c].size(), objects_per_txn)) {
         objs.push_back(offered[c][idx]);
         requester_nodes[offered[c][idx]].push_back(v);
       }
-      b.add_transaction(v, std::move(objs));
+      b.add_transaction(v, objs);
     }
   }
   place_objects(b, cg.graph, requester_nodes, ObjectPlacement::kAtRequester,
@@ -137,7 +142,7 @@ std::size_t max_cluster_spread(const ClusterGraph& cg, const Instance& inst) {
     std::fill(seen.begin(), seen.end(), 0);
     std::size_t count = 0;
     for (TxnId t : inst.requesters(o)) {
-      const std::size_t c = cg.cluster_of(inst.txn(t).home);
+      const std::size_t c = cg.cluster_of(inst.home(t));
       if (!seen[c]) {
         seen[c] = 1;
         ++count;
@@ -158,16 +163,18 @@ Instance generate_star_ray_local(const Star& star, std::size_t num_objects,
                        << " objects, need k=" << objects_per_txn);
   }
   InstanceBuilder b(star.graph, num_objects);
+  b.reserve(star.graph.num_nodes(), star.graph.num_nodes() * objects_per_txn);
   std::vector<std::vector<NodeId>> requester_nodes(num_objects);
+  std::vector<ObjectId> objs;
   for (std::size_t r = 0; r < star.alpha; ++r) {
     for (std::size_t p = 1; p <= star.beta; ++p) {
       const NodeId v = star.node_at(r, p);
-      std::vector<ObjectId> objs;
+      objs.clear();
       for (std::size_t idx : rng.sample_indices(pool[r].size(), objects_per_txn)) {
         objs.push_back(pool[r][idx]);
         requester_nodes[pool[r][idx]].push_back(v);
       }
-      b.add_transaction(v, std::move(objs));
+      b.add_transaction(v, objs);
     }
   }
   place_objects(b, star.graph, requester_nodes, ObjectPlacement::kAtRequester,
@@ -181,9 +188,11 @@ Instance generate_hotspot(const Graph& g, std::size_t num_objects,
   DTM_REQUIRE(objects_per_txn >= 1 && objects_per_txn <= num_objects,
               "k out of [1, w]");
   InstanceBuilder b(g, num_objects);
+  b.reserve(g.num_nodes(), g.num_nodes() * objects_per_txn);
   std::vector<std::vector<NodeId>> requester_nodes(num_objects);
+  std::vector<ObjectId> objs;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    std::vector<ObjectId> objs = {0};
+    objs.assign(1, 0);
     requester_nodes[0].push_back(v);
     if (objects_per_txn > 1) {
       for (std::size_t idx :
@@ -192,7 +201,7 @@ Instance generate_hotspot(const Graph& g, std::size_t num_objects,
         requester_nodes[idx + 1].push_back(v);
       }
     }
-    b.add_transaction(v, std::move(objs));
+    b.add_transaction(v, objs);
   }
   place_objects(b, g, requester_nodes, ObjectPlacement::kAtRequester, rng);
   return b.build();

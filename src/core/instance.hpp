@@ -2,8 +2,20 @@
 // mobile single-copy objects with initial locations, and a batch of
 // transactions — at most one per node — each requesting a subset of the
 // objects.
+//
+// Storage is flat CSR, the layout of StreamingRuntime's transcript: one
+// home per transaction, every object set back to back in one id array
+// (transaction t's ids end at object_end_[t] and start where t - 1's end),
+// and the inverse — each object's requesters — the same way. An instance
+// of B transactions with k objects each costs about 4 + 8k bytes per
+// transaction plus 4 per object and per node, with no per-transaction
+// allocation.
 #pragma once
 
+#include <cstdint>
+#include <initializer_list>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,25 +26,51 @@ namespace dtm {
 
 /// An atomic code block pinned to node `home`, requesting `objects`
 /// (sorted, duplicate-free). It commits at the step when all requested
-/// objects are assembled at `home`.
+/// objects are assembled at `home`. An owning value, for callers that keep
+/// a copy (a TxnRef converts to one); an Instance stores no Transaction.
 struct Transaction {
   TxnId id = kInvalidTxn;
   NodeId home = kInvalidNode;
   std::vector<ObjectId> objects;
 };
 
+/// A transaction as an Instance stores it: id, home and a view of its
+/// object set (ascending) into the instance's arrays. Valid while the
+/// instance lives.
+struct TxnRef {
+  TxnId id = kInvalidTxn;
+  NodeId home = kInvalidNode;
+  std::span<const ObjectId> objects;
+
+  /// An owning copy.
+  operator Transaction() const {
+    return {id, home, {objects.begin(), objects.end()}};
+  }
+};
+
 /// Immutable batch problem. Construct via InstanceBuilder.
 class Instance {
  public:
   const Graph& graph() const { return *graph_; }
-  std::size_t num_transactions() const { return txns_.size(); }
+  std::size_t num_transactions() const { return home_.size(); }
   std::size_t num_objects() const { return object_home_.size(); }
 
-  const Transaction& txn(TxnId t) const {
-    DTM_ASSERT(t < txns_.size());
-    return txns_[t];
+  /// Node hosting transaction t.
+  NodeId home(TxnId t) const {
+    DTM_ASSERT(t < home_.size());
+    return home_[t];
   }
-  const std::vector<Transaction>& transactions() const { return txns_; }
+  /// Objects transaction t requests, ascending.
+  std::span<const ObjectId> objects(TxnId t) const {
+    DTM_ASSERT(t < home_.size());
+    return run(object_ids_, object_end_, t);
+  }
+  TxnRef txn(TxnId t) const { return {t, home(t), objects(t)}; }
+  /// Every transaction as a TxnRef, in id order.
+  auto transactions() const {
+    return std::views::iota(TxnId{0}, static_cast<TxnId>(home_.size())) |
+           std::views::transform([this](TxnId t) { return txn(t); });
+  }
 
   /// Initial node of object o.
   NodeId object_home(ObjectId o) const {
@@ -42,9 +80,9 @@ class Instance {
 
   /// Transactions requesting object o, in ascending TxnId order.
   /// (The paper's A_i; |A_i| = ℓ_i.)
-  const std::vector<TxnId>& requesters(ObjectId o) const {
-    DTM_ASSERT(o < requesters_.size());
-    return requesters_[o];
+  std::span<const TxnId> requesters(ObjectId o) const {
+    DTM_ASSERT(o < object_home_.size());
+    return run(requester_ids_, requester_end_, o);
   }
 
   /// max_i |A_i| — the paper's ℓ (0 when no object is requested).
@@ -64,11 +102,39 @@ class Instance {
 
  private:
   friend class InstanceBuilder;
+
+  /// Row i of a CSR whose row ends are `end`.
+  template <class T>
+  static std::span<const T> run(const std::vector<T>& ids,
+                                const std::vector<std::uint32_t>& end,
+                                std::size_t i) {
+    const std::size_t lo = i == 0 ? 0 : end[i - 1];
+    return {ids.data() + lo, ids.data() + end[i]};
+  }
+
   const Graph* graph_ = nullptr;
-  std::vector<Transaction> txns_;
+  std::vector<NodeId> home_;
+  std::vector<std::uint32_t> object_end_;
+  std::vector<ObjectId> object_ids_;
+  std::vector<std::uint32_t> requester_end_;
+  std::vector<TxnId> requester_ids_;
   std::vector<NodeId> object_home_;
-  std::vector<std::vector<TxnId>> requesters_;
   std::vector<TxnId> txn_at_node_;
+};
+
+/// Checks that an object's visit order is a permutation of its requesters
+/// — the precondition of validate, the precedence solver, the stepwise
+/// engine and the control-flow check. One per-transaction mark array is
+/// reused across calls, so checking every object costs O(Σ_i |A_i|).
+class RequesterPermutationCheck {
+ public:
+  explicit RequesterPermutationCheck(const Instance& inst);
+  /// True iff `order` lists each of requesters(o) exactly once.
+  bool operator()(ObjectId o, std::span<const TxnId> order);
+
+ private:
+  const Instance* inst_;
+  std::vector<char> seen_;
 };
 
 /// Checks and assembles an Instance. The graph must outlive the instance.
@@ -85,23 +151,29 @@ class InstanceBuilder {
   /// reports the first transaction added at the node in shared mode.
   InstanceBuilder& allow_shared_homes();
 
-  /// Reserves room for `num_transactions` transactions (a capacity hint).
-  InstanceBuilder& reserve(std::size_t num_transactions);
+  /// Reserves room for `num_transactions` transactions holding
+  /// `object_entries` object ids in all (capacity hints; exact counts
+  /// leave the built instance without growth slack).
+  InstanceBuilder& reserve(std::size_t num_transactions,
+                           std::size_t object_entries = 0);
 
   /// Adds a transaction at `home` requesting `objects` (any order,
   /// duplicates rejected). At most one transaction per node unless
-  /// allow_shared_homes() was called.
-  TxnId add_transaction(NodeId home, std::vector<ObjectId> objects);
+  /// allow_shared_homes() was called. A rejected transaction leaves the
+  /// builder unchanged.
+  TxnId add_transaction(NodeId home, std::span<const ObjectId> objects);
+  TxnId add_transaction(NodeId home, std::initializer_list<ObjectId> objects) {
+    return add_transaction(home, std::span(objects.begin(), objects.size()));
+  }
 
   void set_object_home(ObjectId o, NodeId home);
 
+  /// Fills the requester lists (one count pass, exact size) and hands the
+  /// instance over; the builder is spent afterwards.
   Instance build();
 
  private:
-  const Graph* graph_;
-  std::vector<Transaction> txns_;
-  std::vector<NodeId> object_home_;
-  std::vector<TxnId> txn_at_node_;
+  Instance inst_;
   bool shared_homes_ = false;
 };
 

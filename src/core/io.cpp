@@ -119,7 +119,7 @@ void write_instance(std::ostream& os, const Instance& inst) {
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
     os << "object " << o << " home " << inst.object_home(o) << '\n';
   }
-  for (const Transaction& t : inst.transactions()) {
+  for (const TxnRef t : inst.transactions()) {
     os << "txn home " << t.home << " objs";
     for (ObjectId o : t.objects) os << ' ' << o;
     os << '\n';

@@ -12,7 +12,7 @@ ScheduleMetrics compute_metrics(const Instance& inst, const Metric& metric,
     Weight travel = 0;
     NodeId prev = inst.object_home(o);
     for (TxnId t : s.object_order[o]) {
-      const NodeId node = inst.txn(t).home;
+      const NodeId node = inst.home(t);
       travel += metric.distance(prev, node);
       prev = node;
     }

@@ -22,24 +22,21 @@ std::vector<Time> earliest_commit_times(
   // Earliest time lower bound: 1, raised by object source constraints.
   std::vector<Time> time(n, 1);
 
+  RequesterPermutationCheck is_permutation(inst);
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
     const auto& order = object_order[o];
-    {
-      auto sorted = order;
-      std::sort(sorted.begin(), sorted.end());
-      DTM_REQUIRE(sorted == inst.requesters(o),
-                  "object_order[" << o
-                                  << "] is not a permutation of requesters");
-    }
+    DTM_REQUIRE(is_permutation(o, order),
+                "object_order[" << o
+                                << "] is not a permutation of requesters");
     if (order.empty()) continue;
     const NodeId home = inst.object_home(o);
     const TxnId first = order.front();
     time[first] = std::max(
-        time[first], hop_steps(metric.distance(home, inst.txn(first).home)));
+        time[first], hop_steps(metric.distance(home, inst.home(first))));
     for (std::size_t i = 0; i + 1 < order.size(); ++i) {
       const TxnId a = order[i], b = order[i + 1];
       succ[a].push_back(
-          {b, hop_steps(metric.distance(inst.txn(a).home, inst.txn(b).home))});
+          {b, hop_steps(metric.distance(inst.home(a), inst.home(b)))});
       ++indegree[b];
     }
   }

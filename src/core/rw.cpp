@@ -18,7 +18,7 @@ WriteSets generate_write_sets(const Instance& inst, double write_fraction,
   DTM_REQUIRE(write_fraction >= 0.0 && write_fraction <= 1.0,
               "write_fraction must be in [0,1]");
   WriteSets writes(inst.num_transactions());
-  for (const Transaction& t : inst.transactions()) {
+  for (const TxnRef t : inst.transactions()) {
     for (ObjectId o : t.objects) {
       if (rng.chance(write_fraction)) writes[t.id].push_back(o);
     }
@@ -84,7 +84,7 @@ std::string check_rw(const Instance& inst, const WriteSets& writes,
     Time prev_time = 0;
     std::vector<Time> writer_pos_time;  // commit of each writer, in order
     for (TxnId wtxn : s.writer_order[o]) {
-      const NodeId node = inst.txn(wtxn).home;
+      const NodeId node = inst.home(wtxn);
       const Weight d = metric.distance(prev_node, node);
       if (s.commit_time[wtxn] < prev_time + d) {
         std::ostringstream os;
@@ -115,10 +115,10 @@ std::string check_rw(const Instance& inst, const WriteSets& writes,
           return os.str();
         }
         src_index = static_cast<std::size_t>(it - s.writer_order[o].begin());
-        src_node = inst.txn(source).home;
+        src_node = inst.home(source);
         src_time = s.commit_time[source];
       }
-      const NodeId rnode = inst.txn(reader).home;
+      const NodeId rnode = inst.home(reader);
       if (s.commit_time[reader] < src_time + metric.distance(src_node, rnode)) {
         std::ostringstream os;
         os << "o" << o << ": copy cannot reach reader T" << reader
@@ -131,7 +131,7 @@ std::string check_rw(const Instance& inst, const WriteSets& writes,
         if (next < s.writer_order[o].size()) {
           const TxnId wnext = s.writer_order[o][next];
           const Weight d =
-              metric.distance(rnode, inst.txn(wnext).home);
+              metric.distance(rnode, inst.home(wnext));
           if (s.commit_time[wnext] < s.commit_time[reader] + d) {
             std::ostringstream os;
             os << "o" << o << ": writer T" << wnext

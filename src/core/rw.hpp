@@ -27,7 +27,7 @@
 
 namespace dtm {
 
-/// write_set[t] ⊆ inst.txn(t).objects, sorted: the objects t modifies;
+/// write_set[t] ⊆ inst.objects(t), sorted: the objects t modifies;
 /// its remaining objects are read-only accesses.
 using WriteSets = std::vector<std::vector<ObjectId>>;
 

@@ -18,7 +18,8 @@ Schedule Schedule::from_commit_times(const Instance& inst,
   s.commit_time = std::move(commit_time);
   s.object_order.resize(inst.num_objects());
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-    auto order = inst.requesters(o);
+    const std::span<const TxnId> req = inst.requesters(o);
+    std::vector<TxnId> order(req.begin(), req.end());
     std::sort(order.begin(), order.end(), [&](TxnId a, TxnId b) {
       if (s.commit_time[a] != s.commit_time[b]) {
         return s.commit_time[a] < s.commit_time[b];

@@ -1,6 +1,5 @@
 #include "core/validate.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace dtm {
@@ -39,11 +38,10 @@ ValidationResult validate(const Instance& inst, const Metric& metric,
     }
   }
 
+  RequesterPermutationCheck is_permutation(inst);
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
     // The order must be a permutation of the requester set.
-    auto sorted_order = s.object_order[o];
-    std::sort(sorted_order.begin(), sorted_order.end());
-    if (sorted_order != inst.requesters(o)) {
+    if (!is_permutation(o, s.object_order[o])) {
       std::ostringstream os;
       os << "o" << o << ": object_order is not a permutation of requesters";
       fail(os.str());
@@ -54,7 +52,7 @@ ValidationResult validate(const Instance& inst, const Metric& metric,
     NodeId prev_node = inst.object_home(o);
     Time prev_time = 0;
     for (TxnId t : s.object_order[o]) {
-      const NodeId node = inst.txn(t).home;
+      const NodeId node = inst.home(t);
       const Weight d = hop_steps(metric.distance(prev_node, node));
       if (s.commit_time[t] < prev_time + d) {
         std::ostringstream os;

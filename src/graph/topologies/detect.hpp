@@ -33,6 +33,17 @@
 
 namespace dtm {
 
+/// A graph's edge count and node 0's degree (0 for an empty graph): the
+/// pre-check every recovery runs before a full comparison. A graph built
+/// with a family key gets both from the key's closed form and writes
+/// nothing; any other graph reads its offsets.
+struct GraphShape {
+  std::size_t edges = 0;
+  std::size_t degree0 = 0;
+  friend bool operator==(const GraphShape&, const GraphShape&) = default;
+};
+GraphShape graph_shape(const Graph& g);
+
 /// Line v_0 — ... — v_{n-1}, unit weights, n >= 2. Null if `g` is not one.
 std::unique_ptr<Line> recover_line(const Graph& g);
 

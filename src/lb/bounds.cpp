@@ -43,7 +43,7 @@ InstanceBounds compute_bounds(const Instance& inst, const Metric& metric,
           if (reqs.empty()) continue;
           targets.clear();
           targets.reserve(reqs.size());
-          for (TxnId t : reqs) targets.push_back(inst.txn(t).home);
+          for (TxnId t : reqs) targets.push_back(inst.home(t));
           const WalkBounds wb =
               walk_bounds(metric, inst.object_home(o), targets, exact_limit);
           out.walk_lower[i] = wb.lower;

@@ -16,7 +16,8 @@ std::vector<std::vector<TxnId>> orders_from_permutation(
   for (std::size_t i = 0; i < perm.size(); ++i) rank[perm[i]] = i;
   std::vector<std::vector<TxnId>> orders(inst.num_objects());
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-    orders[o] = inst.requesters(o);
+    const std::span<const TxnId> req = inst.requesters(o);
+    orders[o].assign(req.begin(), req.end());
     std::sort(orders[o].begin(), orders[o].end(),
               [&](TxnId a, TxnId b) { return rank[a] < rank[b]; });
   }
@@ -55,16 +56,16 @@ Schedule OrderScheduler::run(const Instance& inst, const Metric& metric) {
   Time clock = 0;
   for (TxnId t : perm) {
     Time ready = clock + 1;
-    for (ObjectId o : inst.txn(t).objects) {
+    for (ObjectId o : inst.objects(t)) {
       ready = std::max(ready,
                        obj_free[o] + metric.distance(obj_pos[o],
-                                                     inst.txn(t).home));
+                                                     inst.home(t)));
     }
     ready = std::max<Time>(ready, 1);
     commit[t] = ready;
     clock = ready;
-    for (ObjectId o : inst.txn(t).objects) {
-      obj_pos[o] = inst.txn(t).home;
+    for (ObjectId o : inst.objects(t)) {
+      obj_pos[o] = inst.home(t);
       obj_free[o] = ready;
     }
   }

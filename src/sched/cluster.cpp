@@ -36,7 +36,7 @@ Schedule ClusterScheduler::run(const Instance& inst, const Metric& metric) {
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
     std::size_t clusters = 0;
     for (TxnId t : inst.requesters(o)) {
-      const std::size_t c = topo_->cluster_of(inst.txn(t).home);
+      const std::size_t c = topo_->cluster_of(inst.home(t));
       if (seen[c] != o + 1) {
         seen[c] = o + 1;
         ++clusters;
@@ -111,7 +111,7 @@ Schedule ClusterScheduler::run_randomized(const Instance& inst,
   std::vector<char> done(inst.num_transactions(), 0);
   // pending_in_cluster[c]: not-yet-committed transactions homed in c.
   std::vector<std::vector<TxnId>> pending(alpha);
-  for (const Transaction& t : inst.transactions()) {
+  for (const TxnRef t : inst.transactions()) {
     pending[topo_->cluster_of(t.home)].push_back(t.id);
   }
 
@@ -145,7 +145,7 @@ Schedule ClusterScheduler::run_randomized(const Instance& inst,
       const std::size_t forced_cluster =
           forced == kInvalidTxn
               ? alpha
-              : topo_->cluster_of(inst.txn(forced).home);
+              : topo_->cluster_of(inst.home(forced));
 
       // Each object picks an active cluster that still needs it.
       std::vector<std::size_t> chosen(inst.num_objects(), alpha);  // alpha=nil
@@ -153,7 +153,7 @@ Schedule ClusterScheduler::run_randomized(const Instance& inst,
         std::vector<std::size_t> choices;
         for (TxnId t : inst.requesters(o)) {
           if (done[t]) continue;
-          const std::size_t c = topo_->cluster_of(inst.txn(t).home);
+          const std::size_t c = topo_->cluster_of(inst.home(t));
           if (in_phase[c] &&
               std::find(choices.begin(), choices.end(), c) == choices.end()) {
             choices.push_back(c);
@@ -162,7 +162,7 @@ Schedule ClusterScheduler::run_randomized(const Instance& inst,
         if (!choices.empty()) chosen[o] = choices[rng_.index(choices.size())];
       }
       if (forced != kInvalidTxn) {
-        for (ObjectId o : inst.txn(forced).objects) chosen[o] = forced_cluster;
+        for (ObjectId o : inst.objects(forced)) chosen[o] = forced_cluster;
       }
 
       // Enabled transactions per cluster; execute each cluster's enabled
@@ -173,7 +173,7 @@ Schedule ClusterScheduler::run_randomized(const Instance& inst,
         for (TxnId t : pending[c]) {
           if (done[t]) continue;
           bool all_here = true;
-          for (ObjectId o : inst.txn(t).objects) {
+          for (ObjectId o : inst.objects(t)) {
             if (chosen[o] != c) {
               all_here = false;
               break;

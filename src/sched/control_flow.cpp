@@ -25,7 +25,7 @@ ControlFlowResult schedule_control_flow(const Instance& inst,
   // applied globally.
   std::vector<Weight> work(n, 0);
   if (order == ControlFlowOrder::kNearestFirst) {
-    for (const Transaction& t : inst.transactions()) {
+    for (const TxnRef t : inst.transactions()) {
       for (ObjectId o : t.objects) {
         work[t.id] += 2 * metric.distance(inst.object_home(o), t.home);
       }
@@ -33,7 +33,8 @@ ControlFlowResult schedule_control_flow(const Instance& inst,
   }
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
     auto& service = out.object_order[o];
-    service = inst.requesters(o);
+    const std::span<const TxnId> req = inst.requesters(o);
+    service.assign(req.begin(), req.end());
     if (order == ControlFlowOrder::kNearestFirst) {
       std::stable_sort(service.begin(), service.end(), [&](TxnId a, TxnId b) {
         return work[a] != work[b] ? work[a] < work[b] : a < b;
@@ -53,7 +54,7 @@ ControlFlowResult schedule_control_flow(const Instance& inst,
     const NodeId home = inst.object_home(o);
     const auto& service = out.object_order[o];
     for (std::size_t i = 0; i < service.size(); ++i) {
-      const Weight rt = 2 * metric.distance(home, inst.txn(service[i]).home);
+      const Weight rt = 2 * metric.distance(home, inst.home(service[i]));
       out.communication += rt;
       if (i == 0) {
         // First access only waits for its own round trip.
@@ -95,10 +96,9 @@ std::string check_control_flow(const Instance& inst, const Metric& metric,
       return os.str();
     }
   }
+  RequesterPermutationCheck is_permutation(inst);
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-    auto sorted = r.object_order[o];
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted != inst.requesters(o)) {
+    if (!is_permutation(o, r.object_order[o])) {
       std::ostringstream os;
       os << "o" << o << " service order is not a permutation";
       return os.str();
@@ -106,7 +106,7 @@ std::string check_control_flow(const Instance& inst, const Metric& metric,
     const NodeId home = inst.object_home(o);
     Time prev = 0;
     for (TxnId t : r.object_order[o]) {
-      const Weight rt = 2 * metric.distance(home, inst.txn(t).home);
+      const Weight rt = 2 * metric.distance(home, inst.home(t));
       if (r.commit_time[t] < prev + rt) {
         std::ostringstream os;
         os << "o" << o << ": T" << t << " commits at " << r.commit_time[t]

@@ -8,11 +8,8 @@ DependencyGraph build_dependency_graph(const Instance& inst,
                                        const Metric& metric,
                                        std::span<const TxnId> txns) {
   return build_dependency_graph(
-      metric, txns, [&](TxnId t) { return inst.txn(t).home; },
-      [&](TxnId t) -> const std::vector<ObjectId>& {
-        return inst.txn(t).objects;
-      },
-      EdgeWeighing::kFromBothEnds);
+      metric, txns, [&](TxnId t) { return inst.home(t); },
+      [&](TxnId t) { return inst.objects(t); }, EdgeWeighing::kFromBothEnds);
 }
 
 DependencyGraph build_dependency_graph(const Instance& inst,

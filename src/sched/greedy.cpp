@@ -149,7 +149,7 @@ Schedule GreedyScheduler::run(const Instance& inst, const Metric& metric) {
     if (s.object_order[o].empty()) continue;
     const TxnId first = s.object_order[o].front();
     const Weight d =
-        metric.distance(inst.object_home(o), inst.txn(first).home);
+        metric.distance(inst.object_home(o), inst.home(first));
     shift = std::max(shift, d - s.commit_time[first]);
   }
   if (shift > 0) {

@@ -72,7 +72,7 @@ Schedule GridScheduler::run(const Instance& inst, const Metric& metric) {
     std::vector<Time> first_t(w, kInfiniteWeight), last_t(w, 0);
     std::vector<NodeId> first_v(w, kInvalidNode), last_v(w, kInvalidNode);
     for (std::size_t i = 0; i < colored.txns.size(); ++i) {
-      const Transaction& t = inst.txn(colored.txns[i]);
+      const TxnRef t = inst.txn(colored.txns[i]);
       for (ObjectId o : t.objects) {
         if (colored.local_time[i] < first_t[o]) {
           first_t[o] = colored.local_time[i];

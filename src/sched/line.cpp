@@ -21,7 +21,7 @@ Schedule LineScheduler::run(const Instance& inst, const Metric& metric) {
     if (reqs.empty()) continue;
     std::vector<NodeId> targets;
     targets.reserve(reqs.size());
-    for (TxnId t : reqs) targets.push_back(inst.txn(t).home);
+    for (TxnId t : reqs) targets.push_back(inst.home(t));
     ell = std::max(ell, line_walk_length(inst.object_home(o), targets));
   }
   last_ell_ = ell;
@@ -46,7 +46,7 @@ Schedule LineScheduler::run(const Instance& inst, const Metric& metric) {
     NodeId leftmost1 = kInvalidNode, rightmost1 = 0;
     bool any1 = false;
     for (TxnId t : inst.requesters(o)) {
-      const NodeId v = inst.txn(t).home;
+      const NodeId v = inst.home(t);
       if (phase_of(v) == 0) {
         any1 = true;
         leftmost1 = std::min(leftmost1, v);
@@ -61,7 +61,7 @@ Schedule LineScheduler::run(const Instance& inst, const Metric& metric) {
 
   // Phase-1 execution period length: last occupied offset + 1.
   Time p1 = 0;
-  for (const Transaction& t : inst.transactions()) {
+  for (const TxnRef t : inst.transactions()) {
     if (phase_of(t.home) == 0) p1 = std::max(p1, offset_of(t.home) + 1);
   }
 
@@ -71,7 +71,7 @@ Schedule LineScheduler::run(const Instance& inst, const Metric& metric) {
     NodeId leftmost2 = kInvalidNode;
     bool any2 = false;
     for (TxnId t : inst.requesters(o)) {
-      const NodeId v = inst.txn(t).home;
+      const NodeId v = inst.home(t);
       if (phase_of(v) == 1) {
         any2 = true;
         leftmost2 = std::min(leftmost2, v);
@@ -84,7 +84,7 @@ Schedule LineScheduler::run(const Instance& inst, const Metric& metric) {
 
   std::vector<Time> commit(inst.num_transactions());
   const Time phase2_base = d1 + p1 + d2;
-  for (const Transaction& t : inst.transactions()) {
+  for (const TxnRef t : inst.transactions()) {
     commit[t.id] = (phase_of(t.home) == 0 ? d1 : phase2_base) +
                    offset_of(t.home) + 1;
   }

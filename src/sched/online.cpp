@@ -79,14 +79,14 @@ void OnlineFifoScheduler::on_begin() {
 void OnlineFifoScheduler::on_push(TxnId t, Time arrival) {
   const Instance& inst = feed_instance();
   const Metric& metric = feed_metric();
-  const NodeId home = inst.txn(t).home;
+  const NodeId home = inst.home(t);
   Time ready = std::max<Time>(arrival, 1);
-  for (ObjectId o : inst.txn(t).objects) {
+  for (ObjectId o : inst.objects(t)) {
     ready = std::max(
         ready, tail_time_[o] + hop_steps(metric.distance(tail_pos_[o], home)));
   }
   commit_[t] = ready;
-  for (ObjectId o : inst.txn(t).objects) {
+  for (ObjectId o : inst.objects(t)) {
     chains_[o].push_back(t);
     tail_time_[o] = ready;
     tail_pos_[o] = home;
@@ -149,10 +149,8 @@ void OnlineBatchScheduler::flush_batch() {
 
   const WindowStep step = window_step(
       placer_, metric, batch_, close, opts_.rule,
-      [&](TxnId t) { return inst.txn(t).home; },
-      [&](TxnId t) -> const std::vector<ObjectId>& {
-        return inst.txn(t).objects;
-      });
+      [&](TxnId t) { return inst.home(t); },
+      [&](TxnId t) { return inst.objects(t); });
   for (std::size_t i = 0; i < step.colored.txns.size(); ++i) {
     commit_[step.colored.txns[i]] = step.start + step.colored.local_time[i];
   }
@@ -165,9 +163,7 @@ Schedule OnlineBatchScheduler::on_finish() {
   Schedule s;
   s.object_order = placed_object_orders(
       inst.num_objects(), commit_,
-      [&](TxnId t) -> const std::vector<ObjectId>& {
-        return inst.txn(t).objects;
-      });
+      [&](TxnId t) { return inst.objects(t); });
   s.commit_time = std::move(commit_);
   timer_.reset();
   return s;

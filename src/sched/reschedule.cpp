@@ -34,7 +34,7 @@ Residual build_residual(const Instance& inst, const PartialExecution& px) {
   for (ObjectId o = 0; o < w; ++o) rb.set_object_home(o, px.object_at[o]);
   for (TxnId t = 0; t < n; ++t) {
     if (px.committed[t] != 0) continue;
-    out.res_of[t] = rb.add_transaction(inst.txn(t).home, inst.txn(t).objects);
+    out.res_of[t] = rb.add_transaction(inst.home(t), inst.objects(t));
     out.orig_of.push_back(t);
   }
   out.inst = rb.build();
@@ -74,14 +74,14 @@ std::vector<Time> retime_suffix(const Instance& inst, const Metric& metric,
     time[first] = std::max(
         time[first],
         px.object_free_at[o] +
-            metric.distance(px.object_at[o], inst.txn(first).home));
+            metric.distance(px.object_at[o], inst.home(first)));
     for (std::size_t i = start; i + 1 < full.size(); ++i) {
       const TxnId a = full[i], b = full[i + 1];
       DTM_REQUIRE(pending[b] != 0,
                   "reschedule: committed T"
                       << b << " appears in o" << o << "'s uncommitted suffix");
       succ[a].push_back(
-          {b, metric.distance(inst.txn(a).home, inst.txn(b).home)});
+          {b, metric.distance(inst.home(a), inst.home(b))});
       ++indegree[b];
     }
   }

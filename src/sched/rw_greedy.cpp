@@ -19,7 +19,7 @@ DependencyGraph build_rw_dependency_graph(const Instance& inst,
   std::iota(all.begin(), all.end(), 0);
   // Local index == global TxnId here (all transactions, ascending).
   return detail::assemble_dependency_csr(
-      metric, std::move(all), [&](TxnId t) { return inst.txn(t).home; },
+      metric, std::move(all), [&](TxnId t) { return inst.home(t); },
       EdgeWeighing::kFromBothEnds, [&](const auto& emit) {
         for (ObjectId o = 0; o < inst.num_objects(); ++o) {
           const auto& reqs = inst.requesters(o);
@@ -102,22 +102,22 @@ std::vector<Time> rw_earliest_times(
     const auto& chain = writer_order[o];
     if (!chain.empty()) {
       time[chain[0]] = std::max(
-          time[chain[0]], metric.distance(home, inst.txn(chain[0]).home));
+          time[chain[0]], metric.distance(home, inst.home(chain[0])));
       for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
         add_edge(chain[i], chain[i + 1],
-                 metric.distance(inst.txn(chain[i]).home,
-                                 inst.txn(chain[i + 1]).home));
+                 metric.distance(inst.home(chain[i]),
+                                 inst.home(chain[i + 1])));
       }
     }
     for (const auto& [reader, source] : reader_source[o]) {
-      const NodeId rnode = inst.txn(reader).home;
+      const NodeId rnode = inst.home(reader);
       std::size_t src_index;
       if (source == kInvalidTxn) {
         time[reader] = std::max(time[reader], metric.distance(home, rnode));
         src_index = static_cast<std::size_t>(-1);
       } else {
         add_edge(source, reader,
-                 metric.distance(inst.txn(source).home, rnode));
+                 metric.distance(inst.home(source), rnode));
         const auto it = std::find(chain.begin(), chain.end(), source);
         DTM_REQUIRE(it != chain.end(),
                     "rw_earliest_times: source is not a writer");
@@ -126,7 +126,7 @@ std::vector<Time> rw_earliest_times(
       if (policy == RwPolicy::kSingleVersion && src_index + 1 < chain.size()) {
         const TxnId wnext = chain[src_index + 1];
         add_edge(reader, wnext,
-                 metric.distance(rnode, inst.txn(wnext).home));
+                 metric.distance(rnode, inst.home(wnext)));
       }
     }
   }
@@ -202,13 +202,13 @@ RwSchedule schedule_rw_greedy(const Instance& inst, const WriteSets& writes,
     const NodeId home = inst.object_home(o);
     if (!s.writer_order[o].empty()) {
       const TxnId first = s.writer_order[o].front();
-      shift = std::max(shift, metric.distance(home, inst.txn(first).home) -
+      shift = std::max(shift, metric.distance(home, inst.home(first)) -
                                   color[first]);
     }
     for (const auto& [reader, source] : s.reader_source[o]) {
       if (source == kInvalidTxn) {
         shift = std::max(shift,
-                         metric.distance(home, inst.txn(reader).home) -
+                         metric.distance(home, inst.home(reader)) -
                              color[reader]);
       }
     }

@@ -44,12 +44,12 @@ Schedule StarScheduler::run(const Instance& inst, const Metric& metric) {
   // The center's transaction goes first (its objects converge on s).
   if (const TxnId ct = inst.txn_at(topo_->center()); ct != kInvalidTxn) {
     Time t = 1;
-    for (ObjectId o : inst.txn(ct).objects) {
+    for (ObjectId o : inst.objects(ct)) {
       t = std::max(t, metric.distance(pos[o], topo_->center()));
     }
     commit[ct] = t;
     done[ct] = 1;
-    for (ObjectId o : inst.txn(ct).objects) pos[o] = topo_->center();
+    for (ObjectId o : inst.objects(ct)) pos[o] = topo_->center();
     clock = t;
   }
 
@@ -69,7 +69,7 @@ Schedule StarScheduler::run(const Instance& inst, const Metric& metric) {
 
     // Transactions of this period, and per-object pending requesters here.
     std::vector<TxnId> members;
-    for (const Transaction& t : inst.transactions()) {
+    for (const TxnRef t : inst.transactions()) {
       if (done[t.id] || topo_->is_center(t.home)) continue;
       const std::size_t p = topo_->pos_of(t.home);
       if (p >= first && p <= last) members.push_back(t.id);
@@ -87,7 +87,7 @@ Schedule StarScheduler::run(const Instance& inst, const Metric& metric) {
         std::size_t count = 0;
         for (TxnId t : inst.requesters(o)) {
           if (!in_period[t]) continue;
-          const std::size_t r = topo_->ray_of(inst.txn(t).home);
+          const std::size_t r = topo_->ray_of(inst.home(t));
           if (!ray_seen[r]) {
             ray_seen[r] = 1;
             ++count;
@@ -116,7 +116,7 @@ Schedule StarScheduler::run(const Instance& inst, const Metric& metric) {
       std::vector<Time> first_t(w, kInfiniteWeight), last_t(w, 0);
       std::vector<NodeId> first_v(w, kInvalidNode), last_v(w, kInvalidNode);
       for (std::size_t i = 0; i < colored.txns.size(); ++i) {
-        const Transaction& t = inst.txn(colored.txns[i]);
+        const TxnRef t = inst.txn(colored.txns[i]);
         for (ObjectId o : t.objects) {
           if (colored.local_time[i] < first_t[o]) {
             first_t[o] = colored.local_time[i];
@@ -172,7 +172,7 @@ Schedule StarScheduler::run(const Instance& inst, const Metric& metric) {
         std::vector<std::size_t> choices;
         for (TxnId t : inst.requesters(o)) {
           if (!pending[t]) continue;
-          const std::size_t r = topo_->ray_of(inst.txn(t).home);
+          const std::size_t r = topo_->ray_of(inst.home(t));
           if (std::find(choices.begin(), choices.end(), r) == choices.end()) {
             choices.push_back(r);
           }
@@ -180,8 +180,8 @@ Schedule StarScheduler::run(const Instance& inst, const Metric& metric) {
         if (!choices.empty()) chosen[o] = choices[rng_.index(choices.size())];
       }
       if (forced != kInvalidTxn) {
-        const std::size_t fr = topo_->ray_of(inst.txn(forced).home);
-        for (ObjectId o : inst.txn(forced).objects) chosen[o] = fr;
+        const std::size_t fr = topo_->ray_of(inst.home(forced));
+        for (ObjectId o : inst.objects(forced)) chosen[o] = fr;
       }
 
       // Travel budget: every picked object reaches its segment's tip.
@@ -198,26 +198,26 @@ Schedule StarScheduler::run(const Instance& inst, const Metric& metric) {
       std::vector<NodeId> obj_last_v(w, kInvalidNode);
       for (TxnId t : members) {
         if (!pending[t]) continue;
-        const std::size_t r = topo_->ray_of(inst.txn(t).home);
+        const std::size_t r = topo_->ray_of(inst.home(t));
         bool all_here = true;
-        for (ObjectId o : inst.txn(t).objects) {
+        for (ObjectId o : inst.objects(t)) {
           if (chosen[o] != r) {
             all_here = false;
             break;
           }
         }
         if (!all_here) continue;
-        const std::size_t p = topo_->pos_of(inst.txn(t).home);
+        const std::size_t p = topo_->pos_of(inst.home(t));
         const Time local = static_cast<Time>(p - first + 1);
         commit[t] = clock + arrive + local;
         pending[t] = 0;
         done[t] = 1;
         --remaining;
         any_commit = true;
-        for (ObjectId o : inst.txn(t).objects) {
+        for (ObjectId o : inst.objects(t)) {
           if (local >= obj_last_t[o]) {
             obj_last_t[o] = local;
-            obj_last_v[o] = inst.txn(t).home;
+            obj_last_v[o] = inst.home(t);
           }
         }
       }

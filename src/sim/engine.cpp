@@ -81,11 +81,11 @@ void Engine::object_arrived(ObjectId o) {
   // After a splice the object may have been flying toward a requester the
   // new schedule no longer serves next (in-flight legs complete first);
   // forward it to the new target instead of marking it present.
-  if (resched_count_ > 0 && obj_at_[o] != inst_->txn(target).home) {
+  if (resched_count_ > 0 && obj_at_[o] != inst_->home(target)) {
     launch_redirect_leg(o, clock_);
     return;
   }
-  if (++present_[target] == inst_->txn(target).objects.size()) {
+  if (++present_[target] == inst_->objects(target).size()) {
     if (!assembled_.empty()) assembled_[target] = clock_;
     enqueue_ready(target);
   }
@@ -166,7 +166,7 @@ void Engine::trace_leg_begin(ObjectId o, std::size_t leg, std::int64_t prev,
 void Engine::trace_commit(TxnId t, Time assembled, Time planned,
                           Time realized) {
   if (trace_ == nullptr) return;
-  const NodeId home = inst_->txn(t).home;
+  const NodeId home = inst_->home(t);
   std::string name = "T";
   name += std::to_string(t);
   trace_->span(TraceCat::kTxn, node_track(home), std::move(name),
@@ -268,7 +268,7 @@ bool Engine::init_analytic() {
   // simulators).
   for (ObjectId o = 0; o < num_objects(); ++o) {
     if (obj_order_[o]->empty()) continue;
-    const NodeId target = inst_->txn(obj_order_[o]->front()).home;
+    const NodeId target = inst_->home(obj_order_[o]->front());
     if (target == obj_at_[o]) continue;
     if (opts_.record_legs) r_.legs.push_back({o, 0, obj_at_[o], target, 0});
     obj_in_transit_[o] = 1;
@@ -355,7 +355,7 @@ bool Engine::init_stepwise() {
 
   for (ObjectId o = 0; o < num_objects(); ++o) {
     if (obj_order_[o]->empty()) continue;
-    const NodeId target = inst_->txn(obj_order_[o]->front()).home;
+    const NodeId target = inst_->home(obj_order_[o]->front());
     if (target == obj_at_[o]) {
       object_arrived(o);
       continue;
@@ -371,7 +371,7 @@ bool Engine::init_stepwise() {
   }
   // Transactions with no objects are trivially assembled.
   for (TxnId t = 0; t < n; ++t) {
-    if (inst_->txn(t).objects.empty()) enqueue_ready(t);
+    if (inst_->objects(t).empty()) enqueue_ready(t);
   }
 
   links_->admit(*this, 0);  // departures at step 0 traverse during step 1
@@ -447,7 +447,7 @@ void Engine::process_planned_commit(TxnId t) {
     fail(os.str());
     return;
   }
-  const NodeId home = inst_->txn(t).home;
+  const NodeId home = inst_->home(t);
   const bool strict = opts_.discipline == CommitDiscipline::kPlannedStrict;
 
   // Presence/structure check. Strict discipline also requires objects to
@@ -456,7 +456,7 @@ void Engine::process_planned_commit(TxnId t) {
   bool all_ok = true;
   Time ready = planned;
   Time assembled = 0;
-  for (ObjectId o : inst_->txn(t).objects) {
+  for (ObjectId o : inst_->objects(t)) {
     const auto& order = *obj_order_[o];
     if (strict && obj_in_transit_[o] != 0 && obj_arrival_[o] <= planned) {
       obj_in_transit_[o] = 0;
@@ -521,7 +521,7 @@ void Engine::process_planned_commit(TxnId t) {
 
   // Commit: release each object toward its next requester in the same
   // (realized) step — receive -> execute -> forward.
-  for (ObjectId o : inst_->txn(t).objects) {
+  for (ObjectId o : inst_->objects(t)) {
     obj_in_transit_[o] = 0;
     ++obj_next_leg_[o];
     if (obj_next_leg_[o] < obj_order_[o]->size()) {
@@ -559,14 +559,14 @@ void Engine::commit_stepwise(TxnId t, Time now) {
   }
   if (opts_.record_events) {
     r_.events.push_back({now, SimEvent::Kind::kCommit, kInvalidObject, t,
-                         inst_->txn(t).home});
+                         inst_->home(t)});
   }
   if (commits_ != nullptr) commits_->add();
   trace_commit(t, assembled_.empty() ? 0 : assembled_[t], s_->commit_time[t],
                now);
   r_.realized_makespan = std::max(r_.realized_makespan, now);
 
-  for (ObjectId o : inst_->txn(t).objects) {
+  for (ObjectId o : inst_->objects(t)) {
     DTM_ASSERT(obj_in_transit_[o] == 0);
     ++obj_next_leg_[o];
     if (obj_next_leg_[o] < obj_order_[o]->size()) launch_release_leg(o, now);
@@ -576,7 +576,7 @@ void Engine::commit_stepwise(TxnId t, Time now) {
 void Engine::launch_release_leg(ObjectId o, Time now) {
   const std::size_t leg = obj_next_leg_[o];
   const NodeId from = obj_at_[o];
-  const NodeId target = inst_->txn((*obj_order_[o])[leg]).home;
+  const NodeId target = inst_->home((*obj_order_[o])[leg]);
   // The leg is released by the commit that just fired — its chain
   // predecessor in the trace.
   const auto prev = static_cast<std::int64_t>((*obj_order_[o])[leg - 1]);
@@ -696,7 +696,7 @@ void Engine::apply_splice(std::unique_ptr<Schedule> next, Time lag) {
   for (TxnId t = 0; t < n; ++t) {
     was_ready[t] = static_cast<char>(
         committed_[t] == 0 && commit_blocked_[t] == 0 &&
-        present_[t] == inst_->txn(t).objects.size());
+        present_[t] == inst_->objects(t).size());
   }
 
   ++resched_count_;
@@ -730,7 +730,7 @@ void Engine::apply_splice(std::unique_ptr<Schedule> next, Time lag) {
       continue;
     }
     const TxnId target = (*obj_order_[o])[obj_next_leg_[o]];
-    if (obj_at_[o] == inst_->txn(target).home) {
+    if (obj_at_[o] == inst_->home(target)) {
       ++present_[target];
     } else {
       launch_redirect_leg(o, clock_);
@@ -741,7 +741,7 @@ void Engine::apply_splice(std::unique_ptr<Schedule> next, Time lag) {
   // rebuild files each transaction at its (new) scheduled step.
   for (TxnId t = 0; t < n; ++t) {
     if (committed_[t] != 0) continue;
-    if (present_[t] == inst_->txn(t).objects.size()) {
+    if (present_[t] == inst_->objects(t).size()) {
       // Keep the original assembly stamp for txns that stayed assembled;
       // txns assembled by the splice itself date from now.
       if (!assembled_.empty() && was_ready[t] == 0) assembled_[t] = clock_;
@@ -754,7 +754,7 @@ void Engine::apply_splice(std::unique_ptr<Schedule> next, Time lag) {
 void Engine::launch_redirect_leg(ObjectId o, Time now) {
   const std::size_t leg = obj_next_leg_[o];
   const NodeId from = obj_at_[o];
-  const NodeId target = inst_->txn((*obj_order_[o])[leg]).home;
+  const NodeId target = inst_->home((*obj_order_[o])[leg]);
   DTM_ASSERT(target != from);
   // Redirects are not released by a commit; `prev` still names the last
   // committed requester so the record stays attributable, and the
@@ -799,7 +799,7 @@ std::vector<LegRecord> planned_leg_trace(const Instance& inst,
     Time depart = 0;
     std::size_t leg = 0;
     for (TxnId t : s.object_order[o]) {
-      const NodeId target = inst.txn(t).home;
+      const NodeId target = inst.home(t);
       // Leg 0 is skipped when the object starts at its first requester;
       // later zero-distance handoffs are recorded like the engine records
       // them (the analyzer skips from == to).

@@ -40,7 +40,7 @@ OptimisticResult run_optimistic(const Instance& inst, const Metric& metric,
   // transaction spends a step executing).
   std::vector<Time> latency(n, 1);
   for (TxnId t = 0; t < n; ++t) {
-    const Transaction& txn = inst.txn(t);
+    const TxnRef txn = inst.txn(t);
     for (ObjectId o : txn.objects) {
       latency[t] = std::max(
           latency[t], metric.distance(txn.home, inst.object_home(o)));
@@ -66,7 +66,7 @@ OptimisticResult run_optimistic(const Instance& inst, const Metric& metric,
   while (!calendar.empty()) {
     const Attempt a = calendar.top();
     calendar.pop();
-    const Transaction& txn = inst.txn(a.txn);
+    const TxnRef txn = inst.txn(a.txn);
 
     bool valid = true;
     for (ObjectId o : txn.objects) {

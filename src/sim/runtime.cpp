@@ -397,11 +397,11 @@ const StreamStats& StreamingRuntime::drain() {
 }
 
 Instance StreamingRuntime::materialize() const {
+  // Exact reservations: the instance's arrays carry no growth slack.
   InstanceBuilder b(*g_, object_home_.size());
-  b.allow_shared_homes().reserve(home_.size());
-  for (std::size_t t = 0; t < home_.size(); ++t) {
-    const std::span<const ObjectId> objs = objects_of(static_cast<TxnId>(t));
-    b.add_transaction(home_[t], {objs.begin(), objs.end()});
+  b.allow_shared_homes().reserve(home_.size(), object_ids_.size());
+  for (TxnId t = 0; t < home_.size(); ++t) {
+    b.add_transaction(home_[t], objects_of(t));
   }
   for (ObjectId o = 0; o < object_home_.size(); ++o) {
     b.set_object_home(o, object_home_[o]);

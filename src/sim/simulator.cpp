@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <sstream>
 
@@ -17,10 +16,9 @@ namespace {
 /// returns the first object that breaks it, or kInvalidObject.
 ObjectId first_malformed_order(const Instance& inst, const Schedule& s) {
   if (s.object_order.size() != inst.num_objects()) return kInvalidObject;
+  RequesterPermutationCheck is_permutation(inst);
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-    auto sorted = s.object_order[o];
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted != inst.requesters(o)) return o;
+    if (!is_permutation(o, s.object_order[o])) return o;
   }
   return kInvalidObject;
 }

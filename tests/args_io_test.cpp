@@ -12,6 +12,7 @@
 #include "sched/greedy.hpp"
 #include "util/args.hpp"
 #include "util/rng.hpp"
+#include "test_util.hpp"
 
 namespace dtm {
 namespace {
@@ -179,7 +180,7 @@ TEST(Io, InstanceRoundTrip) {
   ASSERT_EQ(inst2.num_objects(), inst.num_objects());
   for (TxnId t = 0; t < inst.num_transactions(); ++t) {
     EXPECT_EQ(inst2.txn(t).home, inst.txn(t).home);
-    EXPECT_EQ(inst2.txn(t).objects, inst.txn(t).objects);
+    EXPECT_EQ(test::to_vector(inst2.objects(t)), test::to_vector(inst.objects(t)));
   }
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
     EXPECT_EQ(inst2.object_home(o), inst.object_home(o));

@@ -154,10 +154,8 @@ TEST(DependencyGraphCsr, WeighingOnceBuildsTheSameGraph) {
     for (TxnId t = 0; t < inst.num_transactions(); t += 2) {
       subset.push_back(t);
     }
-    const auto home = [&](TxnId t) { return inst.txn(t).home; };
-    const auto objects = [&](TxnId t) -> const std::vector<ObjectId>& {
-      return inst.txn(t).objects;
-    };
+    const auto home = [&](TxnId t) { return inst.home(t); };
+    const auto objects = [&](TxnId t) { return inst.objects(t); };
     const std::uint64_t q0 = queries.value();
     const DependencyGraph both = build_dependency_graph(
         metric, subset, home, objects, EdgeWeighing::kFromBothEnds);

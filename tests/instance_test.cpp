@@ -1,6 +1,7 @@
 // Tests for Instance/InstanceBuilder and the workload generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/generators.hpp"
@@ -10,6 +11,7 @@
 #include "graph/topologies/grid.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "test_util.hpp"
 
 namespace dtm {
 namespace {
@@ -26,10 +28,10 @@ TEST(InstanceBuilder, BasicAssembly) {
   EXPECT_EQ(inst.num_objects(), 3u);
   EXPECT_EQ(inst.txn(t0).home, 0u);
   // Objects are stored sorted.
-  EXPECT_EQ(inst.txn(t0).objects, (std::vector<ObjectId>{0, 2}));
+  EXPECT_EQ(test::to_vector(inst.objects(t0)), (std::vector<ObjectId>{0, 2}));
   EXPECT_EQ(inst.object_home(0), 1u);
   EXPECT_EQ(inst.object_home(1), 0u);  // default
-  EXPECT_EQ(inst.requesters(0), (std::vector<TxnId>{t0, t1}));
+  EXPECT_EQ(test::to_vector(inst.requesters(0)), (std::vector<TxnId>{t0, t1}));
   EXPECT_TRUE(inst.requesters(1).empty());
   EXPECT_EQ(inst.max_requesters(), 2u);
   EXPECT_EQ(inst.max_objects_per_txn(), 2u);
@@ -53,6 +55,105 @@ TEST(InstanceBuilder, RejectsBadIds) {
   EXPECT_THROW(b.add_transaction(0, {1, 1}), Error);
   EXPECT_THROW(b.set_object_home(2, 0), Error);
   EXPECT_THROW(b.set_object_home(0, 9), Error);
+}
+
+TEST(InstanceBuilder, RejectedTransactionLeavesBuilderUnchanged) {
+  const Clique c(4);
+  InstanceBuilder b(c.graph, 3);
+  b.add_transaction(0, {2, 1});
+  EXPECT_THROW(b.add_transaction(1, {0, 2, 0}), Error);
+  EXPECT_THROW(b.add_transaction(1, {0, 3}), Error);
+  b.add_transaction(1, {0});
+  const Instance inst = b.build();
+  ASSERT_EQ(inst.num_transactions(), 2u);
+  EXPECT_EQ(test::to_vector(inst.objects(0)), (std::vector<ObjectId>{1, 2}));
+  EXPECT_EQ(test::to_vector(inst.objects(1)), (std::vector<ObjectId>{0}));
+  EXPECT_EQ(test::to_vector(inst.requesters(0)), (std::vector<TxnId>{1}));
+}
+
+// The flat arrays against a per-transaction reference: k = 0..4, objects
+// in any order, shared homes on every other seed, and the last two
+// objects never requested.
+TEST(Instance, FlatArraysMatchNaiveReference) {
+  const Grid g(4, 5);
+  const std::size_t n = g.graph.num_nodes();
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const bool shared = seed % 2 == 0;
+    const std::size_t w = 6 + rng.index(6);
+    InstanceBuilder b(g.graph, w);
+    if (shared) b.allow_shared_homes();
+    std::vector<Transaction> ref;
+    for (std::size_t i = 0; i < (shared ? 2 * n : n); ++i) {
+      const auto home = static_cast<NodeId>(shared ? rng.index(n) : i);
+      if (!shared && rng.chance(0.2)) continue;  // an empty node
+      std::vector<ObjectId> objs;
+      for (std::size_t o : rng.sample_indices(w - 2, rng.index(5))) {
+        objs.push_back(static_cast<ObjectId>(o));
+      }
+      rng.shuffle(objs);
+      const TxnId id = b.add_transaction(home, objs);
+      std::sort(objs.begin(), objs.end());
+      ref.push_back({id, home, objs});
+    }
+    for (ObjectId o = 0; o < w; ++o) {
+      b.set_object_home(o, static_cast<NodeId>(rng.index(n)));
+    }
+    const Instance inst = b.build();
+
+    ASSERT_EQ(inst.num_transactions(), ref.size());
+    std::size_t k = 0, ell = 0;
+    std::vector<std::vector<TxnId>> requesters(w);
+    std::vector<TxnId> at(n, kInvalidTxn);
+    for (const Transaction& t : ref) {
+      ASSERT_EQ(t.id, &t - ref.data());
+      EXPECT_EQ(inst.home(t.id), t.home);
+      EXPECT_EQ(test::to_vector(inst.objects(t.id)), t.objects);
+      const Transaction copy = inst.txn(t.id);  // TxnRef -> Transaction
+      EXPECT_EQ(copy.id, t.id);
+      EXPECT_EQ(copy.home, t.home);
+      EXPECT_EQ(copy.objects, t.objects);
+      for (ObjectId o : t.objects) requesters[o].push_back(t.id);
+      if (at[t.home] == kInvalidTxn) at[t.home] = t.id;
+      k = std::max(k, t.objects.size());
+    }
+    for (ObjectId o = 0; o < w; ++o) {
+      EXPECT_EQ(test::to_vector(inst.requesters(o)), requesters[o]);
+      ell = std::max(ell, requesters[o].size());
+    }
+    EXPECT_TRUE(inst.requesters(static_cast<ObjectId>(w - 1)).empty());
+    for (NodeId v = 0; v < n; ++v) EXPECT_EQ(inst.txn_at(v), at[v]);
+    EXPECT_EQ(inst.max_objects_per_txn(), k);
+    EXPECT_EQ(inst.max_requesters(), ell);
+    TxnId next = 0;
+    for (const TxnRef t : inst.transactions()) {
+      EXPECT_EQ(t.id, next++);
+      EXPECT_EQ(t.home, inst.home(t.id));
+      EXPECT_EQ(t.objects.data(), inst.objects(t.id).data());
+    }
+    EXPECT_EQ(next, ref.size());
+  }
+}
+
+TEST(RequesterPermutationCheck, AcceptsOnlyPermutations) {
+  const Clique c(5);
+  InstanceBuilder b(c.graph, 2);
+  b.add_transaction(0, {0});
+  b.add_transaction(1, {0, 1});
+  b.add_transaction(2, {0});
+  b.add_transaction(3, {1});
+  const Instance inst = b.build();
+  RequesterPermutationCheck is_permutation(inst);
+  using Order = std::vector<TxnId>;
+  EXPECT_TRUE(is_permutation(0, Order{2, 0, 1}));
+  EXPECT_FALSE(is_permutation(0, Order{2, 0, 0}));  // repeat
+  EXPECT_FALSE(is_permutation(0, Order{2, 0, 3}));  // not a requester
+  EXPECT_FALSE(is_permutation(0, Order{2, 0, 9}));  // no such transaction
+  EXPECT_FALSE(is_permutation(0, Order{2, 0}));     // one short
+  EXPECT_FALSE(is_permutation(1, Order{}));
+  // The marks a rejected order left are cleared for the next call.
+  EXPECT_TRUE(is_permutation(1, Order{3, 1}));
+  EXPECT_TRUE(is_permutation(0, Order{0, 1, 2}));
 }
 
 TEST(Instance, DescribeMentionsEveryTransaction) {
@@ -129,7 +230,7 @@ TEST(GenerateUniform, DeterministicForSeed) {
       generate_uniform(g.graph, {.num_objects = 7, .objects_per_txn = 2}, r2);
   ASSERT_EQ(a.num_transactions(), b.num_transactions());
   for (TxnId t = 0; t < a.num_transactions(); ++t) {
-    EXPECT_EQ(a.txn(t).objects, b.txn(t).objects);
+    EXPECT_EQ(test::to_vector(a.objects(t)), test::to_vector(b.objects(t)));
   }
   for (ObjectId o = 0; o < a.num_objects(); ++o) {
     EXPECT_EQ(a.object_home(o), b.object_home(o));

@@ -16,7 +16,9 @@
 #include "graph/analytic_metric.hpp"
 #include "graph/metric.hpp"
 #include "graph/partition.hpp"
+#include "graph/topologies/butterfly.hpp"
 #include "graph/topologies/cluster.hpp"
+#include "graph/topologies/detect.hpp"
 #include "sched/cluster.hpp"
 #include "sim/runtime.hpp"
 #include "sim/simulator.hpp"
@@ -136,6 +138,79 @@ TEST(LazyGraphReaders, ConnectedWritesOnce) {
   EXPECT_EQ(materialized_count(), before + 1);
   EXPECT_TRUE(copy.connected());
   EXPECT_EQ(materialized_count(), before + 1);
+}
+
+// Detection rules a keyed graph of another family out by the key's closed
+// form, so asking for a family's metric or shard map writes no offsets:
+// not for the candidates of earlier families tried first, and not for the
+// caller's graph.
+
+TEST(LazyGraphDetection, KeyedShapeIsClosedForm) {
+  const Line line(7);
+  const Grid grid(3, 4), row(1, 5);
+  const ClusterGraph cluster(3, 4, 2);
+  const Clique clique(5);
+  const Hypercube cube(4);
+  const Butterfly butterfly(3);
+  const Star star(3, 2);
+  const BlockGrid block_grid(4);
+  const BlockTree block_tree(4);
+  for (const Graph* g :
+       {&line.graph, &grid.graph, &row.graph, &cluster.graph, &clique.graph,
+        &cube.graph, &butterfly.graph, &star.graph, &block_grid.graph,
+        &block_tree.graph}) {
+    const auto offsets_before = offsets_written_count();
+    const GraphShape shape = graph_shape(*g);
+    EXPECT_EQ(offsets_written_count(), offsets_before);
+    EXPECT_EQ(shape.edges, g->num_edges());
+    EXPECT_EQ(shape.degree0, g->degree(0));
+  }
+}
+
+TEST(LazyGraphDetection, OtherFamiliesWriteNoOffsets) {
+  // Each call on a fresh graph: an earlier call writes nothing for a later
+  // one to reuse.
+  const auto writes = [](const auto& call) {
+    const auto before = offsets_written_count();
+    call();
+    return offsets_written_count() - before;
+  };
+  const auto before = materialized_count();
+  EXPECT_EQ(writes([] {
+              EXPECT_EQ(make_analytic_metric(Grid(10, 10).graph)->kind(),
+                        TopologyKind::kGrid);
+            }),
+            0u);
+  EXPECT_EQ(writes([] {
+              EXPECT_EQ(make_analytic_metric(Clique(6).graph)->kind(),
+                        TopologyKind::kClique);
+            }),
+            0u);
+  EXPECT_EQ(writes([] {
+              EXPECT_EQ(make_analytic_metric(Hypercube(4).graph)->kind(),
+                        TopologyKind::kHypercube);
+            }),
+            0u);
+  EXPECT_EQ(writes([] {
+              EXPECT_EQ(make_shard_map(Grid(10, 10).graph, 4).scheme, "grid");
+            }),
+            0u);
+  // A star's ray count is node 0's degree, which its key also gives.
+  EXPECT_EQ(writes([] {
+              EXPECT_EQ(make_analytic_metric(Star(3, 4).graph)->kind(),
+                        TopologyKind::kStar);
+            }),
+            0u);
+  EXPECT_EQ(materialized_count(), before);
+}
+
+TEST(LazyGraphDetection, DegenerateGridIsStillALine) {
+  // Grid(1, n) has a Line's shape, so it takes the full comparison.
+  const Grid row(1, 6);
+  const auto metric = make_analytic_metric(row.graph);
+  ASSERT_NE(metric, nullptr);
+  EXPECT_EQ(metric->kind(), TopologyKind::kLine);
+  EXPECT_EQ(detect_topology(row.graph), TopologyKind::kLine);
 }
 
 }  // namespace

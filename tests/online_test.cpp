@@ -16,6 +16,7 @@
 #include "sched/online.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "test_util.hpp"
 
 namespace dtm {
 namespace {
@@ -84,7 +85,7 @@ TEST(OnlineFifo, ZeroArrivalsEqualsIdOrderDispatch) {
   EXPECT_TRUE(validate(inst, m, s).ok);
   // Chains follow id order under simultaneous release.
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-    EXPECT_EQ(s.object_order[o], inst.requesters(o));
+    EXPECT_EQ(s.object_order[o], test::to_vector(inst.requesters(o)));
   }
 }
 

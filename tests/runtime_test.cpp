@@ -15,6 +15,7 @@
 #include "sched/dependency_graph.hpp"
 #include "sched/online.hpp"
 #include "sim/runtime.hpp"
+#include "test_util.hpp"
 
 namespace dtm {
 namespace {
@@ -130,10 +131,8 @@ TEST(IncrementalGraph, WeighsEachCountedEdgeOnce) {
         g.graph, {.num_objects = 5, .objects_per_txn = 2}, rng);
     const auto n = static_cast<TxnId>(inst.num_transactions());
     const DependencyGraph all = build_dependency_graph(inst, m);
-    const auto home = [&](TxnId t) { return inst.txn(t).home; };
-    const auto objects = [&](TxnId t) -> const std::vector<ObjectId>& {
-      return inst.txn(t).objects;
-    };
+    const auto home = [&](TxnId t) { return inst.home(t); };
+    const auto objects = [&](TxnId t) { return inst.objects(t); };
     const std::uint64_t before = queries.value();
     IncrementalConflictGraph inc(m, inst.num_objects());
     TxnId added = 0, placed = 0;
@@ -410,6 +409,63 @@ TEST(StreamingRuntime, VisitChainsFollowCommitTimes) {
       arrival += rng.uniform(0, 1);
     }
     expect_chains_follow_commits(rt, stream);
+  }
+}
+
+// materialize() copies the transcript into the instance; it must hold
+// exactly what an InstanceBuilder makes of the same arrivals.
+void expect_materialize_matches_builder(const Graph& g, const Metric& m,
+                                        std::vector<NodeId> object_home,
+                                        const std::vector<ArrivingTxn>& stream,
+                                        StreamingRuntimeOptions opts = {}) {
+  InstanceBuilder b(g, object_home.size());
+  b.allow_shared_homes();
+  for (const ArrivingTxn& t : stream) b.add_transaction(t.home, t.objects);
+  for (ObjectId o = 0; o < object_home.size(); ++o) {
+    b.set_object_home(o, object_home[o]);
+  }
+  const Instance expected = b.build();
+  StreamingRuntime rt(g, m, std::move(object_home), opts);
+  for (const ArrivingTxn& t : stream) rt.ingest(t);
+  test::expect_same_instance(rt.materialize(), expected);  // mid-stream
+  rt.drain();
+  test::expect_same_instance(rt.materialize(), expected);
+}
+
+TEST(StreamingRuntime, MaterializeMatchesBuilder) {
+  const Grid g(6);
+  const DenseMetric m(g.graph);
+  {
+    SCOPED_TRACE("bursty under AIMD");
+    StreamingRuntimeOptions opts;
+    opts.admission = {.policy = AdmissionPolicy::kAimd};
+    ArrivalStreamOptions so = small_stream(150, 2.0);
+    so.objects_per_txn = 3;
+    auto src = make_arrival_source(ArrivalModel::kBursty, g.graph, so, 5);
+    // The stream draws from objects 0..7, so 8..11 have no requesters.
+    expect_materialize_matches_builder(
+        g.graph, m, StreamingRuntime::spread_homes(g.graph, 12),
+        collect(*src), opts);
+  }
+  {
+    // Two homes for every transaction, objects given in descending order.
+    SCOPED_TRACE("shared homes");
+    Rng rng(13);
+    std::vector<ArrivingTxn> stream;
+    Time arrival = 0;
+    for (std::size_t i = 0; i < 90; ++i) {
+      ArrivingTxn in;
+      in.arrival = arrival;
+      in.home = static_cast<NodeId>(rng.uniform(0, 1));
+      for (std::size_t o : rng.sample_indices(6, 1 + i % 3)) {
+        in.objects.push_back(static_cast<ObjectId>(o));
+      }
+      std::sort(in.objects.rbegin(), in.objects.rend());
+      stream.push_back(std::move(in));
+      arrival += rng.uniform(0, 2);
+    }
+    expect_materialize_matches_builder(g.graph, m, std::vector<NodeId>(6, 3),
+                                       stream);
   }
 }
 

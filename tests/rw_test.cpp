@@ -10,6 +10,7 @@
 #include "sched/greedy.hpp"
 #include "sched/rw_greedy.hpp"
 #include "util/rng.hpp"
+#include "test_util.hpp"
 
 namespace dtm {
 namespace {
@@ -23,7 +24,7 @@ TEST(WriteSets, FractionZeroAndOne) {
   const WriteSets all = generate_write_sets(inst, 1.0, rng);
   for (TxnId t = 0; t < inst.num_transactions(); ++t) {
     EXPECT_TRUE(none[t].empty());
-    EXPECT_EQ(all[t], inst.txn(t).objects);
+    EXPECT_EQ(all[t], test::to_vector(inst.objects(t)));
   }
   EXPECT_TRUE(is_write(all, 0, inst.txn(0).objects[0]));
   EXPECT_FALSE(is_write(none, 0, inst.txn(0).objects[0]));
@@ -122,7 +123,7 @@ TEST(RwGreedy, AllWritesMatchesSingleCopyGreedy) {
       generate_uniform(c.graph, {.num_objects = 5, .objects_per_txn = 2}, rng);
   WriteSets all(inst.num_transactions());
   for (TxnId t = 0; t < inst.num_transactions(); ++t) {
-    all[t] = inst.txn(t).objects;
+    all[t] = test::to_vector(inst.objects(t));
   }
   RwGreedyOptions opts;
   opts.rule = ColoringRule::kFirstFit;
@@ -145,7 +146,7 @@ TEST(RwGreedy, ReadsMakeItFaster) {
   WriteSets reads(inst.num_transactions());  // all empty = all reads
   WriteSets writes(inst.num_transactions());
   for (TxnId t = 0; t < inst.num_transactions(); ++t) {
-    writes[t] = inst.txn(t).objects;
+    writes[t] = test::to_vector(inst.objects(t));
   }
   const RwSchedule read_s = schedule_rw_greedy(inst, reads, m);
   const RwSchedule write_s = schedule_rw_greedy(inst, writes, m);

@@ -10,6 +10,7 @@
 #include "graph/metric.hpp"
 #include "graph/topologies/line.hpp"
 #include "util/rng.hpp"
+#include "test_util.hpp"
 
 namespace dtm {
 namespace {
@@ -153,7 +154,7 @@ TEST(Precedence, CompactNeverIncreasesMakespan) {
     // Any feasible schedule: id order at earliest times, then slack it.
     std::vector<std::vector<TxnId>> orders(inst.num_objects());
     for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-      orders[o] = inst.requesters(o);
+      orders[o] = test::to_vector(inst.requesters(o));
     }
     Schedule slack = schedule_from_orders(inst, m, orders);
     for (Time& t : slack.commit_time) t = t * 3 + 7;  // preserves gaps

@@ -11,6 +11,7 @@
 #include "graph/topologies/line.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "test_util.hpp"
 
 namespace dtm {
 namespace {
@@ -140,7 +141,7 @@ TEST_P(SimulatorAgreement, ValidatorAndSimulatorAgree) {
   for (std::size_t i = 0; i < perm.size(); ++i) rank[perm[i]] = i;
   std::vector<std::vector<TxnId>> orders(inst.num_objects());
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-    orders[o] = inst.requesters(o);
+    orders[o] = test::to_vector(inst.requesters(o));
     std::sort(orders[o].begin(), orders[o].end(),
               [&](TxnId a, TxnId b) { return rank[a] < rank[b]; });
   }

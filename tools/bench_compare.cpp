@@ -11,7 +11,7 @@
 //  - counters (counted work: queries, probes, legs moved) and phase-timer
 //    means/totals diff by percentage: growth beyond --threshold percent is
 //    a regression, and so is a baseline counter the candidate no longer
-//    emits. Counters are deterministic for seeded benches; timers
+//    emits or a candidate counter the baseline lacks. Counters are deterministic for seeded benches; timers
 //    are wall-clock and need a generous threshold. --no-timers drops the
 //    timer layer entirely — use it when baseline and candidate come from
 //    different machines or runs too short to time stably (CI gates on a
@@ -235,7 +235,13 @@ int main(int argc, char** argv) {
       }
     }
     for (const auto& [name, new_v] : cand_m) {
-      if (!base_m.count(name)) table.add_row(name, "-", new_v, "-", "added");
+      if (base_m.count(name)) continue;
+      // An ungated counter: whatever it measures could grow unnoticed
+      // until the baseline is re-recorded with it.
+      const bool unrecorded =
+          name.rfind("counter/", 0) == 0 && !informational(name);
+      if (unrecorded) ++regressions;
+      table.add_row(name, "-", new_v, "-", unrecorded ? "ADDED" : "added");
     }
     if (table.rows() == 0) {
       std::cout << "no changes beyond " << threshold_pct << "% threshold ("
