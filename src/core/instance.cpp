@@ -1,6 +1,7 @@
 #include "core/instance.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -9,7 +10,7 @@ namespace dtm {
 namespace {
 
 /// Longest row of a CSR whose row ends are `end`.
-std::size_t longest_run(const std::vector<std::uint32_t>& end) {
+std::size_t longest_run(std::span<const std::uint32_t> end) {
   std::size_t best = 0;
   std::uint32_t lo = 0;
   for (std::uint32_t hi : end) {
@@ -19,14 +20,84 @@ std::size_t longest_run(const std::vector<std::uint32_t>& end) {
   return best;
 }
 
+/// Throws dtm::Error unless `home` < num_nodes and `objects` ascends
+/// strictly with every id < num_objects: the one check every row of a
+/// TxnTable passes, at append and again when an instance adopts the table.
+/// Rows are sorted before they are checked, so a pair that does not ascend
+/// is a repeated object.
+void check_txn_row(NodeId home, std::span<const ObjectId> objects,
+                   std::size_t num_nodes, std::size_t num_objects) {
+  DTM_REQUIRE(home < num_nodes, "transaction home " << home << " out of range");
+  DTM_REQUIRE(std::adjacent_find(objects.begin(), objects.end(),
+                                 std::greater_equal<>()) == objects.end(),
+              "transaction at node " << home << " requests a duplicate object");
+  DTM_REQUIRE(objects.empty() || objects.back() < num_objects,
+              "object id " << objects.back() << " out of range");
+}
+
 }  // namespace
+
+void TxnTable::reserve(std::size_t rows, std::size_t entries) {
+  home_.reserve(rows);
+  object_end_.reserve(rows);
+  object_ids_.reserve(entries);
+}
+
+TxnId TxnTable::append(NodeId home, std::span<const ObjectId> objects,
+                       std::size_t num_nodes, std::size_t num_objects) {
+  // TxnIds stay below kInvalidTxn, and the 32-bit row ends cannot wrap.
+  DTM_REQUIRE(home_.size() < kInvalidTxn,
+              "transaction table is full: " << home_.size() << " rows");
+  DTM_REQUIRE(object_ids_.size() + objects.size() <=
+                  std::numeric_limits<std::uint32_t>::max(),
+              "transaction table is full: " << object_ids_.size()
+                                            << " object-set entries");
+  // Append, then sort and check in place; a rejected set is cut off again.
+  const std::size_t lo = object_ids_.size();
+  object_ids_.insert(object_ids_.end(), objects.begin(), objects.end());
+  const std::span<ObjectId> row(object_ids_.data() + lo, objects.size());
+  std::sort(row.begin(), row.end());
+  try {
+    check_txn_row(home, row, num_nodes, num_objects);
+  } catch (const Error&) {
+    object_ids_.resize(lo);
+    throw;
+  }
+  const auto id = static_cast<TxnId>(home_.size());
+  home_.push_back(home);
+  object_end_.push_back(static_cast<std::uint32_t>(object_ids_.size()));
+  return id;
+}
+
+void Instance::adopt(std::shared_ptr<const TxnTable> txns) {
+  txns_ = std::move(txns);
+  home_ = txns_->home_;
+  object_end_ = txns_->object_end_.data();
+  object_ids_ = txns_->object_ids_.data();
+  // Counting sort: end[o] first counts o's requesters, then holds the
+  // start of o's run, which the scatter (in id order, so each run
+  // ascends) advances to its end.
+  std::vector<std::uint32_t>& end = requester_end_;
+  end.assign(object_home_.size(), 0);
+  for (ObjectId o : txns_->object_ids_) ++end[o];
+  std::uint32_t at = 0;
+  for (std::uint32_t& e : end) {
+    const std::uint32_t count = e;
+    e = at;
+    at += count;
+  }
+  requester_ids_.resize(txns_->object_ids_.size());
+  for (TxnId t = 0; t < home_.size(); ++t) {
+    for (ObjectId o : objects(t)) requester_ids_[end[o]++] = t;
+  }
+}
 
 std::size_t Instance::max_requesters() const {
   return longest_run(requester_end_);
 }
 
 std::size_t Instance::max_objects_per_txn() const {
-  return longest_run(object_end_);
+  return longest_run({object_end_, home_.size()});
 }
 
 std::string Instance::describe() const {
@@ -80,55 +151,60 @@ InstanceBuilder::InstanceBuilder(const Graph& graph, std::size_t num_objects) {
   inst_.txn_at_node_.assign(graph.num_nodes(), kInvalidTxn);
 }
 
+Instance InstanceBuilder::share(const Graph& graph,
+                                std::shared_ptr<const TxnTable> txns,
+                                std::vector<NodeId> object_home) {
+  DTM_REQUIRE(txns, "no transaction table to share");
+  const std::size_t n = graph.num_nodes();
+  for (NodeId v : object_home) {
+    DTM_REQUIRE(v < n, "object home out of range");
+  }
+  Instance inst;
+  inst.graph_ = &graph;
+  inst.object_home_ = std::move(object_home);
+  inst.txn_at_node_.assign(n, kInvalidTxn);
+  for (TxnId t = 0; t < txns->size(); ++t) {
+    const NodeId home = txns->home(t);
+    check_txn_row(home, txns->objects(t), n, inst.object_home_.size());
+    if (inst.txn_at_node_[home] == kInvalidTxn) inst.txn_at_node_[home] = t;
+  }
+  inst.adopt(std::move(txns));
+  return inst;
+}
+
+void InstanceBuilder::check_unspent() const {
+  DTM_REQUIRE(txns_, "InstanceBuilder used after build()");
+}
+
 InstanceBuilder& InstanceBuilder::allow_shared_homes() {
+  check_unspent();
   shared_homes_ = true;
   return *this;
 }
 
 InstanceBuilder& InstanceBuilder::reserve(std::size_t num_transactions,
                                           std::size_t object_entries) {
-  inst_.home_.reserve(num_transactions);
-  inst_.object_end_.reserve(num_transactions);
-  inst_.object_ids_.reserve(object_entries);
+  check_unspent();
+  txns_->reserve(num_transactions, object_entries);
   return *this;
 }
 
 TxnId InstanceBuilder::add_transaction(NodeId home,
                                        std::span<const ObjectId> objects) {
-  DTM_REQUIRE(home < inst_.graph_->num_nodes(),
-              "transaction home " << home << " out of range");
-  DTM_REQUIRE(shared_homes_ || inst_.txn_at_node_[home] == kInvalidTxn,
-              "node " << home << " already hosts transaction "
-                      << inst_.txn_at_node_[home]);
-  // TxnIds stay below kInvalidTxn, and the 32-bit CSR ends cannot wrap.
-  std::vector<ObjectId>& ids = inst_.object_ids_;
-  DTM_REQUIRE(inst_.home_.size() < kInvalidTxn,
-              "instance is full: " << inst_.home_.size() << " transactions");
-  DTM_REQUIRE(ids.size() + objects.size() <=
-                  std::numeric_limits<std::uint32_t>::max(),
-              "instance is full: " << ids.size() << " object-set entries");
-  // Append, then sort and check in place; a rejected set is cut off again.
-  const std::size_t lo = ids.size();
-  ids.insert(ids.end(), objects.begin(), objects.end());
-  const auto first = ids.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::sort(first, ids.end());
-  const bool duplicate = std::adjacent_find(first, ids.end()) != ids.end();
-  const auto foreign = std::lower_bound(
-      first, ids.end(), static_cast<ObjectId>(inst_.object_home_.size()));
-  const bool in_range = foreign == ids.end();
-  const ObjectId bad = in_range ? 0 : *foreign;
-  if (duplicate || !in_range) ids.resize(lo);
-  DTM_REQUIRE(!duplicate,
-              "transaction at node " << home << " requests a duplicate object");
-  DTM_REQUIRE(in_range, "object id " << bad << " out of range");
-  const auto id = static_cast<TxnId>(inst_.home_.size());
-  inst_.home_.push_back(home);
-  inst_.object_end_.push_back(static_cast<std::uint32_t>(ids.size()));
-  if (inst_.txn_at_node_[home] == kInvalidTxn) inst_.txn_at_node_[home] = id;
+  check_unspent();
+  // append() rejects a home out of range; only one in range has a slot.
+  std::vector<TxnId>& slot = inst_.txn_at_node_;
+  const bool taken = home < slot.size() && slot[home] != kInvalidTxn;
+  DTM_REQUIRE(shared_homes_ || !taken,
+              "node " << home << " already hosts transaction " << slot[home]);
+  const TxnId id =
+      txns_->append(home, objects, slot.size(), inst_.object_home_.size());
+  if (slot[home] == kInvalidTxn) slot[home] = id;
   return id;
 }
 
 void InstanceBuilder::set_object_home(ObjectId o, NodeId home) {
+  check_unspent();
   DTM_REQUIRE(o < inst_.object_home_.size(),
               "object id " << o << " out of range");
   DTM_REQUIRE(home < inst_.graph_->num_nodes(), "object home out of range");
@@ -136,22 +212,8 @@ void InstanceBuilder::set_object_home(ObjectId o, NodeId home) {
 }
 
 Instance InstanceBuilder::build() {
-  // Counting sort: end[o] first counts o's requesters, then holds the
-  // start of o's run, which the scatter (in id order, so each run
-  // ascends) advances to its end.
-  std::vector<std::uint32_t>& end = inst_.requester_end_;
-  end.assign(inst_.object_home_.size(), 0);
-  for (ObjectId o : inst_.object_ids_) ++end[o];
-  std::uint32_t at = 0;
-  for (std::uint32_t& e : end) {
-    const std::uint32_t count = e;
-    e = at;
-    at += count;
-  }
-  inst_.requester_ids_.resize(inst_.object_ids_.size());
-  for (TxnId t = 0; t < inst_.home_.size(); ++t) {
-    for (ObjectId o : inst_.objects(t)) inst_.requester_ids_[end[o]++] = t;
-  }
+  check_unspent();
+  inst_.adopt(std::move(txns_));
   return std::move(inst_);
 }
 

@@ -3,17 +3,21 @@
 // transactions — at most one per node — each requesting a subset of the
 // objects.
 //
-// Storage is flat CSR, the layout of StreamingRuntime's transcript: one
-// home per transaction, every object set back to back in one id array
-// (transaction t's ids end at object_end_[t] and start where t - 1's end),
-// and the inverse — each object's requesters — the same way. An instance
-// of B transactions with k objects each costs about 4 + 8k bytes per
-// transaction plus 4 per object and per node, with no per-transaction
-// allocation.
+// Storage is flat CSR. The transactions live in a TxnTable: one home per
+// transaction and every object set back to back in one id array
+// (transaction t's ids end at object_end[t] and start where t - 1's end).
+// An Instance holds its table through a shared pointer, so copies of the
+// instance share it, and StreamingRuntime::materialize() hands over the
+// runtime's own transcript without copying it. The inverse — each
+// object's requesters — is per instance, laid out the same way. A table of
+// B transactions with k objects each costs about 8 + 4k bytes per
+// transaction; the requester lists add 4k more, plus 4 per object and per
+// node, with no per-transaction allocation.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <ranges>
 #include <span>
 #include <string>
@@ -48,7 +52,54 @@ struct TxnRef {
   }
 };
 
-/// Immutable batch problem. Construct via InstanceBuilder.
+/// Row i of a CSR whose row ends are `end` (row i - 1 ends where row i
+/// starts).
+template <class T>
+std::span<const T> csr_row(const T* ids, const std::uint32_t* end,
+                           std::size_t i) {
+  const std::size_t lo = i == 0 ? 0 : end[i - 1];
+  return {ids + lo, ids + end[i]};
+}
+
+/// The per-transaction arrays of an instance or a stream transcript, flat
+/// CSR and append-only: transaction t sits at home(t) and requests
+/// objects(t), ascending. Instances share one table read-only
+/// (std::shared_ptr<const TxnTable>); whoever appends must hold the only
+/// reference.
+class TxnTable {
+ public:
+  std::size_t size() const { return home_.size(); }
+
+  NodeId home(TxnId t) const {
+    DTM_ASSERT(t < home_.size());
+    return home_[t];
+  }
+  std::span<const ObjectId> objects(TxnId t) const {
+    DTM_ASSERT(t < home_.size());
+    return csr_row(object_ids_.data(), object_end_.data(), t);
+  }
+
+  void reserve(std::size_t rows, std::size_t entries);
+
+  /// Appends a transaction at `home` requesting `objects` (any order): the
+  /// set is sorted in place, then the row is checked (home < num_nodes, no
+  /// object twice, every id < num_objects). A rejected row, or one that
+  /// would overflow the id space or the 32-bit row ends, leaves the table
+  /// unchanged. Returns the new row's id.
+  TxnId append(NodeId home, std::span<const ObjectId> objects,
+               std::size_t num_nodes, std::size_t num_objects);
+
+ private:
+  friend class Instance;
+
+  std::vector<NodeId> home_;
+  std::vector<std::uint32_t> object_end_;
+  std::vector<ObjectId> object_ids_;
+};
+
+/// Immutable batch problem. Construct via InstanceBuilder. Copies share
+/// the transaction table; a default-constructed Instance has no
+/// transactions.
 class Instance {
  public:
   const Graph& graph() const { return *graph_; }
@@ -63,7 +114,7 @@ class Instance {
   /// Objects transaction t requests, ascending.
   std::span<const ObjectId> objects(TxnId t) const {
     DTM_ASSERT(t < home_.size());
-    return run(object_ids_, object_end_, t);
+    return csr_row(object_ids_, object_end_, t);
   }
   TxnRef txn(TxnId t) const { return {t, home(t), objects(t)}; }
   /// Every transaction as a TxnRef, in id order.
@@ -82,7 +133,7 @@ class Instance {
   /// (The paper's A_i; |A_i| = ℓ_i.)
   std::span<const TxnId> requesters(ObjectId o) const {
     DTM_ASSERT(o < object_home_.size());
-    return run(requester_ids_, requester_end_, o);
+    return csr_row(requester_ids_.data(), requester_end_.data(), o);
   }
 
   /// max_i |A_i| — the paper's ℓ (0 when no object is requested).
@@ -103,19 +154,18 @@ class Instance {
  private:
   friend class InstanceBuilder;
 
-  /// Row i of a CSR whose row ends are `end`.
-  template <class T>
-  static std::span<const T> run(const std::vector<T>& ids,
-                                const std::vector<std::uint32_t>& end,
-                                std::size_t i) {
-    const std::size_t lo = i == 0 ? 0 : end[i - 1];
-    return {ids.data() + lo, ids.data() + end[i]};
-  }
+  /// Takes `txns` (rows already checked) as the transactions and fills the
+  /// requester lists with one count pass, at exact size.
+  void adopt(std::shared_ptr<const TxnTable> txns);
 
   const Graph* graph_ = nullptr;
-  std::vector<NodeId> home_;
-  std::vector<std::uint32_t> object_end_;
-  std::vector<ObjectId> object_ids_;
+  std::shared_ptr<const TxnTable> txns_;
+  // Views of *txns_, taken once in adopt(): the table never changes while
+  // it is shared, so home() and objects() read them without a hop through
+  // txns_.
+  std::span<const NodeId> home_;
+  const std::uint32_t* object_end_ = nullptr;
+  const ObjectId* object_ids_ = nullptr;
   std::vector<std::uint32_t> requester_end_;
   std::vector<TxnId> requester_ids_;
   std::vector<NodeId> object_home_;
@@ -138,10 +188,20 @@ class RequesterPermutationCheck {
 };
 
 /// Checks and assembles an Instance. The graph must outlive the instance.
+/// Every call on a builder after its build() throws dtm::Error.
 class InstanceBuilder {
  public:
   /// `num_objects` = w. Object homes default to node 0 until set.
   InstanceBuilder(const Graph& graph, std::size_t num_objects);
+
+  /// An instance over `txns` as it stands, shared rather than copied. Each
+  /// row is checked as TxnTable::append checks it, against `graph` and the
+  /// object_home.size() objects; homes may repeat as under
+  /// allow_shared_homes(), and the requester lists are built. Nothing may
+  /// append to the table while the instance or a copy of it lives.
+  static Instance share(const Graph& graph,
+                        std::shared_ptr<const TxnTable> txns,
+                        std::vector<NodeId> object_home);
 
   /// Lifts the one-transaction-per-node restriction. The batch model (§2.1)
   /// pins at most one transaction to a node, but a *stream* materialized as
@@ -173,7 +233,11 @@ class InstanceBuilder {
   Instance build();
 
  private:
+  /// Throws once build() has handed the instance over.
+  void check_unspent() const;
+
   Instance inst_;
+  std::shared_ptr<TxnTable> txns_ = std::make_shared<TxnTable>();
   bool shared_homes_ = false;
 };
 

@@ -30,8 +30,9 @@ struct Schedule {
   Time makespan() const;
 
   /// Derives object orders by sorting each object's requesters by commit
-  /// time (ties broken by TxnId; feasible schedules never have ties among
-  /// requesters of one object since they are at distinct nodes).
+  /// time (ties broken by TxnId). Feasible schedules have no ties among
+  /// requesters of one object: consecutive visits are hop_steps >= 1 apart,
+  /// shared homes included.
   static Schedule from_commit_times(const Instance& inst,
                                     std::vector<Time> commit_time);
 };

@@ -1,7 +1,6 @@
 #include "sim/runtime.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "sim/engine.hpp"
@@ -29,6 +28,7 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
     : g_(&g),
       metric_(&metric),
       opts_(opts),
+      txns_(std::make_shared<TxnTable>()),
       object_home_(std::move(object_home)),
       placer_(object_home_),
       shard_map_(make_shard_map(g, std::max<std::size_t>(opts.shards, 1))),
@@ -65,35 +65,18 @@ TxnId StreamingRuntime::ingest(const ArrivingTxn& txn) {
   DTM_REQUIRE(txn.arrival >= stats_.last_arrival,
               "arrivals must be non-decreasing (got "
                   << txn.arrival << " after " << stats_.last_arrival << ")");
-  DTM_REQUIRE(txn.home < g_->num_nodes(), "transaction home out of range");
-  std::vector<ObjectId>& objects = object_scratch_;
-  objects.assign(txn.objects.begin(), txn.objects.end());
-  std::sort(objects.begin(), objects.end());
-  DTM_REQUIRE(std::adjacent_find(objects.begin(), objects.end()) ==
-                  objects.end(),
-              "transaction requests a duplicate object");
-  for (ObjectId o : objects) {
-    DTM_REQUIRE(o < object_home_.size(),
-                "object id " << o << " out of range");
-  }
-  // Runtime ids stay below kInvalidTxn, and object_end_ offsets fit in 32
-  // bits.
-  DTM_REQUIRE(home_.size() < kInvalidTxn,
-              "stream is full: " << home_.size() << " transactions");
-  DTM_REQUIRE(object_ids_.size() + objects.size() <=
-                  std::numeric_limits<std::uint32_t>::max(),
-              "stream is full: " << object_ids_.size()
-                                 << " object-set entries");
+  // Copy on write: a materialized instance still shares the transcript.
+  // The count cannot rise under this check, since only materialize() hands
+  // the table out and the runtime is single-threaded.
+  if (txns_.use_count() > 1) txns_ = std::make_shared<TxnTable>(*txns_);
+  const TxnId id = txns_->append(txn.home, txn.objects, g_->num_nodes(),
+                                 object_home_.size());
 
   // Windows that provably closed before this arrival flush first, so the
   // new transaction never joins a window earlier arrivals already fixed.
   close_windows_through(txn.arrival);
 
-  const auto id = static_cast<TxnId>(home_.size());
-  dep_.add_txn(id, txn.home, objects);
-  home_.push_back(txn.home);
-  object_ids_.insert(object_ids_.end(), objects.begin(), objects.end());
-  object_end_.push_back(static_cast<std::uint32_t>(object_ids_.size()));
+  dep_.add_txn(id, txn.home, objects_of(id));
   arrival_.push_back(txn.arrival);
   commit_.push_back(0);
 
@@ -223,7 +206,7 @@ void StreamingRuntime::schedule_window(Time close,
   // The window step OnlineBatchScheduler runs too: the batch's own
   // dependency graph, colored by the §2.3 greedy and placed after the live
   // horizon.
-  const auto home = [&](TxnId t) { return home_[t]; };
+  const auto home = [&](TxnId t) { return txns_->home(t); };
   const auto objects = [&](TxnId t) { return objects_of(t); };
   const WindowStep step =
       window_step(placer_, *metric_, batch, close, opts_.rule, home, objects);
@@ -397,16 +380,7 @@ const StreamStats& StreamingRuntime::drain() {
 }
 
 Instance StreamingRuntime::materialize() const {
-  // Exact reservations: the instance's arrays carry no growth slack.
-  InstanceBuilder b(*g_, object_home_.size());
-  b.allow_shared_homes().reserve(home_.size(), object_ids_.size());
-  for (TxnId t = 0; t < home_.size(); ++t) {
-    b.add_transaction(home_[t], objects_of(t));
-  }
-  for (ObjectId o = 0; o < object_home_.size(); ++o) {
-    b.set_object_home(o, object_home_[o]);
-  }
-  return b.build();
+  return InstanceBuilder::share(*g_, txns_, object_home_);
 }
 
 Schedule StreamingRuntime::schedule() const {

@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <span>
 #include <string>
@@ -173,9 +174,12 @@ class StreamingRuntime {
 
   // --- materialized results (tests, replay, validation) ---------------
   /// The ingested stream as a (shared-homes) batch Instance. The instance
-  /// has the transcript's flat layout, so this copies the home and object
-  /// arrays at exact size and adds the requester lists: about 23 MiB per
-  /// 10⁶ k = 2 transactions.
+  /// shares the transcript's transaction table instead of copying it; it
+  /// adds only the requester lists and node slots (about 8 MiB per 10⁶
+  /// k = 2 transactions). While it (or a copy) lives, the next ingest()
+  /// copies the table before appending, so the instance never changes.
+  /// Copies may be read on any thread; like the runtime itself, release
+  /// them on the runtime's thread or between its calls.
   Instance materialize() const;
   /// Planned commit times + per-object visit chains over the stream. The
   /// chains are derived here from the commit times (placed_object_orders):
@@ -217,23 +221,20 @@ class StreamingRuntime {
 
   /// Transaction t's object set, ascending.
   std::span<const ObjectId> objects_of(TxnId t) const {
-    const std::size_t lo = t == 0 ? 0 : object_end_[t - 1];
-    return {object_ids_.data() + lo, object_ids_.data() + object_end_[t]};
+    return txns_->objects(t);
   }
 
   // Stream transcript (runtime ids are dense, in arrival order). It stays
   // O(stream): schedule(), materialize() and arrivals() read all of it.
-  // Object sets are flat CSR, as in Instance: t's ids end at
-  // object_end_[t] and start where t - 1's end (32-bit offsets; ingest()
-  // refuses a stream that would wrap them). The per-object visit chains are not stored:
-  // schedule() derives them from commit_ and the object sets (see
+  // Homes and object sets sit in a TxnTable (flat CSR, as in Instance),
+  // which materialize() shares with the instances it returns; ingest()
+  // appends in place while the runtime holds the only reference, and
+  // copies the table first otherwise. The per-object visit chains are not
+  // stored: schedule() derives them from commit_ and the object sets (see
   // WindowPlacer).
-  std::vector<NodeId> home_;
-  std::vector<std::uint32_t> object_end_;
-  std::vector<ObjectId> object_ids_;
+  std::shared_ptr<TxnTable> txns_;
   ArrivalTimes arrival_;
   std::vector<Time> commit_;
-  std::vector<ObjectId> object_scratch_;  // ingest's sort/validate buffer
 
   std::vector<NodeId> object_home_;  // initial placement
   WindowPlacer placer_;              // tail positions, horizon

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "core/generators.hpp"
 #include "core/instance.hpp"
@@ -69,6 +71,123 @@ TEST(InstanceBuilder, RejectedTransactionLeavesBuilderUnchanged) {
   EXPECT_EQ(test::to_vector(inst.objects(0)), (std::vector<ObjectId>{1, 2}));
   EXPECT_EQ(test::to_vector(inst.objects(1)), (std::vector<ObjectId>{0}));
   EXPECT_EQ(test::to_vector(inst.requesters(0)), (std::vector<TxnId>{1}));
+}
+
+TEST(InstanceBuilder, SpentBuilderThrows) {
+  const Clique c(3);
+  InstanceBuilder b(c.graph, 2);
+  b.add_transaction(0, {1});
+  const Instance inst = b.build();
+  EXPECT_THROW(b.add_transaction(1, {0}), Error);
+  EXPECT_THROW(b.set_object_home(0, 1), Error);
+  EXPECT_THROW(b.build(), Error);
+  EXPECT_THROW(b.reserve(4), Error);
+  EXPECT_THROW(b.allow_shared_homes(), Error);
+  // The built instance is untouched by the rejected calls.
+  ASSERT_EQ(inst.num_transactions(), 1u);
+  EXPECT_EQ(test::to_vector(inst.objects(0)), (std::vector<ObjectId>{1}));
+  EXPECT_EQ(inst.object_home(0), 0u);
+}
+
+TEST(Instance, DefaultConstructedIsEmpty) {
+  const Instance inst;
+  EXPECT_EQ(inst.num_transactions(), 0u);
+  EXPECT_EQ(inst.num_objects(), 0u);
+  EXPECT_TRUE(std::ranges::empty(inst.transactions()));
+}
+
+Instance three_txn_instance(const Graph& g) {
+  InstanceBuilder b(g, 3);
+  b.add_transaction(0, {2, 0});
+  b.add_transaction(1, {1});
+  b.add_transaction(3, {0, 1, 2});
+  b.set_object_home(2, 2);
+  return b.build();
+}
+
+TEST(Instance, CopiesShareTheTransactionTable) {
+  const Clique c(4);
+  const Instance a = three_txn_instance(c.graph);
+  const Instance b = a;
+  Instance d;
+  d = b;
+  for (TxnId t = 0; t < a.num_transactions(); ++t) {
+    EXPECT_EQ(b.objects(t).data(), a.objects(t).data()) << "T" << t;
+    EXPECT_EQ(d.objects(t).data(), a.objects(t).data()) << "T" << t;
+  }
+  test::expect_same_instance(b, a);
+  test::expect_same_instance(d, a);
+  // A copy outlives the original and keeps the table alive.
+  auto original = std::make_unique<Instance>(three_txn_instance(c.graph));
+  const Instance kept = *original;
+  original.reset();
+  test::expect_same_instance(kept, a);
+}
+
+// share() adopts a table without copying it and checks every row against
+// the instance's own graph and object count.
+TEST(InstanceBuilder, ShareAdoptsTheTableAndChecksRows) {
+  const Clique c(4);
+  auto txns = std::make_shared<TxnTable>();
+  txns->append(1, std::vector<ObjectId>{2, 0}, 4, 3);
+  txns->append(1, std::vector<ObjectId>{1}, 4, 3);  // a shared home
+  txns->append(3, std::vector<ObjectId>{}, 4, 3);
+  const Instance inst = InstanceBuilder::share(c.graph, txns, {0, 2, 3});
+  EXPECT_EQ(inst.objects(0).data(), txns->objects(0).data());
+  EXPECT_EQ(txns.use_count(), 2);
+  InstanceBuilder b(c.graph, 3);
+  b.allow_shared_homes();
+  b.add_transaction(1, {0, 2});
+  b.add_transaction(1, {1});
+  b.add_transaction(3, {});
+  b.set_object_home(1, 2);
+  b.set_object_home(2, 3);
+  test::expect_same_instance(inst, b.build());
+
+  EXPECT_THROW(InstanceBuilder::share(c.graph, txns, {0, 2}), Error);
+  EXPECT_THROW(InstanceBuilder::share(Clique(3).graph, txns, {0, 0, 0}),
+               Error);
+  EXPECT_THROW(InstanceBuilder::share(c.graph, txns, {0, 0, 4}), Error);
+  EXPECT_THROW(InstanceBuilder::share(c.graph, nullptr, {}), Error);
+}
+
+// Eight threads copy one instance and read their copies at once; the
+// copies share the table and its reference count. Run under
+// ThreadSanitizer in CI.
+TEST(Instance, ConcurrentCopiesReadOneTable) {
+  const Grid g(8);
+  Rng rng(3);
+  const Instance shared = generate_uniform(
+      g.graph, {.num_objects = 16, .objects_per_txn = 3}, rng);
+  ASSERT_GT(shared.num_transactions(), 0u);
+  std::size_t expected = 0;
+  for (const TxnRef t : shared.transactions()) {
+    expected += t.home;
+    for (ObjectId o : t.objects) expected += o;
+  }
+  constexpr int kThreads = 8;
+  std::vector<std::size_t> sums(kThreads, 0);
+  std::vector<char> aliased(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (int round = 0; round < 50; ++round) {
+        const Instance mine = shared;
+        std::size_t sum = 0;
+        for (const TxnRef t : mine.transactions()) {
+          sum += t.home;
+          for (ObjectId o : t.objects) sum += o;
+        }
+        sums[i] = sum;
+        aliased[i] = mine.objects(0).data() == shared.objects(0).data();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(sums[i], expected) << i;
+    EXPECT_TRUE(aliased[i]) << i;
+  }
 }
 
 // The flat arrays against a per-transaction reference: k = 0..4, objects

@@ -412,8 +412,9 @@ TEST(StreamingRuntime, VisitChainsFollowCommitTimes) {
   }
 }
 
-// materialize() copies the transcript into the instance; it must hold
-// exactly what an InstanceBuilder makes of the same arrivals.
+// materialize() hands the runtime's transcript to the instance and builds
+// only the requester lists; the instance must hold exactly what an
+// InstanceBuilder makes of the same arrivals.
 void expect_materialize_matches_builder(const Graph& g, const Metric& m,
                                         std::vector<NodeId> object_home,
                                         const std::vector<ArrivingTxn>& stream,
@@ -467,6 +468,71 @@ TEST(StreamingRuntime, MaterializeMatchesBuilder) {
     expect_materialize_matches_builder(g.graph, m, std::vector<NodeId>(6, 3),
                                        stream);
   }
+}
+
+// The builder-built batch of a stream's first `n` arrivals (shared homes).
+Instance builder_prefix(const Graph& g, const std::vector<NodeId>& object_home,
+                        const std::vector<ArrivingTxn>& stream, std::size_t n) {
+  InstanceBuilder b(g, object_home.size());
+  b.allow_shared_homes();
+  for (std::size_t i = 0; i < n; ++i) {
+    b.add_transaction(stream[i].home, stream[i].objects);
+  }
+  for (ObjectId o = 0; o < object_home.size(); ++o) {
+    b.set_object_home(o, object_home[o]);
+  }
+  return b.build();
+}
+
+TEST(StreamingRuntime, MaterializeSharesTheTranscript) {
+  const Grid g(6);
+  const DenseMetric m(g.graph);
+  StreamingRuntime rt(g.graph, m, StreamingRuntime::spread_homes(g.graph, 8));
+  auto src = make_arrival_source(ArrivalModel::kPoisson, g.graph,
+                                 small_stream(60, 1.5), 2);
+  rt.ingest_all(*src);
+  const Instance a = rt.materialize();
+  const Instance b = rt.materialize();
+  ASSERT_EQ(a.num_transactions(), 60u);
+  EXPECT_EQ(a.objects(0).data(), b.objects(0).data());
+  rt.drain();  // drain() schedules but appends nothing
+  EXPECT_EQ(rt.materialize().objects(0).data(), a.objects(0).data());
+}
+
+// An instance materialized mid-stream is a snapshot: later ingests copy the
+// transcript before appending (enough of them to reallocate every array),
+// so its spans stay valid and its contents stay the prefix it was taken
+// at. Run under ASan/UBSan in CI.
+TEST(StreamingRuntime, MaterializedInstanceSurvivesLaterIngests) {
+  const Grid g(6);
+  const DenseMetric m(g.graph);
+  const std::vector<NodeId> homes = StreamingRuntime::spread_homes(g.graph, 8);
+  StreamingRuntimeOptions opts;
+  opts.admission = {.policy = AdmissionPolicy::kAimd};
+  auto src = make_arrival_source(ArrivalModel::kBursty, g.graph,
+                                 small_stream(600, 2.0), 9);
+  const std::vector<ArrivingTxn> stream = collect(*src);
+  StreamingRuntime rt(g.graph, m, homes, opts);
+  constexpr std::size_t kPrefix = 40;
+  for (std::size_t i = 0; i < kPrefix; ++i) rt.ingest(stream[i]);
+  const Instance early = rt.materialize();
+  const ObjectId* early_ids = early.objects(0).data();
+  const Instance expected = builder_prefix(g.graph, homes, stream, kPrefix);
+
+  for (std::size_t i = kPrefix; i < stream.size(); ++i) rt.ingest(stream[i]);
+  EXPECT_EQ(early.objects(0).data(), early_ids);
+  test::expect_same_instance(early, expected);
+  const Instance late = rt.materialize();
+  EXPECT_NE(late.objects(0).data(), early_ids);  // the copy, not the snapshot
+  test::expect_same_instance(
+      late, builder_prefix(g.graph, homes, stream, stream.size()));
+
+  rt.drain();
+  EXPECT_EQ(early.objects(0).data(), early_ids);
+  test::expect_same_instance(early, expected);
+  EXPECT_TRUE(validate_online(rt.materialize(), m, rt.arrivals(),
+                              rt.schedule())
+                  .ok);
 }
 
 TEST(StreamingRuntime, DeterministicAcrossRuns) {
@@ -542,6 +608,29 @@ TEST(StreamingRuntime, RejectsOutOfOrderAndLateIngest) {
   EXPECT_THROW(rt.ingest({.arrival = 5, .home = 2, .objects = {1}}), Error);
   rt.drain();
   EXPECT_THROW(rt.ingest({.arrival = 20, .home = 2, .objects = {1}}), Error);
+}
+
+// Malformed rows are rejected before any window flushes, and a rejected
+// ingest leaves the transcript as it was.
+TEST(StreamingRuntime, RejectsMalformedRowsUnchanged) {
+  const Grid g(4);
+  const DenseMetric m(g.graph);
+  StreamingRuntime rt(g.graph, m, StreamingRuntime::spread_homes(g.graph, 4));
+  EXPECT_EQ(rt.ingest({.arrival = 0, .home = 1, .objects = {2, 0}}), 0u);
+  const std::vector<ArrivingTxn> bad = {
+      {.arrival = 40, .home = 16, .objects = {1}},      // home
+      {.arrival = 40, .home = 2, .objects = {3, 1, 3}},  // duplicate
+      {.arrival = 40, .home = 2, .objects = {1, 4}}};    // object id
+  for (const ArrivingTxn& t : bad) {
+    EXPECT_THROW(rt.ingest(t), Error);
+    EXPECT_EQ(rt.stats().arrived, 1u);
+    EXPECT_EQ(rt.stats().windows, 0u);  // the window at step 16 stays open
+  }
+  EXPECT_EQ(rt.ingest({.arrival = 1, .home = 1, .objects = {3}}), 1u);
+  const Instance inst = rt.materialize();
+  ASSERT_EQ(inst.num_transactions(), 2u);
+  EXPECT_EQ(test::to_vector(inst.objects(0)), (std::vector<ObjectId>{0, 2}));
+  EXPECT_EQ(test::to_vector(inst.objects(1)), (std::vector<ObjectId>{3}));
 }
 
 TEST(StreamingRuntime, EmptyStreamDrainsClean) {
