@@ -103,20 +103,21 @@ ShardMap make_shard_map(const Graph& g, std::size_t num_shards) {
 
 std::vector<NodeId> shard_aligned_homes(const ShardMap& map,
                                         std::size_t num_objects) {
-  // Object o goes to shard s = o mod S, at pool index (o / S) mod |pool|:
-  // s and each shard's pool index advance as wrap-around counters, so no
-  // object pays a division.
-  const auto nodes = map.members();
-  std::vector<std::size_t> next(map.num_shards, 0);
+  // Shard s takes objects s, s + S, s + 2S, ..., round robin over its
+  // pool: object o lands at pool index (o / S) mod |pool|. Each pool that
+  // receives an object is checked once, before its objects are filled.
+  const auto pools = map.members();
+  const std::size_t S = map.num_shards;
   std::vector<NodeId> homes(num_objects);
-  std::size_t s = 0;
-  for (NodeId& home : homes) {
-    const auto& pool = nodes[s];
+  for (std::size_t s = 0; s < std::min(S, num_objects); ++s) {
+    const std::vector<NodeId>& pool = pools[s];
     DTM_REQUIRE(!pool.empty(),
                 "shard " << s << " has no nodes to home objects");
-    home = pool[next[s]];
-    if (++next[s] == pool.size()) next[s] = 0;
-    if (++s == map.num_shards) s = 0;
+    std::size_t next = 0;
+    for (std::size_t o = s; o < num_objects; o += S) {
+      homes[o] = pool[next];
+      if (++next == pool.size()) next = 0;
+    }
   }
   return homes;
 }

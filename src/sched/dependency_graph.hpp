@@ -69,7 +69,7 @@ enum class EdgeWeighing {
   kFromBothEnds,
   /// Each edge is queried once, from its lower end, and the upper end
   /// copies the weight. Window builds use this, so a stream queries each
-  /// of its conflict edges once (see IncrementalConflictGraph).
+  /// edge of its window graphs once (see window_step, sched/online.hpp).
   kOnce,
 };
 
@@ -253,113 +253,5 @@ DependencyGraph build_dependency_graph(const Instance& inst,
 /// Convenience overload over all transactions.
 DependencyGraph build_dependency_graph(const Instance& inst,
                                        const Metric& metric);
-
-/// The stream's conflict tally (sim/runtime.hpp): per object, the live —
-/// added, not retired — requesters, and the count and heaviest weight of
-/// the edges H gains under arrival. It stores no edges. A scheduling
-/// window is a FIFO run of unplaced ids, so its H is the batch-local graph,
-/// built from the window's own object sets by build_dependency_graph.
-///
-/// add_txn() counts an edge from the new transaction to every live
-/// requester of its objects; retire() takes a committed transaction off
-/// the live lists, so later arrivals stop conflicting with it. Each
-/// counted edge is weighed exactly once, by one of three queries: add_txn()
-/// weighs the edges to partners already placed; a placed window's graph
-/// weighed the edges among its members (place_window() takes its heaviest
-/// edge); place_window() weighs the edges from the window's members to the
-/// later arrivals still unplaced. State is sized by the live transactions,
-/// never by the stream length or by their conflicts.
-class IncrementalConflictGraph {
- public:
-  IncrementalConflictGraph(const Metric& metric, std::size_t num_objects);
-
-  /// Registers transaction `t` (ids must arrive dense, in order: the next
-  /// expected id is num_txns()) homed at `home` touching `objects`
-  /// (strictly ascending, in range) and counts its edges. Every argument
-  /// is checked before any state changes, so a rejected call throws
-  /// dtm::Error and leaves the tally as it was.
-  void add_txn(TxnId t, NodeId home, std::span<const ObjectId> objects);
-
-  /// Marks `t` committed: it leaves the live requester lists of its
-  /// `objects` (which must be the set it was added with).
-  void retire(TxnId t, std::span<const ObjectId> objects);
-
-  /// Declares `window` placed: the next run of unplaced ids, ascending,
-  /// whose dependency graph weighed the edges among them, the heaviest
-  /// `inner_weight`. `home(t)` and `objects(t)` are member t's node and
-  /// object set.
-  template <class HomeOf, class ObjectsOf>
-  void place_window(std::span<const TxnId> window, Weight inner_weight,
-                    const HomeOf& home, const ObjectsOf& objects);
-
-  std::size_t num_txns() const { return num_txns_; }
-  /// Undirected edges counted so far, retired ones included.
-  std::size_t num_edges() const { return num_edges_; }
-  /// Heaviest edge weighed so far.
-  Weight max_edge_weight() const { return max_w_; }
-  /// Live (added, not retired) transactions.
-  std::size_t live() const { return live_; }
-  /// Bytes the live requester lists hold at their capacities (each list
-  /// keeps the capacity of its longest run of live requesters).
-  std::size_t requester_bytes() const;
-
- private:
-  /// A live requester of an object, with its home so the tally can weigh
-  /// edges without a per-transaction home table.
-  struct Requester {
-    TxnId txn;
-    NodeId home;
-  };
-
-  /// Sorts partner_scratch_ by id and drops repeats (a pair sharing
-  /// several objects is one edge).
-  void dedup_partners();
-  /// One batched distance query from `from` to partner_scratch_'s homes;
-  /// raises max_w_.
-  void weigh_partners(NodeId from);
-
-  const Metric* metric_;
-  /// Per object: live requesters, ascending (insertion is in id order and
-  /// retire preserves order).
-  std::vector<std::vector<Requester>> live_req_;
-  std::size_t num_txns_ = 0;
-  /// Ids below this are placed (windows are FIFO runs of unplaced ids).
-  TxnId placed_ = 0;
-  std::size_t num_edges_ = 0;
-  Weight max_w_ = 0;
-  std::size_t live_ = 0;
-  /// Reused scratch: partners, their homes and distances.
-  std::vector<Requester> partner_scratch_;
-  std::vector<NodeId> target_scratch_;
-  std::vector<Weight> dist_scratch_;
-};
-
-template <class HomeOf, class ObjectsOf>
-void IncrementalConflictGraph::place_window(std::span<const TxnId> window,
-                                            Weight inner_weight,
-                                            const HomeOf& home,
-                                            const ObjectsOf& objects) {
-  DTM_REQUIRE(!window.empty() && window.front() == placed_ &&
-                  window.back() < num_txns_ &&
-                  window.back() - window.front() + 1 == window.size(),
-              "conflict tally: a placed window must be the next run of "
-              "unplaced ids");
-  max_w_ = std::max(max_w_, inner_weight);
-  // Later arrivals sit at the tails of the ascending live lists.
-  const TxnId last = window.back();
-  for (TxnId p : window) {
-    partner_scratch_.clear();
-    for (ObjectId o : objects(p)) {
-      const std::vector<Requester>& req = live_req_[o];
-      const auto later = std::upper_bound(
-          req.begin(), req.end(), last,
-          [](TxnId id, const Requester& r) { return id < r.txn; });
-      partner_scratch_.insert(partner_scratch_.end(), later, req.end());
-    }
-    dedup_partners();
-    weigh_partners(home(p));
-  }
-  placed_ = last + 1;
-}
 
 }  // namespace dtm

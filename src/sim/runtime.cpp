@@ -1,6 +1,7 @@
 #include "sim/runtime.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "sim/engine.hpp"
@@ -32,7 +33,6 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
       object_home_(std::move(object_home)),
       placer_(object_home_),
       shard_map_(make_shard_map(g, std::max<std::size_t>(opts.shards, 1))),
-      dep_(metric, object_home_.size()),
       next_close_(opts.window) {
   DTM_REQUIRE(opts_.window >= 1, "stream window must be >= 1 step");
   for (NodeId v : object_home_) {
@@ -47,14 +47,13 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
 
 std::vector<NodeId> StreamingRuntime::spread_homes(const Graph& g,
                                                    std::size_t num_objects) {
-  // o mod n by a wrap-around counter: no division per object.
+  // o mod n, filled as 0, 1, ..., n-1 over each block of n objects.
   const std::size_t n = g.num_nodes();
   DTM_REQUIRE(n > 0 || num_objects == 0, "no nodes to home objects on");
   std::vector<NodeId> homes(num_objects);
-  NodeId v = 0;
-  for (NodeId& home : homes) {
-    home = v;
-    if (++v == n) v = 0;
+  for (std::size_t lo = 0; lo < num_objects; lo += n) {
+    const std::size_t hi = std::min(num_objects, lo + n);
+    std::iota(homes.begin() + lo, homes.begin() + hi, NodeId{0});
   }
   return homes;
 }
@@ -76,7 +75,6 @@ TxnId StreamingRuntime::ingest(const ArrivingTxn& txn) {
   // new transaction never joins a window earlier arrivals already fixed.
   close_windows_through(txn.arrival);
 
-  dep_.add_txn(id, txn.home, objects_of(id));
   arrival_.push_back(txn.arrival);
   commit_.push_back(0);
 
@@ -123,16 +121,12 @@ void StreamingRuntime::close_windows_through(Time up_to) {
 }
 
 std::size_t StreamingRuntime::retire_through(Time step) {
-  std::size_t retired = 0;
-  while (!pending_commits_.empty() && pending_commits_.top().first <= step) {
-    const TxnId t = pending_commits_.top().second;
-    pending_commits_.pop();
-    dep_.retire(t, objects_of(t));
-    DTM_ASSERT(live_admitted_ > 0);
-    --live_admitted_;
-    ++stats_.committed;
-    ++retired;
-  }
+  const auto end = std::upper_bound(pending_commits_.begin(),
+                                    pending_commits_.end(), step);
+  const auto retired =
+      static_cast<std::size_t>(end - pending_commits_.begin());
+  pending_commits_.erase(pending_commits_.begin(), end);
+  stats_.committed += retired;
   return retired;
 }
 
@@ -150,22 +144,21 @@ void StreamingRuntime::schedule_window(Time close,
 
   // Admission: FIFO backlog first (oldest waiters), then this window's
   // arrivals, until the controller's quota fills. The quota is read once
-  // per window; feedback flows back through on_window below.
+  // per window; feedback flows back through on_window below. The live
+  // admitted count is the retire FIFO's length plus the batch so far.
   const std::size_t quota = admission_->quota();
-  const auto can_admit = [&] {
-    return quota == 0 || live_admitted_ < quota;
-  };
   std::vector<TxnId> batch;
   batch.reserve(backlog_.size() + fresh.size());
+  const auto can_admit = [&] {
+    return quota == 0 || pending_commits_.size() + batch.size() < quota;
+  };
   while (!backlog_.empty() && can_admit()) {
     batch.push_back(backlog_.front());
     backlog_.pop_front();
-    ++live_admitted_;
   }
   for (TxnId t : fresh) {
     if (can_admit()) {
       batch.push_back(t);
-      ++live_admitted_;
     } else {
       backlog_.push_back(t);
     }
@@ -178,7 +171,7 @@ void StreamingRuntime::schedule_window(Time close,
   const auto close_feedback = [&] {
     admission_->on_window({.backlog = backlog(),
                            .waiting = backlog_.size(),
-                           .live = live_admitted_,
+                           .live = pending_commits_.size(),
                            .committed_delta = retired});
   };
   MetricsRegistry& mreg = MetricsRegistry::global();
@@ -190,7 +183,7 @@ void StreamingRuntime::schedule_window(Time close,
                  {"admitted", static_cast<std::int64_t>(admitted_now)},
                  {"deferred", static_cast<std::int64_t>(backlog_.size())},
                  {"quota", static_cast<std::int64_t>(quota)},
-                 {"live", static_cast<std::int64_t>(live_admitted_)},
+                 {"live", static_cast<std::int64_t>(pending_commits_.size())},
                  {"retired", static_cast<std::int64_t>(retired)},
                  {"colors", colors}});
   };
@@ -214,16 +207,22 @@ void StreamingRuntime::schedule_window(Time close,
   const Time start = step.start;
   const WindowShardSplit split =
       opts_.shards > 1 ? account_shards(step.graph) : WindowShardSplit{};
+  const std::size_t queued = pending_commits_.size();
   for (std::size_t i = 0; i < colored.txns.size(); ++i) {
     const TxnId t = colored.txns[i];
     commit_[t] = start + colored.local_time[i];
-    pending_commits_.emplace(commit_[t], t);
-    stats_.makespan = std::max(stats_.makespan, commit_[t]);
+    pending_commits_.push_back(commit_[t]);
   }
-  // Admission is FIFO (backlog, then fresh arrivals), so the batch is the
-  // next run of unplaced ids: the tally weighs its members' edges to the
-  // arrivals still waiting.
-  dep_.place_window(batch, step.graph.max_edge_weight, home, objects);
+  // The window starts at or after the placer's horizon and its colors are
+  // >= 1, so its commits all fall after every queued one: sorted on their
+  // own, they keep the FIFO ascending.
+  const auto window_commits = pending_commits_.begin() + queued;
+  std::sort(window_commits, pending_commits_.end());
+  DTM_ASSERT(queued == 0 || pending_commits_[queued - 1] < *window_commits);
+  stats_.makespan = std::max(stats_.makespan, pending_commits_.back());
+  stats_.dep_edges += step.graph.edges.size() / 2;
+  stats_.dep_max_weight =
+      std::max(stats_.dep_max_weight, step.graph.max_edge_weight);
   // Per-transaction latency stages. They tile commit - arrival exactly:
   // the admit wait runs from arrival to the admitting window's close - 1
   // (>= 0: members arrived before the close), the scheduling gap is the
@@ -352,8 +351,6 @@ const StreamStats& StreamingRuntime::drain() {
   stats_.throughput =
       static_cast<double>(stats_.committed) /
       static_cast<double>(std::max<Time>(stats_.makespan, 1));
-  stats_.dep_edges = dep_.num_edges();
-  stats_.dep_max_weight = dep_.max_edge_weight();
   // End-of-stream gauges: stream_report --validate reconciles the latency
   // histogram counts against stream.admitted.
   metrics::gauge("stream.arrived")

@@ -9,10 +9,9 @@
 // loop:
 //
 //   * ingest — transactions stream in from an ArrivalSource
-//     (core/generators.hpp) in non-decreasing arrival order; each joins
-//     the live (uncommitted) requester lists of the conflict tally
-//     (IncrementalConflictGraph), which counts its conflict edges but
-//     stores none;
+//     (core/generators.hpp) in non-decreasing arrival order; each is
+//     appended to the transcript and joins the open window's batch. No
+//     per-object conflict state is kept across windows;
 //   * admit — at each window close, deferred work plus the window's
 //     arrivals are admitted up to the AdmissionController's quota
 //     (sim/admission.hpp: a fixed bound, or AIMD closed-loop control fed
@@ -36,9 +35,10 @@
 //     per-shard count of the rest. That split is plain accounting over
 //     the window CSR; the coloring never reads it, so the schedule is the
 //     same at every shard count;
-//   * commit — commit steps are tracked against the stream clock; when the
-//     clock passes a transaction's commit step it retires from the live
-//     conflict sets. drain() can additionally replay the materialized
+//   * commit — each window appends its members' commit steps, sorted, to a
+//     FIFO (a later window commits strictly later, see WindowPlacer); when
+//     the clock passes a commit step the transaction retires and frees its
+//     admission slot. drain() can additionally replay the materialized
 //     stream through the execution engine's stepwise path
 //     (sim/engine.hpp, queued links, planned-degraded discipline) and
 //     assert that every planned commit is realized on time.
@@ -49,9 +49,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <span>
 #include <string>
 #include <vector>
@@ -112,7 +110,10 @@ struct StreamStats {
   double mean_backlog = 0;
   /// committed / makespan: sustained commit rate per step.
   double throughput = 0;
-  /// Incremental conflict-graph footprint.
+  /// Conflict edges of the scheduled windows' dependency graphs, summed
+  /// over windows (what the dep.csr_edges counter counts for the stream),
+  /// and the heaviest of them. A window conflicts only within itself, so
+  /// edges between windows are not counted.
   std::size_t dep_edges = 0;
   Weight dep_max_weight = 0;
 };
@@ -167,8 +168,9 @@ class StreamingRuntime {
   std::size_t backlog() const { return stats_.arrived - stats_.committed; }
   const StreamStats& stats() const { return stats_; }
   const ShardLoadStats& shard_stats() const { return shard_stats_; }
-  /// The conflict tally (its live-list footprint for soak tests).
-  const IncrementalConflictGraph& conflict_graph() const { return dep_; }
+  /// Admitted transactions whose commit step the clock has not passed
+  /// yet: the length of the retire FIFO.
+  std::size_t pending_commits() const { return pending_commits_.size(); }
   /// The live admission controller (quota / raises / cuts for benches).
   const AdmissionController& admission() const { return *admission_; }
 
@@ -240,7 +242,6 @@ class StreamingRuntime {
   WindowPlacer placer_;              // tail positions, horizon
 
   ShardMap shard_map_;
-  IncrementalConflictGraph dep_;
 
   // Reused account_shards scratch (allocation-free steady state).
   std::vector<std::uint32_t> member_shard_;
@@ -257,12 +258,11 @@ class StreamingRuntime {
   Time next_close_;                // close step of the next unclosed window
   std::deque<TxnId> backlog_;      // deferred by admission, FIFO
 
-  // Commit calendar: (commit step, txn), min-first; retire_through pops it.
-  std::priority_queue<std::pair<Time, TxnId>,
-                      std::vector<std::pair<Time, TxnId>>,
-                      std::greater<std::pair<Time, TxnId>>>
-      pending_commits_;
-  std::size_t live_admitted_ = 0;  // admitted, commit not yet retired
+  // Commit steps of the admitted transactions not yet retired, ascending:
+  // each window appends its own sorted, all after the ones queued.
+  // retire_through pops a prefix; the length is the live admitted count
+  // that admission bounds.
+  std::deque<Time> pending_commits_;
 
   StreamStats stats_;
   double backlog_sum_ = 0;

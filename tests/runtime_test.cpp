@@ -1,8 +1,9 @@
-// Streaming runtime: arrival sources, incremental conflict graph,
-// window scheduling, backpressure, and the engine replay check.
+// Streaming runtime: arrival sources, window scheduling, the window-graph
+// conflict counts, backpressure, and the engine replay check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -11,11 +12,10 @@
 #include "core/validate.hpp"
 #include "graph/topologies/clique.hpp"
 #include "graph/topologies/grid.hpp"
-#include "graph/topologies/line.hpp"
-#include "sched/dependency_graph.hpp"
 #include "sched/online.hpp"
 #include "sim/runtime.hpp"
 #include "test_util.hpp"
+#include "util/metrics.hpp"
 
 namespace dtm {
 namespace {
@@ -76,114 +76,6 @@ TEST(ArrivalSources, HotObjectAlwaysTouchesObjectZero) {
   while (src->next(t)) {
     EXPECT_EQ(t.objects.front(), 0u);
   }
-}
-
-TEST(IncrementalGraph, RetireStopsFutureConflicts) {
-  const Clique c(4);
-  const DenseMetric m(c.graph);
-  IncrementalConflictGraph inc(m, 1);
-  const std::vector<ObjectId> o0 = {0};
-  inc.add_txn(0, 0, o0);
-  inc.add_txn(1, 1, o0);  // conflicts with 0
-  EXPECT_EQ(inc.num_edges(), 1u);
-  inc.retire(0, o0);
-  inc.add_txn(2, 2, o0);  // only 1 still live
-  EXPECT_EQ(inc.num_edges(), 2u);
-  EXPECT_EQ(inc.live(), 2u);
-}
-
-// Each counted edge is weighed exactly once: add_txn weighs the edges to
-// placed partners, a placed window's graph those among its members, and
-// place_window those from its members to later arrivals still unplaced.
-TEST(IncrementalGraph, WeighsEachCountedEdgeOnce) {
-  MetricCounter& queries = metrics::counter("metric.distance_queries");
-  {
-    const Line line(8);
-    const DenseMetric m(line.graph);
-    IncrementalConflictGraph inc(m, 1);
-    const std::vector<ObjectId> o0 = {0};
-    inc.add_txn(0, 0, o0);
-    inc.add_txn(1, 4, o0);  // T0-T1, weight 4: weighed when T0 is placed
-    EXPECT_EQ(inc.max_edge_weight(), 0);
-    const std::uint64_t before = queries.value();
-    inc.place_window(std::vector<TxnId>{0}, 0,
-                     [](TxnId t) { return NodeId{t == 0 ? 0u : 4u}; },
-                     [&](TxnId) { return o0; });
-    EXPECT_EQ(queries.value() - before, 1u);
-    EXPECT_EQ(inc.max_edge_weight(), 4);
-    inc.add_txn(2, 5, o0);  // T0-T2 (placed partner): weight 5 weighed now
-    EXPECT_EQ(inc.num_edges(), 3u);
-    EXPECT_EQ(inc.max_edge_weight(), 5);
-    EXPECT_EQ(queries.value() - before, 2u);
-    EXPECT_THROW(inc.place_window(std::vector<TxnId>{2}, 1,
-                                  [](TxnId) { return NodeId{0}; },
-                                  [&](TxnId) { return o0; }),
-                 Error);  // T1 is still unplaced: windows are FIFO runs
-  }
-  {
-    // Nothing retires: the counted edges are exactly the batch graph's.
-    // Windows take the runtime's shape, the next run of at most 4 unplaced
-    // ids, while arrivals run ahead of placement.
-    const Grid g(6);
-    const DenseMetric m(g.graph);
-    Rng rng(29);
-    const Instance inst = generate_uniform(
-        g.graph, {.num_objects = 5, .objects_per_txn = 2}, rng);
-    const auto n = static_cast<TxnId>(inst.num_transactions());
-    const DependencyGraph all = build_dependency_graph(inst, m);
-    const auto home = [&](TxnId t) { return inst.home(t); };
-    const auto objects = [&](TxnId t) { return inst.objects(t); };
-    const std::uint64_t before = queries.value();
-    IncrementalConflictGraph inc(m, inst.num_objects());
-    TxnId added = 0, placed = 0;
-    std::size_t windows = 0;
-    while (placed < n) {
-      for (TxnId k = 0; k < 7 && added < n; ++k, ++added) {
-        inc.add_txn(added, inst.txn(added).home, inst.txn(added).objects);
-      }
-      std::vector<TxnId> window;
-      for (; placed < added && window.size() < 4; ++placed) {
-        window.push_back(placed);
-      }
-      const DependencyGraph h = build_dependency_graph(
-          m, window, home, objects, EdgeWeighing::kOnce);
-      inc.place_window(window, h.max_edge_weight, home, objects);
-      ++windows;
-    }
-    EXPECT_GT(windows, 5u);
-    EXPECT_EQ(inc.num_edges(), all.edges.size() / 2);
-    EXPECT_EQ(inc.max_edge_weight(), all.max_edge_weight);
-    EXPECT_EQ(queries.value() - before, inc.num_edges());
-  }
-}
-
-TEST(IncrementalGraph, RejectedAddLeavesStateUnchanged) {
-  const Clique c(6);
-  const DenseMetric m(c.graph);
-  IncrementalConflictGraph inc(m, 3);
-  inc.add_txn(0, 0, std::vector<ObjectId>{0, 1});
-  inc.add_txn(1, 1, std::vector<ObjectId>{1, 2});
-
-  const std::vector<std::vector<ObjectId>> bad = {
-      {0, 3},     // second object out of range
-      {2, 0},     // unsorted
-      {1, 1},     // duplicate
-      {0, 2, 2}}; // duplicate after a valid prefix
-  for (const auto& objects : bad) {
-    EXPECT_THROW(inc.add_txn(2, 2, objects), Error);
-    EXPECT_EQ(inc.num_txns(), 2u);
-    EXPECT_EQ(inc.num_edges(), 1u);
-    EXPECT_EQ(inc.live(), 2u);
-  }
-  EXPECT_THROW(inc.add_txn(3, 2, std::vector<ObjectId>{0}), Error);  // gap
-
-  // The live sets are untouched: the next valid T2 sees exactly T0 and T1
-  // on o0/o2, and retiring T0 leaves no stale entry behind.
-  inc.add_txn(2, 2, std::vector<ObjectId>{0, 2});
-  EXPECT_EQ(inc.num_edges(), 3u);
-  inc.retire(0, std::vector<ObjectId>{0, 1});
-  inc.add_txn(3, 3, std::vector<ObjectId>{0});
-  EXPECT_EQ(inc.num_edges(), 4u);  // T2 only: T0 left o0
 }
 
 StreamingRuntime run_stream(const Graph& g, const Metric& m,
@@ -284,23 +176,26 @@ TEST(StreamingRuntime, MatchesOnlineBatchSchedulerOnSharedHomes) {
   EXPECT_TRUE(vr.ok) << vr.summary();
 }
 
-// StreamStats' conflict counts cover every edge to a live partner, stored
-// or not, so shrinking what the graph stores must not move them. Pinned
-// here because bench_compare flags only counter growth: a drop would slip
-// past the stream baselines.
+// StreamStats' conflict counts are the window graphs' edges, summed over
+// windows: exactly what the dep.csr_edges counter adds for the stream.
+// Pinned here because bench_compare flags only counter growth: a drop
+// would slip past the stream baselines.
 TEST(StreamingRuntime, ConflictCountsPinned) {
   const Grid g(10);
   const DenseMetric m(g.graph);
+  MetricCounter& csr_edges = metrics::counter("dep.csr_edges");
   ArrivalStreamOptions so = small_stream(120, 1.0);
   so.num_objects = 64;
   {
     StreamingRuntime rt(g.graph, m,
                         StreamingRuntime::spread_homes(g.graph, 64));
     auto src = make_arrival_source(ArrivalModel::kPoisson, g.graph, so, 5);
+    const std::uint64_t before = csr_edges.value();
     rt.ingest_all(*src);
     const StreamStats& st = rt.drain();
-    EXPECT_EQ(st.dep_edges, 265u);
-    EXPECT_EQ(st.dep_max_weight, 16);
+    EXPECT_EQ(st.dep_edges, csr_edges.value() - before);
+    EXPECT_EQ(st.dep_edges, 43u);
+    EXPECT_EQ(st.dep_max_weight, 14);
     EXPECT_EQ(st.makespan, 213);
   }
   {
@@ -310,11 +205,13 @@ TEST(StreamingRuntime, ConflictCountsPinned) {
                         StreamingRuntime::spread_homes(g.graph, 64), opts);
     so.rate = 2.0;
     auto src = make_arrival_source(ArrivalModel::kBursty, g.graph, so, 5);
+    const std::uint64_t before = csr_edges.value();
     rt.ingest_all(*src);
     const StreamStats& st = rt.drain();
     EXPECT_GT(st.deferrals, 0u);  // the backlog path ran
-    EXPECT_EQ(st.dep_edges, 430u);
-    EXPECT_EQ(st.dep_max_weight, 16);
+    EXPECT_EQ(st.dep_edges, csr_edges.value() - before);
+    EXPECT_EQ(st.dep_edges, 57u);
+    EXPECT_EQ(st.dep_max_weight, 14);
     EXPECT_EQ(st.makespan, 233);
   }
 }

@@ -149,9 +149,11 @@ TEST(ShardMap, ShardAlignedHomesLandInTheirShard) {
 
 TEST(ShardMap, HomePlacementMatchesItsClosedForm) {
   // spread_homes: o mod n. shard_aligned_homes: shard o mod S, node
-  // (o / S) mod |pool| of it. Both count with wrap-around counters; this
-  // pins them to the closed forms, with w below and above n and shards of
-  // uneven size (range maps of 10 nodes into 3 or 4 shards).
+  // (o / S) mod |pool| of it. Neither divides per object (spread_homes
+  // fills blocks of n, shard_aligned_homes walks each shard's stride); this
+  // pins them to the closed forms, with w = 0, w below and above n and S,
+  // S not dividing w, and shards of uneven size (range maps of 10 nodes
+  // into 3 or 4 shards).
   for (const std::size_t nodes : {1u, 5u, 10u}) {
     const Line line(nodes);
     for (const std::size_t w : {0u, 3u, 10u, 37u}) {
@@ -186,6 +188,13 @@ TEST(ShardMap, HomePlacementMatchesItsClosedForm) {
     const auto& pool = pools[o % 2];
     EXPECT_EQ(aligned[o], pool[(o / 2) % pool.size()]) << "o=" << o;
   }
+  // A hand-built map with an empty shard: only objects that land in it
+  // make placement fail.
+  ShardMap lopsided;
+  lopsided.num_shards = 2;
+  lopsided.node_shard = {0, 0, 0};
+  EXPECT_EQ(shard_aligned_homes(lopsided, 1), std::vector<NodeId>{0});
+  EXPECT_THROW(shard_aligned_homes(lopsided, 2), Error);
 }
 
 // ------------------------------------------------------------------------
