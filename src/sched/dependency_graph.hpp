@@ -4,12 +4,17 @@
 // (hop_steps: an object serves one commit per step, so requesters sharing
 // a node are still a step apart).
 //
-// H is stored in CSR form (offsets + flat edge array), built by a two-pass
-// count-then-fill assembler shared with the read/write-conflict variant
-// (sched/rw_greedy.cpp): pass one counts arcs per node, pass two scatters
-// targets into the flat array, then each node's range is deduplicated in
-// place and the distance weights are filled in one batched metric query
-// per node (so DenseMetric streams whole matrix rows).
+// H is stored in CSR form (offsets + flat arc array) of 8-byte arcs: a
+// 32-bit local neighbor index and a 32-bit weight. A hop weight above
+// 2^32 - 1 throws dtm::Error, as does a build whose raw arc count (each
+// conflicting pair once per shared object, both directions) exceeds
+// 2^32 - 1. A two-pass count-then-fill assembler, shared with the
+// read/write-conflict variant (sched/rw_greedy.cpp), builds it in place:
+// pass one counts arcs per node, pass two scatters neighbor ids straight
+// into the arc array, then each node's range is sorted, deduplicated and
+// compacted in place, and the weights are filled in one batched metric
+// query per node (so DenseMetric streams whole matrix rows). The build
+// holds 8 bytes per raw arc and no second per-arc array.
 #pragma once
 
 #include <algorithm>
@@ -27,8 +32,11 @@ struct DependencyEdge {
   /// LOCAL index of the conflicting transaction (position in
   /// DependencyGraph::txns, not a global TxnId).
   TxnId neighbor;
-  Weight weight;
+  /// hop_steps of the home distance; the build throws if it needs more
+  /// than 32 bits.
+  std::uint32_t weight;
 };
+static_assert(sizeof(DependencyEdge) == 8);
 
 /// H restricted to a transaction subset (the Grid/Cluster/Star schedulers
 /// build H per subgrid / per cluster / per segment).
@@ -75,6 +83,12 @@ enum class EdgeWeighing {
 
 namespace detail {
 
+/// Throw dtm::Error unless `raw_arcs` arcs fit the CSR's 32-bit offsets,
+/// and unless `max_weight` fits an arc's 32-bit weight. Defined out of
+/// line, so the assembler's instantiations carry no message formatting.
+void require_arc_count(std::uint64_t raw_arcs);
+void require_arc_weight(Weight max_weight);
+
 /// Two-pass CSR assembly shared by the object-conflict and read/write-
 /// conflict builders. `txns` are the covered transactions, ascending, and
 /// `home(t)` is transaction t's node. `emit_pairs(emit)` must call
@@ -93,42 +107,47 @@ DependencyGraph assemble_dependency_csr(const Metric& metric,
   h.txns = std::move(txns);
   const std::size_t n = h.txns.size();
   h.offsets.assign(n + 1, 0);
-  std::vector<TxnId> raw;
   {
     const EmitPairs emit_all = std::move(emit_pairs);
-    // Pass 1: arc counts (parallel pairs still included), prefix-summed
-    // into provisional offsets.
-    std::vector<std::uint32_t> raw_offsets(n + 1, 0);
+    // Pass 1: arc counts (parallel pairs still included), prefix-summed so
+    // offsets[i + 1] ends node i's raw range. The 64-bit total is checked
+    // before any arc is stored; no per-node count can wrap below it.
+    std::uint64_t raw_arcs = 0;
     emit_all([&](TxnId a, TxnId b) {
-      ++raw_offsets[a + 1];
-      ++raw_offsets[b + 1];
+      ++h.offsets[a + 1];
+      ++h.offsets[b + 1];
+      raw_arcs += 2;
     });
-    for (std::size_t i = 0; i < n; ++i) raw_offsets[i + 1] += raw_offsets[i];
+    require_arc_count(raw_arcs);
+    for (std::size_t i = 0; i < n; ++i) h.offsets[i + 1] += h.offsets[i];
 
-    // Pass 2: scatter raw targets.
-    raw.resize(raw_offsets[n]);
-    std::vector<std::uint32_t> cursor(raw_offsets.begin(),
-                                      raw_offsets.end() - 1);
+    // Pass 2: scatter neighbor ids into the arcs, filling each range from
+    // its end, so offsets[i + 1] comes to hold node i's raw start.
+    h.edges.resize(raw_arcs);
     emit_all([&](TxnId a, TxnId b) {
-      raw[cursor[a]++] = b;
-      raw[cursor[b]++] = a;
+      h.edges[--h.offsets[a + 1]].neighbor = b;
+      h.edges[--h.offsets[b + 1]].neighbor = a;
     });
 
-    // Dedup each node's range in place; the compaction cursor never
-    // overtakes the range it reads from.
+    // Sort and dedup each node's range, then compact it down; the write
+    // cursor never overtakes the range it reads from, and offsets[i + 1]
+    // is rewritten only after node i's raw range is read.
+    DependencyEdge* const arcs = h.edges.data();
     std::size_t write = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t lo = raw_offsets[i], hi = raw_offsets[i + 1];
-      std::sort(raw.begin() + lo, raw.begin() + hi);
-      const std::size_t deg =
-          static_cast<std::size_t>(std::unique(raw.begin() + lo,
-                                               raw.begin() + hi) -
-                                   (raw.begin() + lo));
-      for (std::size_t k = 0; k < deg; ++k) raw[write + k] = raw[lo + k];
+      const std::size_t lo = h.offsets[i + 1];
+      const std::size_t hi = i + 1 < n ? h.offsets[i + 2] : h.edges.size();
+      DependencyEdge* const first = arcs + lo;
+      std::ranges::sort(first, arcs + hi, {}, &DependencyEdge::neighbor);
+      const auto rest =
+          std::ranges::unique(first, arcs + hi, {}, &DependencyEdge::neighbor);
+      const auto deg = static_cast<std::size_t>(rest.begin() - first);
+      for (std::size_t k = 0; k < deg; ++k) arcs[write + k] = arcs[lo + k];
       write += deg;
       h.offsets[i + 1] = static_cast<std::uint32_t>(write);
       h.max_degree = std::max(h.max_degree, deg);
     }
+    h.edges.resize(write);
   }
 
   // Distance fill, one batched query per node: targets are the neighbors'
@@ -138,40 +157,39 @@ DependencyGraph assemble_dependency_csr(const Metric& metric,
   // neighbor j was filled first, and j's sorted range holds the arc.
   std::vector<NodeId> homes(n);
   for (std::size_t i = 0; i < n; ++i) homes[i] = home(h.txns[i]);
-  h.edges.resize(h.offsets[n]);
   std::vector<NodeId> targets;
   std::vector<Weight> dist;
-  const auto by_neighbor = [](const DependencyEdge& e, TxnId v) {
-    return e.neighbor < v;
+  DependencyEdge* const arcs = h.edges.data();
+  // The first arc of j's range whose neighbor is not below v.
+  const auto first_at_least = [&](TxnId j, TxnId v) {
+    return std::ranges::lower_bound(arcs + h.offsets[j],
+                                    arcs + h.offsets[j + 1], v, {},
+                                    &DependencyEdge::neighbor);
   };
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = h.offsets[i], hi = h.offsets[i + 1];
     const auto self = static_cast<TxnId>(i);
-    const std::size_t mid =
-        weighing == EdgeWeighing::kFromBothEnds
-            ? lo
-            : static_cast<std::size_t>(
-                  std::lower_bound(raw.begin() + lo, raw.begin() + hi, self) -
-                  raw.begin());
-    for (std::size_t k = lo; k < mid; ++k) {
-      const TxnId j = raw[k];
-      const DependencyEdge* arc = std::lower_bound(
-          h.edges.data() + h.offsets[j], h.edges.data() + h.offsets[j + 1],
-          self, by_neighbor);
-      h.edges[k] = {j, arc->weight};
+    DependencyEdge* const lo = arcs + h.offsets[i];
+    DependencyEdge* const hi = arcs + h.offsets[i + 1];
+    DependencyEdge* const mid =
+        weighing == EdgeWeighing::kFromBothEnds ? lo
+                                                : first_at_least(self, self);
+    for (DependencyEdge* e = lo; e < mid; ++e) {
+      e->weight = first_at_least(e->neighbor, self)->weight;
     }
-    const std::size_t up = hi - mid;
+    const auto up = static_cast<std::size_t>(hi - mid);
     if (up == 0) continue;
     targets.resize(up);
     dist.resize(up);
-    for (std::size_t k = 0; k < up; ++k) targets[k] = homes[raw[mid + k]];
+    for (std::size_t k = 0; k < up; ++k) targets[k] = homes[mid[k].neighbor];
     metric.distances(homes[i], targets, dist.data());
     for (std::size_t k = 0; k < up; ++k) {
       const Weight w = hop_steps(dist[k]);
-      h.edges[mid + k] = {raw[mid + k], w};
+      mid[k].weight = static_cast<std::uint32_t>(w);
       h.max_edge_weight = std::max(h.max_edge_weight, w);
     }
   }
+  // A truncated weight may have been stored, but the graph never leaves.
+  require_arc_weight(h.max_edge_weight);
   static MetricCounter& csr_edges = metrics::counter("dep.csr_edges");
   csr_edges.add(h.edges.size() / 2);
   return h;
@@ -213,12 +231,17 @@ DependencyGraph build_dependency_graph(const Metric& metric,
       if (end[o]++ == 0) touched.push_back(o);
     }
   }
+  // Each object's r members give r(r - 1) raw arcs: check their sum
+  // before any pair is emitted.
   std::uint32_t at = 0;
+  std::uint64_t raw_arcs = 0;
   for (ObjectId o : touched) {
     const std::uint32_t count = end[o];
     end[o] = at;  // the run's start; the scatter advances it to the end
     at += count;
+    raw_arcs += std::uint64_t{count} * (count - 1);
   }
+  detail::require_arc_count(raw_arcs);
   std::vector<TxnId> members(entries);
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     for (ObjectId o : objects(sorted[i])) {

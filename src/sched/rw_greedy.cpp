@@ -35,48 +35,6 @@ DependencyGraph build_rw_dependency_graph(const Instance& inst,
       });
 }
 
-/// First-fit / pigeonhole coloring of a prebuilt dependency graph (the
-/// same rules as sched/greedy.cpp, operating on the RW graph).
-std::vector<Time> color_graph(const DependencyGraph& h, ColoringRule rule) {
-  std::vector<Time> color(h.size(), 0);
-  const Weight hmax = std::max<Weight>(h.max_edge_weight, 1);
-  for (std::size_t u = 0; u < h.size(); ++u) {
-    if (rule == ColoringRule::kPaperPigeonhole) {
-      std::vector<char> used(h.max_degree + 1, 0);
-      for (const DependencyEdge& e : h.neighbors(u)) {
-        const Time c = color[e.neighbor];
-        if (c == 0) continue;
-        const Time slot = (c - 1) / hmax;
-        if (slot <= static_cast<Time>(h.max_degree)) {
-          used[static_cast<std::size_t>(slot)] = 1;
-        }
-      }
-      for (std::size_t k = 0; k <= h.max_degree; ++k) {
-        if (!used[k]) {
-          color[u] = static_cast<Time>(k) * hmax + 1;
-          break;
-        }
-      }
-    } else {
-      std::vector<std::pair<Time, Time>> forbidden;
-      for (const DependencyEdge& e : h.neighbors(u)) {
-        const Time c = color[e.neighbor];
-        if (c == 0) continue;
-        forbidden.emplace_back(c - e.weight + 1, c + e.weight - 1);
-      }
-      std::sort(forbidden.begin(), forbidden.end());
-      Time t = 1;
-      for (const auto& [lo, hi] : forbidden) {
-        if (lo > t) break;
-        t = std::max(t, hi + 1);
-      }
-      color[u] = t;
-    }
-    DTM_ASSERT(color[u] >= 1);
-  }
-  return color;
-}
-
 }  // namespace
 
 std::vector<Time> rw_earliest_times(
@@ -157,7 +115,8 @@ RwSchedule schedule_rw_greedy(const Instance& inst, const WriteSets& writes,
   ScopedPhaseTimer timer("phase.sched.rw_greedy");
   metrics::count("sched.runs");
   const DependencyGraph h = build_rw_dependency_graph(inst, writes, metric);
-  std::vector<Time> color = color_graph(h, opts.rule);
+  // Local index == global TxnId, so the local times index by TxnId.
+  std::vector<Time> color = greedy_color(h, opts.rule).local_time;
 
   RwSchedule s;
   s.writer_order.resize(inst.num_objects());

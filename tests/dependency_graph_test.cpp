@@ -2,10 +2,12 @@
 // CSR form must encode exactly the conflict relation a naive set-based
 // construction produces, with weights matching the metric (at least 1:
 // requesters sharing a node are still a step apart), on random instances,
-// on subset restrictions and on instances whose homes repeat.
+// on subset restrictions and on instances whose homes repeat. Weights and
+// raw arc counts past 32 bits must throw dtm::Error.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <vector>
 
@@ -65,7 +67,7 @@ void expect_matches_naive(const Instance& inst, const Metric& metric,
                 std::max<Weight>(metric.distance(inst.txn(txns[i]).home,
                                                  inst.txn(txns[expected]).home),
                                  1));
-      expect_max_weight = std::max(expect_max_weight, nbrs[k].weight);
+      expect_max_weight = std::max<Weight>(expect_max_weight, nbrs[k].weight);
       ++k;
     }
     expect_max_degree = std::max(expect_max_degree, adj[i].size());
@@ -209,6 +211,76 @@ TEST(DependencyGraphCsr, EmptyAndConflictFreeInstances) {
   EXPECT_EQ(h.max_degree, 0u);
   EXPECT_EQ(h.max_edge_weight, 0);
   EXPECT_EQ(h.weighted_degree(), 0);
+}
+
+/// Every pair of nodes at one fixed distance.
+class FixedMetric final : public Metric {
+ public:
+  FixedMetric(const Graph& g, Weight d) : Metric(g), d_(d) {}
+  Weight distance(NodeId, NodeId) const override { return d_; }
+  std::vector<NodeId> path(NodeId u, NodeId v) const override {
+    return {u, v};
+  }
+
+ private:
+  Weight d_;
+};
+
+/// Two transactions on nodes 0 and 1 sharing object 0, weighed by
+/// `metric`.
+DependencyGraph one_conflict(const Metric& metric, EdgeWeighing weighing) {
+  static constexpr ObjectId kObject = 0;
+  const std::vector<TxnId> txns{0, 1};
+  return build_dependency_graph(
+      metric, txns, [](TxnId t) { return static_cast<NodeId>(t); },
+      [](TxnId) { return std::span<const ObjectId>(&kObject, 1); },
+      weighing);
+}
+
+TEST(DependencyGraphCsr, HopWeightOf32BitsReadsBackExactly) {
+  const Clique topo(2);
+  constexpr Weight kMax = (Weight{1} << 32) - 1;
+  const FixedMetric metric(topo.graph, kMax);
+  for (EdgeWeighing weighing :
+       {EdgeWeighing::kFromBothEnds, EdgeWeighing::kOnce}) {
+    const DependencyGraph h = one_conflict(metric, weighing);
+    ASSERT_EQ(h.edges.size(), 2u);
+    EXPECT_EQ(h.edges[0].weight, 0xFFFFFFFFu);
+    EXPECT_EQ(h.edges[1].weight, 0xFFFFFFFFu);
+    EXPECT_EQ(h.max_edge_weight, kMax);
+  }
+}
+
+TEST(DependencyGraphCsr, HopWeightPast32BitsThrows) {
+  const Clique topo(2);
+  const FixedMetric metric(topo.graph, Weight{1} << 32);
+  for (EdgeWeighing weighing :
+       {EdgeWeighing::kFromBothEnds, EdgeWeighing::kOnce}) {
+    EXPECT_THROW(one_conflict(metric, weighing), Error);
+  }
+}
+
+TEST(DependencyGraphCsr, RawArcCountPast32BitsThrowsBeforeEmitting) {
+  // 65537 requesters of one object make 65537 * 65536 > 2^32 - 1 raw arcs.
+  // The builder counts them from the object's member count, so it throws
+  // without emitting the 2^31 pairs.
+  const Clique topo(2);
+  const FixedMetric metric(topo.graph, 1);
+  std::vector<TxnId> txns(65537);
+  for (TxnId t = 0; t < txns.size(); ++t) txns[t] = t;
+  static constexpr ObjectId kObject = 0;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(
+      build_dependency_graph(
+          metric, txns, [](TxnId) { return NodeId{0}; },
+          [](TxnId) { return std::span<const ObjectId>(&kObject, 1); },
+          EdgeWeighing::kOnce),
+      Error);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  // The assembler's own check (the read/write builder's guard) sits at the
+  // same bound.
+  EXPECT_NO_THROW(detail::require_arc_count(0xFFFFFFFFu));
+  EXPECT_THROW(detail::require_arc_count(std::uint64_t{1} << 32), Error);
 }
 
 }  // namespace
