@@ -54,13 +54,13 @@ TxnId TxnTable::append(NodeId home, std::span<const ObjectId> objects,
                                             << " object-set entries");
   // Append, then sort and check in place; a rejected set is cut off again.
   const std::size_t lo = object_ids_.size();
-  object_ids_.insert(object_ids_.end(), objects.begin(), objects.end());
+  object_ids_.append(objects);
   const std::span<ObjectId> row(object_ids_.data() + lo, objects.size());
   std::sort(row.begin(), row.end());
   try {
     check_txn_row(home, row, num_nodes, num_objects);
   } catch (const Error&) {
-    object_ids_.resize(lo);
+    object_ids_.truncate(lo);
     throw;
   }
   const auto id = static_cast<TxnId>(home_.size());

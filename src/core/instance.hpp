@@ -12,7 +12,11 @@
 // object's requesters — is per instance, laid out the same way. A table of
 // B transactions with k objects each costs about 8 + 4k bytes per
 // transaction; the requester lists add 4k more, plus 4 per object and per
-// node, with no per-transaction allocation.
+// node, with no per-transaction allocation. The table's three arrays are
+// MappedArrays (util/mapped_array.hpp): up to 128 KiB each is one heap
+// block, beyond that its own memory mapping, grown in place by mremap, so
+// a table that keeps growing (a stream transcript) leaves no holes in the
+// malloc heap.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +29,7 @@
 
 #include "core/types.hpp"
 #include "graph/graph.hpp"
+#include "util/mapped_array.hpp"
 
 namespace dtm {
 
@@ -92,9 +97,9 @@ class TxnTable {
  private:
   friend class Instance;
 
-  std::vector<NodeId> home_;
-  std::vector<std::uint32_t> object_end_;
-  std::vector<ObjectId> object_ids_;
+  MappedArray<NodeId> home_;
+  MappedArray<std::uint32_t> object_end_;
+  MappedArray<ObjectId> object_ids_;
 };
 
 /// Immutable batch problem. Construct via InstanceBuilder. Copies share

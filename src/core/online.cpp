@@ -29,7 +29,7 @@ ArrivalTimes generate_bursty_arrivals(std::size_t num_transactions,
 }
 
 ValidationResult validate_online(const Instance& inst, const Metric& metric,
-                                 const ArrivalTimes& arrival,
+                                 std::span<const Time> arrival,
                                  const Schedule& schedule) {
   ValidationResult r = validate(inst, metric, schedule);
   if (arrival.size() != inst.num_transactions()) {

@@ -10,6 +10,7 @@
 // checkable after the fact).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -40,7 +41,7 @@ ArrivalTimes generate_bursty_arrivals(std::size_t num_transactions,
 
 /// Offline feasibility (validate()) plus the release-time constraints.
 ValidationResult validate_online(const Instance& inst, const Metric& metric,
-                                 const ArrivalTimes& arrival,
+                                 std::span<const Time> arrival,
                                  const Schedule& schedule);
 
 }  // namespace dtm

@@ -1,6 +1,7 @@
 #include "graph/partition.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "graph/topologies/detect.hpp"
 
@@ -67,14 +68,18 @@ ShardMap grid_map(const Grid& grid, std::size_t s) {
   return m;
 }
 
-/// Whole clusters in contiguous blocks: cluster c -> shard c*S/alpha.
+/// Whole clusters in contiguous blocks: cluster c -> shard c*S/alpha. A
+/// cluster's nodes are the id range [c*beta, (c+1)*beta), filled at once.
 ShardMap cluster_map(const ClusterGraph& cg, std::size_t s) {
   ShardMap m;
   m.num_shards = s;
   m.scheme = "cluster";
   m.node_shard.resize(cg.num_nodes());
-  for (NodeId v = 0; v < cg.num_nodes(); ++v) {
-    m.node_shard[v] = static_cast<std::uint32_t>(cg.cluster_of(v) * s / cg.alpha);
+  const auto first = m.node_shard.begin();
+  for (std::size_t c = 0; c < cg.alpha; ++c) {
+    const auto lo = static_cast<std::ptrdiff_t>(cg.node_at(c, 0));
+    std::fill(first + lo, first + lo + static_cast<std::ptrdiff_t>(cg.beta),
+              static_cast<std::uint32_t>(c * s / cg.alpha));
   }
   return m;
 }
@@ -106,11 +111,26 @@ std::vector<NodeId> shard_aligned_homes(const ShardMap& map,
   // Shard s takes objects s, s + S, s + 2S, ..., round robin over its
   // pool: object o lands at pool index (o / S) mod |pool|. Each pool that
   // receives an object is checked once, before its objects are filled.
-  const auto pools = map.members();
+  // The pools are members() laid out flat by one counting sort: shard s's
+  // nodes, ascending, end at pool_end[s].
   const std::size_t S = map.num_shards;
+  std::vector<std::uint32_t> pool_end(S, 0);
+  for (std::uint32_t s : map.node_shard) ++pool_end[s];
+  std::uint32_t at = 0;
+  for (std::uint32_t& e : pool_end) {
+    const std::uint32_t count = e;
+    e = at;  // the pool's start; the scatter advances it to the end
+    at += count;
+  }
+  std::vector<NodeId> pools(map.node_shard.size());
+  for (NodeId v = 0; v < map.node_shard.size(); ++v) {
+    pools[pool_end[map.node_shard[v]]++] = v;
+  }
   std::vector<NodeId> homes(num_objects);
   for (std::size_t s = 0; s < std::min(S, num_objects); ++s) {
-    const std::vector<NodeId>& pool = pools[s];
+    const std::span<const NodeId> pool(
+        pools.data() + (s == 0 ? 0 : pool_end[s - 1]),
+        pools.data() + pool_end[s]);
     DTM_REQUIRE(!pool.empty(),
                 "shard " << s << " has no nodes to home objects");
     std::size_t next = 0;

@@ -48,7 +48,7 @@ Schedule OnlineScheduler::finish() {
 
 Schedule OnlineScheduler::run_online(const Instance& inst,
                                      const Metric& metric,
-                                     const ArrivalTimes& arrival) {
+                                     std::span<const Time> arrival) {
   DTM_REQUIRE(arrival.size() == inst.num_transactions(),
               "arrival vector size mismatch");
   // Release order (ties by id — the model releases at discrete steps).

@@ -88,7 +88,7 @@ class OnlineScheduler : public Scheduler {
   /// (stable: same-step ties by ascending TxnId). Bit-identical to the
   /// historic clairvoyant run_online.
   Schedule run_online(const Instance& inst, const Metric& metric,
-                      const ArrivalTimes& arrival);
+                      std::span<const Time> arrival);
 
   /// Offline use is explicit: every transaction is released at step 0
   /// through the feed adapter. (Historically this defaulted silently;

@@ -1,8 +1,10 @@
 #include "sched/rw_greedy.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <queue>
+#include <span>
 
 #include "util/metrics.hpp"
 
@@ -15,6 +17,19 @@ namespace {
 DependencyGraph build_rw_dependency_graph(const Instance& inst,
                                           const WriteSets& writes,
                                           const Metric& metric) {
+  // Of an object's r requesters, q only read it: its r(r - 1)/2 pairs less
+  // the q(q - 1)/2 read-read ones conflict, two raw arcs each. Check their
+  // sum before any pair is emitted.
+  std::uint64_t raw_arcs = 0;
+  for (ObjectId o = 0; o < inst.num_objects(); ++o) {
+    const std::span<const TxnId> reqs = inst.requesters(o);
+    const std::uint64_t r = reqs.size();
+    const std::uint64_t q =
+        std::count_if(reqs.begin(), reqs.end(),
+                      [&](TxnId t) { return !is_write(writes, t, o); });
+    raw_arcs += r * (r - 1) - q * (q - 1);
+  }
+  detail::require_arc_count(raw_arcs);
   std::vector<TxnId> all(inst.num_transactions());
   std::iota(all.begin(), all.end(), 0);
   // Local index == global TxnId here (all transactions, ascending).

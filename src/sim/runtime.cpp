@@ -382,7 +382,7 @@ Instance StreamingRuntime::materialize() const {
 
 Schedule StreamingRuntime::schedule() const {
   Schedule s;
-  s.commit_time = commit_;
+  s.commit_time.assign(commit_.begin(), commit_.end());
   s.object_order = placed_object_orders(
       object_home_.size(), commit_, [&](TxnId t) { return objects_of(t); });
   return s;

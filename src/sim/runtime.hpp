@@ -188,8 +188,8 @@ class StreamingRuntime {
   /// O(stream) per call. Mid-stream, unplaced transactions keep commit 0
   /// and appear in no chain.
   Schedule schedule() const;
-  /// Arrival step per runtime id (validate_online's vector).
-  const ArrivalTimes& arrivals() const { return arrival_; }
+  /// Arrival step per runtime id (validate_online's arrivals).
+  std::span<const Time> arrivals() const { return arrival_; }
 
   /// Replays materialize()+schedule() through the stepwise engine (queued
   /// links, planned-degraded discipline): returns false into `error` if
@@ -233,10 +233,13 @@ class StreamingRuntime {
   // appends in place while the runtime holds the only reference, and
   // copies the table first otherwise. The per-object visit chains are not
   // stored: schedule() derives them from commit_ and the object sets (see
-  // WindowPlacer).
+  // WindowPlacer). The table's three arrays, arrival_ and commit_ are
+  // MappedArrays: past 128 KiB each grows in place in its own memory
+  // mapping (util/mapped_array.hpp) instead of doubling through the malloc
+  // heap, which a long stream would leave fragmented.
   std::shared_ptr<TxnTable> txns_;
-  ArrivalTimes arrival_;
-  std::vector<Time> commit_;
+  MappedArray<Time> arrival_;
+  MappedArray<Time> commit_;
 
   std::vector<NodeId> object_home_;  // initial placement
   WindowPlacer placer_;              // tail positions, horizon

@@ -27,6 +27,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -621,7 +622,7 @@ TEST_F(StreamMetricsTest, LatencyStagesTileArrivalToCommitExactly) {
   // Ground truth from the materialized schedule: the histogram's total is
   // sum over transactions of commit - arrival.
   const Schedule s = rt.schedule();
-  const ArrivalTimes& arr = rt.arrivals();
+  const std::span<const Time> arr = rt.arrivals();
   ASSERT_EQ(s.commit_time.size(), arr.size());
   std::uint64_t want_sum = 0;
   for (std::size_t t = 0; t < arr.size(); ++t) {

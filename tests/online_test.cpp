@@ -55,8 +55,8 @@ TEST(ValidateOnline, CatchesEarlyCommits) {
   const Instance inst = b.build();
   const DenseMetric m(c.graph);
   const Schedule s = Schedule::from_commit_times(inst, {3});
-  EXPECT_TRUE(validate_online(inst, m, {2}, s).ok);
-  EXPECT_FALSE(validate_online(inst, m, {5}, s).ok);
+  EXPECT_TRUE(validate_online(inst, m, ArrivalTimes{2}, s).ok);
+  EXPECT_FALSE(validate_online(inst, m, ArrivalTimes{5}, s).ok);
   EXPECT_FALSE(validate_online(inst, m, {}, s).ok);  // size mismatch
 }
 

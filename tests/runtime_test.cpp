@@ -432,6 +432,46 @@ TEST(StreamingRuntime, MaterializedInstanceSurvivesLaterIngests) {
                   .ok);
 }
 
+// The same snapshot guarantee where the transcript lives in memory
+// mappings (util/mapped_array.hpp): at 40000 transactions every transcript
+// array is past the 128 KiB floor, and by 120000 each has grown in place
+// (mremap) at least once more: the copied table from its exact size, the
+// arrival and commit arrays past their 65536 capacity.
+TEST(StreamingRuntime, MaterializedInstanceSurvivesMappedGrowth) {
+  const Grid g(6);
+  const DenseMetric m(g.graph);
+  const std::vector<NodeId> homes = StreamingRuntime::spread_homes(g.graph, 8);
+  auto src = make_arrival_source(ArrivalModel::kPoisson, g.graph,
+                                 small_stream(120000, 2.0), 5);
+  const std::vector<ArrivingTxn> stream = collect(*src);
+  StreamingRuntime rt(g.graph, m, homes);
+  constexpr std::size_t kPrefix = 40000;
+  static_assert(kPrefix * sizeof(NodeId) > kMappedArrayFloor);
+  for (std::size_t i = 0; i < kPrefix; ++i) rt.ingest(stream[i]);
+  const Instance early = rt.materialize();
+  const ObjectId* early_ids = early.objects(0).data();
+  const std::vector<Time> early_arrivals(rt.arrivals().begin(),
+                                         rt.arrivals().end());
+
+  for (std::size_t i = kPrefix; i < stream.size(); ++i) rt.ingest(stream[i]);
+  rt.drain();
+  EXPECT_EQ(early.objects(0).data(), early_ids);
+  test::expect_same_instance(early,
+                             builder_prefix(g.graph, homes, stream, kPrefix));
+  const Instance late = rt.materialize();
+  test::expect_same_instance(
+      late, builder_prefix(g.graph, homes, stream, stream.size()));
+  ASSERT_EQ(rt.arrivals().size(), stream.size());
+  EXPECT_TRUE(std::equal(early_arrivals.begin(), early_arrivals.end(),
+                         rt.arrivals().begin()));
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_EQ(rt.arrivals()[i], stream[i].arrival);
+  }
+  const ValidationResult vr =
+      validate_online(late, m, rt.arrivals(), rt.schedule());
+  EXPECT_TRUE(vr.ok) << vr.summary();
+}
+
 TEST(StreamingRuntime, DeterministicAcrossRuns) {
   const Clique c(16);
   const DenseMetric m(c.graph);

@@ -1,6 +1,8 @@
 // Tests for the read/write (replicated / multi-versioned) model extension.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/generators.hpp"
 #include "core/rw.hpp"
 #include "graph/metric.hpp"
@@ -173,6 +175,22 @@ TEST(RwGreedy, MultiVersionNeverSlowerThanSingleVersion) {
     EXPECT_EQ(check_rw(inst, writes, m, b, RwPolicy::kMultiVersion), "");
     EXPECT_LE(b.makespan(), a.makespan());
   }
+}
+
+TEST(RwGreedy, RawArcCountPast32BitsThrowsBeforeEmitting) {
+  // 65537 writers of one object conflict pairwise: 65537 * 65536 raw arcs
+  // exceed 2^32 - 1. The builder counts them per object before emitting
+  // any of the 2^31 pairs, so it throws at once.
+  const Clique c(2);
+  const DenseMetric m(c.graph);
+  constexpr std::size_t kTxns = 65537;
+  InstanceBuilder b(c.graph, 1);
+  b.allow_shared_homes().reserve(kTxns, kTxns);
+  for (std::size_t i = 0; i < kTxns; ++i) b.add_transaction(0, {0});
+  const Instance inst = b.build();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(schedule_rw_greedy(inst, WriteSets(kTxns, {0}), m), Error);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 }  // namespace

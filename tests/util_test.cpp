@@ -1,22 +1,26 @@
 // Unit tests for src/util: Rng, Stats, chernoff, Table, CsvWriter,
-// JsonWriter, ThreadPool, parallel_for, error macros.
+// JsonWriter, ThreadPool, parallel_for, MappedArray, error macros.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
+#include "util/mapped_array.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -572,6 +576,127 @@ TEST(JsonReader, MalformedNumbersThrowError) {
     EXPECT_THROW(JsonReader(doc).parse(), Error) << doc;
   }
 }
+
+// ------------------------------------------------------------ MappedArray
+
+TEST(MappedArray, EmptyArrayAllocatesNothing) {
+  MappedArray<std::uint32_t> a;
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(a.capacity(), 0u);
+  EXPECT_EQ(a.data(), nullptr);
+  const MappedArray<std::uint32_t> copy = a;
+  EXPECT_EQ(copy.data(), nullptr);
+  a.append({});
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_TRUE(std::span<const std::uint32_t>(a).empty());
+}
+
+TEST(MappedArray, ContentsSurviveGrowthAcrossTheFloorAndRemaps) {
+  // 2^20 four-byte elements: a heap block up to the 128 KiB floor, then a
+  // mapping that doubles through several mremap calls.
+  constexpr std::uint32_t kN = 1u << 20;
+  MappedArray<std::uint32_t> a;
+  std::size_t heap_growths = 0, mapped_growths = 0, capacity = 0;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    a.push_back(i * 2654435761u);
+    if (a.capacity() != capacity) {
+      capacity = a.capacity();
+      ++(a.mapped() ? mapped_growths : heap_growths);
+      EXPECT_EQ(a.mapped(),
+                capacity * sizeof(std::uint32_t) > kMappedArrayFloor);
+      // Every element written so far is intact after the move.
+      for (std::uint32_t j = 0; j <= i; ++j) {
+        ASSERT_EQ(a[j], j * 2654435761u) << "after growth to " << capacity;
+      }
+    }
+  }
+  EXPECT_GE(heap_growths, 2u);
+  EXPECT_GE(mapped_growths, 4u);  // one mmap, then mremaps
+  ASSERT_EQ(a.size(), kN);
+  for (std::uint32_t i = 0; i < kN; ++i) ASSERT_EQ(a[i], i * 2654435761u);
+}
+
+TEST(MappedArray, CopyIsDeepAndIndependent) {
+  for (const std::size_t n : {std::size_t{100}, std::size_t{100000}}) {
+    MappedArray<std::int64_t> a;
+    for (std::size_t i = 0; i < n; ++i) {
+      a.push_back(static_cast<std::int64_t>(i));
+    }
+    MappedArray<std::int64_t> b = a;
+    ASSERT_EQ(b.size(), n);
+    EXPECT_NE(b.data(), a.data());
+    EXPECT_EQ(b.mapped(), a.mapped());
+    b[0] = -1;
+    b.push_back(7);
+    EXPECT_EQ(a[0], 0);
+    EXPECT_EQ(a.size(), n);
+    a[1] = -2;
+    EXPECT_EQ(b[1], 1);
+    MappedArray<std::int64_t> c;
+    c = a;  // copy assignment
+    EXPECT_TRUE(std::equal(c.begin(), c.end(), a.begin(), a.end()));
+    EXPECT_NE(c.data(), a.data());
+  }
+}
+
+TEST(MappedArray, MoveAndTruncate) {
+  MappedArray<std::uint32_t> a;
+  for (std::uint32_t i = 0; i < 50000; ++i) a.push_back(i);
+  const std::uint32_t* storage = a.data();
+  MappedArray<std::uint32_t> b = std::move(a);
+  EXPECT_EQ(b.data(), storage);  // the storage moves, nothing is copied
+  EXPECT_EQ(b.size(), 50000u);
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.data(), nullptr);
+  MappedArray<std::uint32_t> c;
+  c.push_back(9);
+  c = std::move(b);
+  EXPECT_EQ(c.data(), storage);
+  EXPECT_EQ(c[49999], 49999u);
+
+  const std::size_t capacity = c.capacity();
+  c.truncate(10);
+  EXPECT_EQ(c.size(), 10u);
+  EXPECT_EQ(c.capacity(), capacity);  // the storage stays
+  EXPECT_EQ(c[9], 9u);
+  EXPECT_THROW(c.truncate(11), Error);
+  c.push_back(77);
+  EXPECT_EQ(c[10], 77u);
+  c.truncate(0);
+  EXPECT_EQ(c.size(), 0u);
+}
+
+TEST(MappedArray, SpanViewAndAppend) {
+  MappedArray<std::uint32_t> a;
+  const std::vector<std::uint32_t> chunk = {5, 6, 7};
+  a.append(chunk);
+  a.append(chunk);
+  a.reserve(1000);
+  EXPECT_GE(a.capacity(), 1000u);
+  const std::span<const std::uint32_t> view = a;
+  EXPECT_EQ(view.data(), a.data());
+  EXPECT_EQ(std::vector<std::uint32_t>(view.begin(), view.end()),
+            (std::vector<std::uint32_t>{5, 6, 7, 5, 6, 7}));
+  // Bounds are checked in every build.
+  EXPECT_THROW((void)a[a.size()], Error);
+  const MappedArray<std::uint32_t>& ca = a;
+  EXPECT_THROW((void)ca[6], Error);
+}
+
+#ifdef DTM_MAPPED_ARRAY_POISONS
+// Under AddressSanitizer the tail past size() is poisoned, in a heap block
+// and in a mapping alike, so a raw read one element past the end dies.
+TEST(MappedArrayDeathTest, ReadPastSizeIsCaught) {
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{100000}}) {
+    MappedArray<std::uint32_t> a;
+    for (std::size_t i = 0; i < n; ++i) a.push_back(1);
+    ASSERT_LT(a.size(), a.capacity());
+    EXPECT_EQ(a.mapped(), n == 100000);
+    const volatile std::uint32_t* past = a.data() + a.size();
+    EXPECT_DEATH((void)*past, "use-after-poison");
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace dtm
