@@ -243,7 +243,7 @@ void print_shard_series(bool smoke) {
         StreamingRuntimeOptions opts;
         opts.window = kWindow;
         opts.shards = shards;
-        opts.max_live_admitted = 64;  // backpressure active in every run
+        opts.admission.max_live = 64;  // backpressure active in every run
         const StreamingRuntime rt =
             run_stream_opts(g, metric, model, 1.0, n, opts);
         const StreamStats& st = rt.stats();
@@ -287,7 +287,7 @@ void print_shard_series(bool smoke) {
     const double rate = 0.9 * mu;
     StreamingRuntimeOptions fixed;
     fixed.window = kWindow;
-    fixed.max_live_admitted = 8;  // tight: well under one burst
+    fixed.admission.max_live = 8;  // tight: well under one burst
     const StreamingRuntime frun = run_stream_opts(
         cluster.graph, cluster_metric, ArrivalModel::kBursty, rate, n, fixed);
     StreamingRuntimeOptions aimd;
@@ -348,7 +348,7 @@ void print_latency_series(bool smoke) {
                  "mean", "p50", "p95", "p99", "max"});
   StreamingRuntimeOptions fixed;
   fixed.window = kWindow;
-  fixed.max_live_admitted = 8;  // E23's tight bound: well under one burst
+  fixed.admission.max_live = 8;  // E23's tight bound: well under one burst
   StreamingRuntimeOptions aimd;
   aimd.window = kWindow;
   aimd.admission.policy = AdmissionPolicy::kAimd;

@@ -281,7 +281,7 @@ int run_streaming(const ArgParser& args, const TopologyBundle& topo,
 
   StreamingRuntimeOptions opts;
   opts.window = args.get_int("window", opts.window);
-  opts.max_live_admitted =
+  opts.admission.max_live =
       static_cast<std::size_t>(args.get_int("max-live", 0));
   opts.shards = static_cast<std::size_t>(args.get_int("shards", 1));
   opts.admission.policy = parse_admission_policy(args.get("admission", "fixed"));

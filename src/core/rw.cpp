@@ -79,13 +79,16 @@ std::string check_rw(const Instance& inst, const WriteSets& writes,
       }
     }
 
-    // Writer (master-copy) chain, as in the single-copy model.
+    // Writer (master-copy) chain, as in the single-copy model: the master
+    // serves one commit per step (hop_steps) after the first writer; the
+    // anchor from the object's home is a raw distance.
     NodeId prev_node = inst.object_home(o);
     Time prev_time = 0;
-    std::vector<Time> writer_pos_time;  // commit of each writer, in order
+    bool first = true;
     for (TxnId wtxn : s.writer_order[o]) {
       const NodeId node = inst.home(wtxn);
-      const Weight d = metric.distance(prev_node, node);
+      const Weight raw = metric.distance(prev_node, node);
+      const Weight d = first ? raw : hop_steps(raw);
       if (s.commit_time[wtxn] < prev_time + d) {
         std::ostringstream os;
         os << "o" << o << ": master cannot reach writer T" << wtxn;
@@ -93,7 +96,7 @@ std::string check_rw(const Instance& inst, const WriteSets& writes,
       }
       prev_node = node;
       prev_time = s.commit_time[wtxn];
-      writer_pos_time.push_back(prev_time);
+      first = false;
     }
 
     // Readers: copy shipped from the source version's node.

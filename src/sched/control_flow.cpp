@@ -1,8 +1,9 @@
 #include "sched/control_flow.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <sstream>
+
+#include "core/precedence.hpp"
 
 namespace dtm {
 
@@ -42,14 +43,10 @@ ControlFlowResult schedule_control_flow(const Instance& inst,
     }
   }
 
-  // Longest path over the service-order DAG with round-trip edge weights.
-  struct Succ {
-    TxnId next;
-    Weight round_trip;  // 2·dist(home(o), node(next))
-  };
-  std::vector<std::vector<Succ>> succ(n);
-  std::vector<std::size_t> indegree(n, 0);
-  std::vector<Time> time(n, 1);
+  // Longest path over the service-order DAG with round-trip arc weights
+  // 2·dist(home(o), node(next)).
+  std::vector<Time> floor(n, 1);
+  std::vector<PrecedenceArc> arcs;
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
     const NodeId home = inst.object_home(o);
     const auto& service = out.object_order[o];
@@ -58,29 +55,14 @@ ControlFlowResult schedule_control_flow(const Instance& inst,
       out.communication += rt;
       if (i == 0) {
         // First access only waits for its own round trip.
-        time[service[0]] = std::max(time[service[0]], std::max<Time>(rt, 1));
+        floor[service[0]] = std::max(floor[service[0]], rt);
       } else {
-        succ[service[i - 1]].push_back({service[i], rt});
-        ++indegree[service[i]];
+        arcs.push_back({service[i - 1], service[i], rt});
       }
     }
   }
-  std::queue<TxnId> q;
-  for (TxnId t = 0; t < n; ++t) {
-    if (indegree[t] == 0) q.push(t);
-  }
-  std::size_t processed = 0;
-  while (!q.empty()) {
-    const TxnId t = q.front();
-    q.pop();
-    ++processed;
-    for (const Succ& s : succ[t]) {
-      time[s.next] = std::max(time[s.next], time[t] + s.round_trip);
-      if (--indegree[s.next] == 0) q.push(s.next);
-    }
-  }
-  DTM_ASSERT_MSG(processed == n, "control-flow service orders form a cycle");
-  out.commit_time = std::move(time);
+  out.commit_time =
+      longest_path_times(std::move(floor), arcs, "schedule_control_flow");
   return out;
 }
 

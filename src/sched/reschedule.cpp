@@ -1,10 +1,10 @@
 #include "sched/reschedule.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <utility>
 #include <vector>
 
+#include "core/precedence.hpp"
 #include "sched/registry.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -30,7 +30,10 @@ Residual build_residual(const Instance& inst, const PartialExecution& px) {
               "reschedule: partial state shape does not match instance");
   Residual out;
   out.res_of.assign(n, kInvalidTxn);
+  // Residual homes come from an already-checked instance, which may
+  // share them.
   InstanceBuilder rb(inst.graph(), w);
+  rb.allow_shared_homes();
   for (ObjectId o = 0; o < w; ++o) rb.set_object_home(o, px.object_at[o]);
   for (TxnId t = 0; t < n; ++t) {
     if (px.committed[t] != 0) continue;
@@ -42,71 +45,35 @@ Residual build_residual(const Instance& inst, const PartialExecution& px) {
 }
 
 /// Earliest commit times for the uncommitted suffix given the full spliced
-/// orders: the precedence.cpp longest-path relaxation, with the source
+/// orders: longest paths over the suffix's visit chains, with the source
 /// constraint anchored at the snapshot (object_free_at + distance from the
-/// pinned location) and every time floored at now + 1. Committed
+/// pinned location, raw: an in-flight object may be received and committed
+/// in its arrival step) and every time floored at now + 1. Committed
 /// transactions are not retimed — their chain edges into the suffix are
 /// subsumed by the source constraint (triangle inequality through
 /// object_at).
 std::vector<Time> retime_suffix(const Instance& inst, const Metric& metric,
                                 const PartialExecution& px,
                                 const std::vector<std::vector<TxnId>>& order) {
-  const std::size_t n = inst.num_transactions();
-  struct Succ {
-    TxnId next;
-    Weight dist;
-  };
-  std::vector<std::vector<Succ>> succ(n);
-  std::vector<std::size_t> indegree(n, 0);
-  std::vector<Time> time(n, px.now + 1);
-  std::vector<char> pending(n, 0);
-  for (TxnId t = 0; t < n; ++t) pending[t] = px.committed[t] != 0 ? 0 : 1;
-
+  std::vector<Time> floor(inst.num_transactions(), px.now + 1);
+  std::vector<PrecedenceArc> arcs;
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-    const auto& full = order[o];
-    const std::size_t start = px.served[o].size();
-    if (start >= full.size()) continue;
-    const TxnId first = full[start];
-    DTM_REQUIRE(pending[first] != 0,
-                "reschedule: committed T" << first
-                                          << " appears in o" << o
-                                          << "'s uncommitted suffix");
-    time[first] = std::max(
-        time[first],
-        px.object_free_at[o] +
-            metric.distance(px.object_at[o], inst.home(first)));
-    for (std::size_t i = start; i + 1 < full.size(); ++i) {
-      const TxnId a = full[i], b = full[i + 1];
-      DTM_REQUIRE(pending[b] != 0,
-                  "reschedule: committed T"
-                      << b << " appears in o" << o << "'s uncommitted suffix");
-      succ[a].push_back(
-          {b, metric.distance(inst.home(a), inst.home(b))});
-      ++indegree[b];
+    const std::span<const TxnId> suffix =
+        std::span(order[o]).subspan(std::min(px.served[o].size(),
+                                             order[o].size()));
+    if (suffix.empty()) continue;
+    for (const TxnId t : suffix) {
+      DTM_REQUIRE(px.committed[t] == 0,
+                  "reschedule: committed T" << t << " appears in o" << o
+                                            << "'s uncommitted suffix");
     }
+    const TxnId first = suffix.front();
+    floor[first] = std::max(
+        floor[first], px.object_free_at[o] +
+                          metric.distance(px.object_at[o], inst.home(first)));
+    append_chain_arcs(inst, metric, suffix, arcs);
   }
-
-  std::queue<TxnId> ready;
-  std::size_t want = 0;
-  for (TxnId t = 0; t < n; ++t) {
-    if (pending[t] == 0) continue;
-    ++want;
-    if (indegree[t] == 0) ready.push(t);
-  }
-  std::size_t processed = 0;
-  while (!ready.empty()) {
-    const TxnId t = ready.front();
-    ready.pop();
-    ++processed;
-    for (const Succ& s : succ[t]) {
-      time[s.next] = std::max(time[s.next], time[t] + s.dist);
-      if (--indegree[s.next] == 0) ready.push(s.next);
-    }
-  }
-  DTM_REQUIRE(processed == want,
-              "reschedule: spliced orders induce a precedence cycle ("
-                  << (want - processed) << " transactions unreachable)");
-  return time;
+  return longest_path_times(std::move(floor), arcs, "reschedule");
 }
 
 }  // namespace

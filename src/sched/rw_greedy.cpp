@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <queue>
 #include <span>
 
+#include "core/precedence.hpp"
 #include "util/metrics.hpp"
 
 namespace dtm {
@@ -36,12 +36,19 @@ DependencyGraph build_rw_dependency_graph(const Instance& inst,
   return detail::assemble_dependency_csr(
       metric, std::move(all), [&](TxnId t) { return inst.home(t); },
       EdgeWeighing::kFromBothEnds, [&](const auto& emit) {
+        // Each writer pairs with every reader and every later writer, so
+        // no read-read pair is visited: O(writers · r) per object.
+        std::vector<char> writes_o;
         for (ObjectId o = 0; o < inst.num_objects(); ++o) {
-          const auto& reqs = inst.requesters(o);
+          const std::span<const TxnId> reqs = inst.requesters(o);
+          writes_o.resize(reqs.size());
           for (std::size_t i = 0; i < reqs.size(); ++i) {
-            for (std::size_t j = i + 1; j < reqs.size(); ++j) {
-              if (is_write(writes, reqs[i], o) ||
-                  is_write(writes, reqs[j], o)) {
+            writes_o[i] = is_write(writes, reqs[i], o) ? 1 : 0;
+          }
+          for (std::size_t i = 0; i < reqs.size(); ++i) {
+            if (writes_o[i] == 0) continue;
+            for (std::size_t j = 0; j < reqs.size(); ++j) {
+              if (j != i && (writes_o[j] == 0 || j > i)) {
                 emit(reqs[i], reqs[j]);
               }
             }
@@ -57,40 +64,27 @@ std::vector<Time> rw_earliest_times(
     const std::vector<std::vector<TxnId>>& writer_order,
     const std::vector<std::vector<std::pair<TxnId, TxnId>>>& reader_source,
     RwPolicy policy) {
-  const std::size_t n = inst.num_transactions();
-  struct Succ {
-    TxnId next;
-    Weight dist;
-  };
-  std::vector<std::vector<Succ>> succ(n);
-  std::vector<std::size_t> indegree(n, 0);
-  std::vector<Time> time(n, 1);
-  auto add_edge = [&](TxnId a, TxnId b, Weight d) {
-    succ[a].push_back({b, d});
-    ++indegree[b];
-  };
-
+  // Writer chains obey the hop rule; the master's source anchor, reader
+  // copies and revocations travel their raw distance.
+  std::vector<Time> floor(inst.num_transactions(), 1);
+  std::vector<PrecedenceArc> arcs;
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
     const NodeId home = inst.object_home(o);
     const auto& chain = writer_order[o];
     if (!chain.empty()) {
-      time[chain[0]] = std::max(
-          time[chain[0]], metric.distance(home, inst.home(chain[0])));
-      for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-        add_edge(chain[i], chain[i + 1],
-                 metric.distance(inst.home(chain[i]),
-                                 inst.home(chain[i + 1])));
-      }
+      floor[chain[0]] = std::max(
+          floor[chain[0]], metric.distance(home, inst.home(chain[0])));
+      append_chain_arcs(inst, metric, chain, arcs);
     }
     for (const auto& [reader, source] : reader_source[o]) {
       const NodeId rnode = inst.home(reader);
       std::size_t src_index;
       if (source == kInvalidTxn) {
-        time[reader] = std::max(time[reader], metric.distance(home, rnode));
+        floor[reader] = std::max(floor[reader], metric.distance(home, rnode));
         src_index = static_cast<std::size_t>(-1);
       } else {
-        add_edge(source, reader,
-                 metric.distance(inst.home(source), rnode));
+        arcs.push_back(
+            {source, reader, metric.distance(inst.home(source), rnode)});
         const auto it = std::find(chain.begin(), chain.end(), source);
         DTM_REQUIRE(it != chain.end(),
                     "rw_earliest_times: source is not a writer");
@@ -98,28 +92,12 @@ std::vector<Time> rw_earliest_times(
       }
       if (policy == RwPolicy::kSingleVersion && src_index + 1 < chain.size()) {
         const TxnId wnext = chain[src_index + 1];
-        add_edge(reader, wnext,
-                 metric.distance(rnode, inst.home(wnext)));
+        arcs.push_back(
+            {reader, wnext, metric.distance(rnode, inst.home(wnext))});
       }
     }
   }
-
-  std::queue<TxnId> q;
-  for (TxnId t = 0; t < n; ++t) {
-    if (indegree[t] == 0) q.push(t);
-  }
-  std::size_t processed = 0;
-  while (!q.empty()) {
-    const TxnId t = q.front();
-    q.pop();
-    ++processed;
-    for (const Succ& s : succ[t]) {
-      time[s.next] = std::max(time[s.next], time[t] + s.dist);
-      if (--indegree[s.next] == 0) q.push(s.next);
-    }
-  }
-  DTM_REQUIRE(processed == n, "rw_earliest_times: dependency cycle");
-  return time;
+  return longest_path_times(std::move(floor), arcs, "rw_earliest_times");
 }
 
 RwSchedule schedule_rw_greedy(const Instance& inst, const WriteSets& writes,

@@ -30,8 +30,8 @@ RwSchedule schedule_rw_greedy(const Instance& inst, const WriteSets& writes,
                               const RwGreedyOptions& opts = {});
 
 /// Earliest commit times for fixed writer chains and reader sources under
-/// `policy` (longest path over the version-dependency DAG). Throws on
-/// cyclic inputs.
+/// `policy` (longest path over the version-dependency DAG; consecutive
+/// writers are hop_steps apart). Throws on cyclic inputs.
 std::vector<Time> rw_earliest_times(
     const Instance& inst, const Metric& metric,
     const std::vector<std::vector<TxnId>>& writer_order,

@@ -10,19 +10,6 @@
 
 namespace dtm {
 
-namespace {
-
-/// The admission seam: the legacy max_live_admitted field doubles as the
-/// fixed quota (or the AIMD starting quota) when admission.max_live is
-/// unset, so PR 8 call sites reproduce bit for bit.
-AdmissionConfig admission_config(const StreamingRuntimeOptions& opts) {
-  AdmissionConfig ac = opts.admission;
-  if (ac.max_live == 0) ac.max_live = opts.max_live_admitted;
-  return ac;
-}
-
-}  // namespace
-
 StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
                                    std::vector<NodeId> object_home,
                                    StreamingRuntimeOptions opts)
@@ -42,7 +29,7 @@ StreamingRuntime::StreamingRuntime(const Graph& g, const Metric& metric,
   opts_.shards = shard_map_.num_shards;
   shard_stats_.num_shards = shard_map_.num_shards;
   shard_stats_.scheme = shard_map_.scheme;
-  admission_ = make_admission_controller(admission_config(opts_));
+  admission_ = make_admission_controller(opts_.admission);
 }
 
 std::vector<NodeId> StreamingRuntime::spread_homes(const Graph& g,

@@ -72,15 +72,11 @@ struct StreamingRuntimeOptions {
   /// scheduled when their window closes.
   Time window = 16;
   ColoringRule rule = ColoringRule::kFirstFit;
-  /// Backpressure bound: a batch member is admitted only while fewer than
-  /// this many admitted transactions are still uncommitted at the window
-  /// close; the rest wait in the FIFO backlog. 0 = admit everything.
-  /// Shorthand for admission = {kFixed, max_live_admitted}; ignored when
-  /// `admission.max_live` is set.
-  std::size_t max_live_admitted = 0;
-  /// Closed-loop admission control (sim/admission.hpp). The default —
-  /// kFixed with max_live 0 — falls back to max_live_admitted above,
-  /// reproducing the PR 8 behavior bit for bit.
+  /// Admission control (sim/admission.hpp). Under kFixed, a batch member
+  /// is admitted only while fewer than admission.max_live admitted
+  /// transactions are still uncommitted at the window close; the rest
+  /// wait in the FIFO backlog. The default, kFixed with max_live 0, admits
+  /// everything.
   AdmissionConfig admission;
   /// Width of the reported locality split: k > 1 partitions the substrate
   /// into k shards (graph/partition.hpp) and accounts each window's

@@ -588,7 +588,7 @@ TEST_F(StreamMetricsTest, LatencyStagesTileArrivalToCommitExactly) {
   auto src = make_arrival_source(ArrivalModel::kPoisson, cg.graph, so, 17);
   StreamingRuntimeOptions opts;
   opts.window = 8;
-  opts.max_live_admitted = 24;
+  opts.admission.max_live = 24;
   StreamingRuntime rt(cg.graph, m, StreamingRuntime::spread_homes(cg.graph,
                                                                   kObjects),
                       opts);

@@ -415,6 +415,53 @@ PartialExecution fresh_px(const Instance& inst) {
   return px;
 }
 
+// Shared homes: o0 (home 2) served T2@1 at step 1 and parks there; the
+// suffix T0, T1 sits on node 0. The residual instance shares that home,
+// and the hop rule on the suffix chain keeps the two commits a step apart.
+struct SharedHomeSnapshot {
+  Line line{3};
+  DenseMetric m{line.graph};
+  Instance inst;
+  PartialExecution px;
+
+  SharedHomeSnapshot() {
+    InstanceBuilder b(line.graph, 1);
+    b.allow_shared_homes();
+    b.add_transaction(0, {0});
+    b.add_transaction(0, {0});
+    b.add_transaction(1, {0});
+    b.set_object_home(0, 2);
+    inst = b.build();
+    px = fresh_px(inst);
+    px.now = 1;
+    px.committed[2] = 1;
+    px.commit_realized[2] = 1;
+    px.object_at[0] = 1;
+    px.object_free_at[0] = 1;
+    px.served[0] = {2};
+  }
+};
+
+TEST(RescheduleFrom, SharedHomeSpliceValidates) {
+  const SharedHomeSnapshot f;
+  const auto sched = make_scheduler("greedy-ff");
+  const std::unique_ptr<Schedule> out =
+      reschedule_from(f.inst, f.m, *sched, f.px);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->object_order[0], (std::vector<TxnId>{2, 0, 1}));
+  EXPECT_EQ(out->commit_time, (std::vector<Time>{2, 3, 1}));
+  const ValidationResult r = validate(f.inst, f.m, *out);
+  EXPECT_TRUE(r.ok) << r.summary();
+}
+
+TEST(RescheduleRw, SharedHomeWritersCommitAStepApart) {
+  const SharedHomeSnapshot f;
+  const RwSchedule out =
+      reschedule_rw_from(f.inst, WriteSets{{0}, {0}, {0}}, f.m, f.px);
+  EXPECT_EQ(out.writer_order[0], (std::vector<TxnId>{0, 1}));
+  EXPECT_EQ(out.commit_time, (std::vector<Time>{2, 3, 1}));
+}
+
 // From an untouched snapshot (objects at home, nothing committed) the rw
 // restart degenerates to schedule_rw_greedy, so check_rw accepts it.
 TEST(RescheduleRw, FreshSnapshotPassesCheckRw) {

@@ -526,7 +526,7 @@ TEST(StreamingRuntime, BackpressureDefersAndEventuallyDrains) {
   const Grid g(5);
   const DenseMetric m(g.graph);
   StreamingRuntimeOptions opts;
-  opts.max_live_admitted = 4;
+  opts.admission.max_live = 4;
   opts.replay_check = true;
   const StreamingRuntime rt =
       run_stream(g.graph, m, ArrivalModel::kBursty, 4.0, 60, opts);

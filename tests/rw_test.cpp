@@ -177,6 +177,49 @@ TEST(RwGreedy, MultiVersionNeverSlowerThanSingleVersion) {
   }
 }
 
+TEST(RwGreedy, WriterChainObeysHopRuleOnSharedHomes) {
+  // Two writers of o0 on node 0, master at node 2: the master serves one
+  // commit per step, so the writers commit at 2 and 3, never together.
+  const Line line(3);
+  const DenseMetric m(line.graph);
+  InstanceBuilder b(line.graph, 1);
+  b.allow_shared_homes();
+  b.add_transaction(0, {0});
+  b.add_transaction(0, {0});
+  b.set_object_home(0, 2);
+  const Instance inst = b.build();
+  const WriteSets writes = {{0}, {0}};
+  const RwSchedule s = schedule_rw_greedy(inst, writes, m);
+  EXPECT_EQ(s.commit_time, (std::vector<Time>{2, 3}));
+  EXPECT_EQ(check_rw(inst, writes, m, s, RwPolicy::kMultiVersion), "");
+
+  RwSchedule same_step = s;
+  same_step.commit_time = {2, 2};
+  EXPECT_NE(check_rw(inst, writes, m, same_step, RwPolicy::kMultiVersion),
+            "");
+  EXPECT_NE(check_rw(inst, writes, m, same_step, RwPolicy::kSingleVersion),
+            "");
+}
+
+TEST(RwGreedy, OneWriterManyReadersBuildsInLinearTime) {
+  // One writer and 65536 readers of one object: 65536 conflicting pairs
+  // among 2^31 requester pairs. Only pairs with a writer are visited.
+  const Clique c(2);
+  const DenseMetric m(c.graph);
+  constexpr std::size_t kTxns = 65537;
+  InstanceBuilder b(c.graph, 1);
+  b.allow_shared_homes().reserve(kTxns, kTxns);
+  b.add_transaction(0, {0});
+  for (std::size_t i = 1; i < kTxns; ++i) b.add_transaction(1, {0});
+  const Instance inst = b.build();
+  WriteSets writes(kTxns);
+  writes[0] = {0};
+  const auto start = std::chrono::steady_clock::now();
+  const RwSchedule s = schedule_rw_greedy(inst, writes, m);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(check_rw(inst, writes, m, s, RwPolicy::kMultiVersion), "");
+}
+
 TEST(RwGreedy, RawArcCountPast32BitsThrowsBeforeEmitting) {
   // 65537 writers of one object conflict pairwise: 65537 * 65536 raw arcs
   // exceed 2^32 - 1. The builder counts them per object before emitting

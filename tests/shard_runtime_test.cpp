@@ -405,7 +405,7 @@ TEST_P(ShardIdentity, SchedulesAndStatsMatchEverySingleShardRun) {
       StreamingRuntimeOptions base;
       base.window = 8;
       base.rule = rule;
-      base.max_live_admitted = 24;  // exercise backpressure + deferrals
+      base.admission.max_live = 24;  // exercise backpressure + deferrals
       const RunResult ref = run_stream(f.graph(), m, model, seed, base);
       for (std::size_t shards :
            {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
@@ -468,7 +468,7 @@ TEST_P(ShardIdentity, MetricsJsonlIsShardCountInvariant) {
   const auto run_jsonl = [&](std::size_t shards) {
     StreamingRuntimeOptions opts;
     opts.window = 8;
-    opts.max_live_admitted = 24;
+    opts.admission.max_live = 24;
     opts.shards = shards;
     mreg.reset();
     std::ostringstream doc;

@@ -132,7 +132,7 @@ TEST(StreamSoak, AboveCapacityStateGrowsNoFasterThanBacklog) {
   const DenseMetric m(grid.graph);
   StreamingRuntimeOptions opts;
   opts.window = 32;
-  opts.max_live_admitted = 32;
+  opts.admission.max_live = 32;
   const double mu =
       measured_capacity(grid.graph, m, ArrivalModel::kPoisson, opts);
   ASSERT_GT(mu, 0.0);
