@@ -29,6 +29,7 @@
 #include "sched/registry.hpp"
 #include "sched/reschedule.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace_analysis.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
 
@@ -410,16 +411,20 @@ void write_smoke_trace(const std::string& path, const std::string& invocation) {
   fc.loss_rate = 0.025;
   fc.seed = 1;
   const FaultModel model(fc);
-  const SimResult r = simulate(
-      inst, metric, s,
-      {.faults = &model, .capacity = 1, .earliest_commit = true});
+  const SimResult r = simulate(inst, metric, s,
+                               {.record_events = true,
+                                .faults = &model,
+                                .capacity = 1,
+                                .earliest_commit = true});
   rec.set_enabled(false);
   DTM_REQUIRE(r.ok, "traced run failed: " << r.summary());
 
   std::ofstream out(path);
   DTM_REQUIRE(out.good(), "cannot open --trace-out file " << path);
-  out << rec.to_chrome_json();
-  std::cout << "wrote " << rec.size() << "-event trace to " << path << "\n";
+  const std::vector<TraceSpanRecord> records = trace_records(r.events);
+  out << rec.to_chrome_json(records);
+  std::cout << "wrote " << records.size() + rec.size() << "-event trace to "
+            << path << "\n";
 }
 
 // --resched-trace-out: one dedicated active-reschedule run recorded as a
@@ -454,6 +459,7 @@ void write_resched_trace(const std::string& path,
   fc.seed = 1;
   const FaultModel model(fc);
   SimOptions opts;
+  opts.record_events = true;
   opts.faults = &model;
   opts.reschedule = make_rescheduler(inst, metric, "greedy-ff", 1);
   opts.reschedule_policy = kE20Policy;
@@ -466,9 +472,11 @@ void write_resched_trace(const std::string& path,
 
   std::ofstream out(path);
   DTM_REQUIRE(out.good(), "cannot open --resched-trace-out file " << path);
-  out << rec.to_chrome_json();
-  std::cout << "wrote " << rec.size() << "-event reschedule trace to " << path
-            << " (" << r.reschedules << " splice(s))\n";
+  const std::vector<TraceSpanRecord> records = trace_records(r.events);
+  out << rec.to_chrome_json(records);
+  std::cout << "wrote " << records.size() + rec.size()
+            << "-event reschedule trace to " << path << " (" << r.reschedules
+            << " splice(s))\n";
 }
 
 void BM_FaultSim(benchmark::State& state) {

@@ -45,6 +45,7 @@
 #include "sim/optimistic.hpp"
 #include "sim/runtime.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace_analysis.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -322,10 +323,10 @@ int run(const ArgParser& args, const std::string& invocation) {
   const auto trials = static_cast<int>(args.get_int("trials", 1));
 
   // --trace-out records trial 0 (the seeded, reproducible one) and writes a
-  // Chrome trace-event file (or deterministic JSONL) after the run. Only
-  // one execution per run is recorded to keep a single coherent span tree:
-  // with --capacity that is the capacity replay (whose makespan is the one
-  // printed), otherwise the plain trial-0 run.
+  // Chrome trace-event file (or deterministic JSONL) after the run: the
+  // log of one execution, plus the wall-clock phases of trial 0. With
+  // --capacity the logged execution is the capacity replay (whose makespan
+  // is the one printed), otherwise the plain trial-0 run.
   const bool tracing = args.has("trace-out");
   const bool trace_replay = tracing && args.has("capacity");
   const std::string trace_path = args.get("trace-out", "");
@@ -380,6 +381,7 @@ int run(const ArgParser& args, const std::string& invocation) {
         "slack-threshold", sim_opts.reschedule_policy.slack_threshold);
   }
 
+  std::vector<SimEvent> trace_log;  // the traced execution's log
   Table table({"trial", "scheduler", "txns", "makespan", "LB", "ratio",
                "communication", "peak link load"});
   std::optional<CsvWriter> csv;
@@ -406,13 +408,14 @@ int run(const ArgParser& args, const std::string& invocation) {
           inst, *metric, resched_name,
           seed + static_cast<std::uint64_t>(trial));
     }
-    // With --capacity the replay below is the traced execution; keep the
-    // plain run off the recorder so the trace matches the printed makespan.
-    const bool pause_plain = trace_replay && recorder.enabled();
-    if (pause_plain) recorder.set_enabled(false);
-    const SimResult sim = simulate(inst, *metric, schedule, sim_opts);
-    if (pause_plain) recorder.set_enabled(true);
+    // With --capacity the replay below is the traced execution, so the
+    // trace matches the printed makespan.
+    const bool trace_this = tracing && trial == 0;
+    SimOptions run_opts = sim_opts;
+    run_opts.record_events = trace_this && !trace_replay;
+    SimResult sim = simulate(inst, *metric, schedule, run_opts);
     DTM_REQUIRE(sim.ok, "simulation failed:\n" << sim.summary());
+    if (run_opts.record_events) trace_log = std::move(sim.events);
     if (resched && sim.reschedules > 0) {
       std::cout << "trial " << trial << " reschedules: " << sim.reschedules
                 << " (realized makespan " << sim.realized_makespan << ")\n";
@@ -433,15 +436,16 @@ int run(const ArgParser& args, const std::string& invocation) {
     if (args.has("capacity")) {
       // The --fault-* flags compose with --capacity: the replay runs the
       // visit orders on bounded FIFO links *and* the faulty network at once.
-      // This replay is the recorded execution when tracing (its makespan is
-      // the printed one); the plain run above was kept off the recorder.
+      // This replay is the logged execution when tracing (its makespan is
+      // the printed one).
       const auto cap = static_cast<std::size_t>(args.get_int("capacity", 1));
-      const SimResult replay = simulate(
-          inst, *metric, schedule,
-          {.faults = faults ? &*faults : nullptr,
-           .capacity = cap,
-           .earliest_commit = true});
+      SimResult replay = simulate(inst, *metric, schedule,
+                                  {.record_events = trace_this,
+                                   .faults = faults ? &*faults : nullptr,
+                                   .capacity = cap,
+                                   .earliest_commit = true});
       DTM_REQUIRE(replay.ok, "capacity replay failed: " << replay.summary());
+      if (trace_this) trace_log = std::move(replay.events);
       std::cout << "capacity-" << cap << " replay: makespan "
                 << replay.realized_makespan << ", queue wait "
                 << replay.total_queue_wait << ", max queue "
@@ -490,9 +494,15 @@ int run(const ArgParser& args, const std::string& invocation) {
   if (tracing) {
     std::ofstream out(trace_path);
     DTM_REQUIRE(out.good(), "cannot open --trace-out file " << trace_path);
-    out << (trace_format == "jsonl" ? recorder.to_jsonl()
-                                    : recorder.to_chrome_json());
-    std::cout << "wrote " << recorder.size() << "-event " << trace_format
+    const std::vector<TraceSpanRecord> records = trace_records(trace_log);
+    std::size_t written = records.size();
+    if (trace_format == "jsonl") {
+      out << recorder.to_jsonl(records);
+    } else {
+      out << recorder.to_chrome_json(records);
+      written += recorder.size();
+    }
+    std::cout << "wrote " << written << "-event " << trace_format
               << " trace to " << trace_path << '\n';
   }
 

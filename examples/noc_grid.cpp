@@ -72,6 +72,7 @@ int main() {
             << sim.realized_makespan << "):\n";
   std::size_t shown = 0;
   for (const SimEvent& e : sim.events) {
+    if (!e.chronological()) continue;  // show the moves and commits
     if (shown++ >= 14) break;
     std::cout << "  t=" << e.time << "  ";
     switch (e.kind) {
@@ -90,7 +91,7 @@ int main() {
       case SimEvent::Kind::kHop:
         std::cout << "o" << e.object << " hops";
         break;
-      case SimEvent::Kind::kNone:
+      default:
         break;
     }
     std::cout << "\n";

@@ -44,7 +44,8 @@ ControlFlowResult schedule_control_flow(const Instance& inst,
   }
 
   // Longest path over the service-order DAG with round-trip arc weights
-  // 2·dist(home(o), node(next)).
+  // 2·dist(home(o), node(next)), at least one step: an object serves one
+  // requester per step, even one on its own home.
   std::vector<Time> floor(n, 1);
   std::vector<PrecedenceArc> arcs;
   for (ObjectId o = 0; o < inst.num_objects(); ++o) {
@@ -57,7 +58,7 @@ ControlFlowResult schedule_control_flow(const Instance& inst,
         // First access only waits for its own round trip.
         floor[service[0]] = std::max(floor[service[0]], rt);
       } else {
-        arcs.push_back({service[i - 1], service[i], rt});
+        arcs.push_back({service[i - 1], service[i], hop_steps(rt)});
       }
     }
   }
@@ -86,9 +87,11 @@ std::string check_control_flow(const Instance& inst, const Metric& metric,
       return os.str();
     }
     const NodeId home = inst.object_home(o);
+    // Every commit already sits at step 1 or later, so flooring the first
+    // access's round trip at one step, like the later ones, changes nothing.
     Time prev = 0;
     for (TxnId t : r.object_order[o]) {
-      const Weight rt = 2 * metric.distance(home, inst.home(t));
+      const Weight rt = hop_steps(2 * metric.distance(home, inst.home(t)));
       if (r.commit_time[t] < prev + rt) {
         std::ostringstream os;
         os << "o" << o << ": T" << t << " commits at " << r.commit_time[t]

@@ -7,10 +7,14 @@
 // Formally, with a visit order per object, the earliest commit times obey
 //
 //   t(T) >= 1,
-//   t(T) >= t(prev requester of o) + 2·dist(home(o), node(T))   ∀ o ∈ T,
+//   t(T) >= t(prev requester of o) + max(2·dist(home(o), node(T)), 1)
+//                                                                 ∀ o ∈ T,
 //
 // i.e. the data-flow precedence system with the inter-transaction distance
-// replaced by the requester's round trip to the object's fixed home.
+// replaced by the requester's round trip to the object's fixed home. The
+// round trip counts at least one step (the hop rule, core/types.hpp
+// hop_steps): a requester on the object's home still commits a step after
+// the previous one.
 // Bench E16 compares this against the paper's data-flow schedules: moving
 // the object once beats repeated round trips as soon as objects are shared
 // by many far-away transactions, which is the quantitative version of the

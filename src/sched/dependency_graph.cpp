@@ -25,7 +25,7 @@ DependencyGraph build_dependency_graph(const Instance& inst,
                                        std::span<const TxnId> txns) {
   return build_dependency_graph(
       metric, txns, [&](TxnId t) { return inst.home(t); },
-      [&](TxnId t) { return inst.objects(t); }, EdgeWeighing::kFromBothEnds);
+      [&](TxnId t) { return inst.objects(t); });
 }
 
 DependencyGraph build_dependency_graph(const Instance& inst,

@@ -13,8 +13,10 @@
 // pass one counts arcs per node, pass two scatters neighbor ids straight
 // into the arc array, then each node's range is sorted, deduplicated and
 // compacted in place, and the weights are filled in one batched metric
-// query per node (so DenseMetric streams whole matrix rows). The build
-// holds 8 bytes per raw arc and no second per-arc array.
+// query per node (so DenseMetric streams whole matrix rows). Each edge is
+// weighed once: a node queries only its upper neighbors and writes each
+// weight into both ends' ranges. The build holds 8 bytes per raw arc, one
+// fill cursor per node and no second per-arc array.
 #pragma once
 
 #include <algorithm>
@@ -69,18 +71,6 @@ struct DependencyGraph {
   std::size_t size() const { return txns.size(); }
 };
 
-/// How a build's distance fill weighs an edge.
-enum class EdgeWeighing {
-  /// One batched query per node over all its neighbors, so each edge is
-  /// queried from both ends. The batch schedulers' builds keep this: their
-  /// recorded query counts are baseline cells.
-  kFromBothEnds,
-  /// Each edge is queried once, from its lower end, and the upper end
-  /// copies the weight. Window builds use this, so a stream queries each
-  /// edge of its window graphs once (see window_step, sched/online.hpp).
-  kOnce,
-};
-
 namespace detail {
 
 /// Throw dtm::Error unless `raw_arcs` arcs fit the CSR's 32-bit offsets,
@@ -101,7 +91,6 @@ template <typename HomeOf, typename EmitPairs>
 DependencyGraph assemble_dependency_csr(const Metric& metric,
                                         std::vector<TxnId> txns,
                                         const HomeOf& home,
-                                        EdgeWeighing weighing,
                                         EmitPairs emit_pairs) {
   DependencyGraph h;
   h.txns = std::move(txns);
@@ -152,31 +141,20 @@ DependencyGraph assemble_dependency_csr(const Metric& metric,
 
   // Distance fill, one batched query per node: targets are the neighbors'
   // home nodes, so a DenseMetric walks its matrix row sequentially and a
-  // LazyMetric resolves the source tree once. Weighing kOnce, a node
-  // queries only its upper neighbors and copies the rest: each lower
-  // neighbor j was filled first, and j's sorted range holds the arc.
+  // LazyMetric resolves the source tree once. Each edge is queried once,
+  // from its lower end, which also writes the weight into the upper end's
+  // range: next[j] is j's first arc not yet weighed, and since j's range
+  // is sorted, its lower neighbors come first, in the ascending order the
+  // fill visits them.
   std::vector<NodeId> homes(n);
   for (std::size_t i = 0; i < n; ++i) homes[i] = home(h.txns[i]);
   std::vector<NodeId> targets;
   std::vector<Weight> dist;
   DependencyEdge* const arcs = h.edges.data();
-  // The first arc of j's range whose neighbor is not below v.
-  const auto first_at_least = [&](TxnId j, TxnId v) {
-    return std::ranges::lower_bound(arcs + h.offsets[j],
-                                    arcs + h.offsets[j + 1], v, {},
-                                    &DependencyEdge::neighbor);
-  };
+  std::vector<std::uint32_t> next(h.offsets.begin(), h.offsets.end() - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto self = static_cast<TxnId>(i);
-    DependencyEdge* const lo = arcs + h.offsets[i];
-    DependencyEdge* const hi = arcs + h.offsets[i + 1];
-    DependencyEdge* const mid =
-        weighing == EdgeWeighing::kFromBothEnds ? lo
-                                                : first_at_least(self, self);
-    for (DependencyEdge* e = lo; e < mid; ++e) {
-      e->weight = first_at_least(e->neighbor, self)->weight;
-    }
-    const auto up = static_cast<std::size_t>(hi - mid);
+    DependencyEdge* const mid = arcs + next[i];
+    const auto up = static_cast<std::size_t>(arcs + h.offsets[i + 1] - mid);
     if (up == 0) continue;
     targets.resize(up);
     dist.resize(up);
@@ -185,6 +163,7 @@ DependencyGraph assemble_dependency_csr(const Metric& metric,
     for (std::size_t k = 0; k < up; ++k) {
       const Weight w = hop_steps(dist[k]);
       mid[k].weight = static_cast<std::uint32_t>(w);
+      arcs[next[mid[k].neighbor]++].weight = static_cast<std::uint32_t>(w);
       h.max_edge_weight = std::max(h.max_edge_weight, w);
     }
   }
@@ -206,8 +185,7 @@ template <class HomeOf, class ObjectsOf>
 DependencyGraph build_dependency_graph(const Metric& metric,
                                        std::span<const TxnId> txns,
                                        const HomeOf& home,
-                                       const ObjectsOf& objects,
-                                       EdgeWeighing weighing) {
+                                       const ObjectsOf& objects) {
   std::vector<TxnId> sorted(txns.begin(), txns.end());
   std::sort(sorted.begin(), sorted.end());
   DTM_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) ==
@@ -251,7 +229,7 @@ DependencyGraph build_dependency_graph(const Metric& metric,
 
   // For every touched object, connect all pairs of its members.
   return detail::assemble_dependency_csr(
-      metric, std::move(sorted), home, weighing,
+      metric, std::move(sorted), home,
       [members = std::move(members), touched = std::move(touched),
        end = std::move(end)](const auto& emit) {
         std::size_t lo = 0;
@@ -267,8 +245,7 @@ DependencyGraph build_dependency_graph(const Metric& metric,
       });
 }
 
-/// H over `txns` of `inst`, distances from `metric`, each edge queried
-/// from both ends.
+/// H over `txns` of `inst`, distances from `metric`.
 DependencyGraph build_dependency_graph(const Instance& inst,
                                        const Metric& metric,
                                        std::span<const TxnId> txns);

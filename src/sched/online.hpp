@@ -242,8 +242,7 @@ WindowStep window_step(WindowPlacer& placer, const Metric& metric,
                        ColoringRule rule, const HomeOf& home,
                        const ObjectsOf& objects) {
   WindowStep step;
-  step.graph = build_dependency_graph(metric, batch, home, objects,
-                                      EdgeWeighing::kOnce);
+  step.graph = build_dependency_graph(metric, batch, home, objects);
   step.colored = greedy_color(step.graph, rule);
   step.start = placer.place(metric, step.colored, close, home, objects);
   return step;

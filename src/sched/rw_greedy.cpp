@@ -35,7 +35,7 @@ DependencyGraph build_rw_dependency_graph(const Instance& inst,
   // Local index == global TxnId here (all transactions, ascending).
   return detail::assemble_dependency_csr(
       metric, std::move(all), [&](TxnId t) { return inst.home(t); },
-      EdgeWeighing::kFromBothEnds, [&](const auto& emit) {
+      [&](const auto& emit) {
         // Each writer pairs with every reader and every later writer, so
         // no read-read pair is visited: O(writers · r) per object.
         std::vector<char> writes_o;

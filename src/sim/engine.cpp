@@ -6,36 +6,29 @@
 #include "sim/link_policy.hpp"
 #include "sim/trace_analysis.hpp"
 #include "util/metrics.hpp"
-#include "util/trace.hpp"
 
 namespace dtm {
 
 namespace {
 
-// Trace track names. Links are undirected, so both directions of a
-// transfer share one canonical track. (Concatenation is spelled with
-// append — gcc 12 raises a bogus -Wrestrict on `const char* + string&&`.)
-std::string link_track(NodeId a, NodeId b) {
-  if (a > b) std::swap(a, b);
-  std::string out = "link ";
-  out += std::to_string(a);
-  out += '-';
-  out += std::to_string(b);
-  return out;
-}
-
-std::string node_track(NodeId n) {
-  std::string out = "node ";
-  out += std::to_string(n);
-  return out;
-}
-
-std::string leg_name(ObjectId o, std::size_t leg) {
-  std::string out = "o";
-  out += std::to_string(o);
-  out += '#';
-  out += std::to_string(leg);
-  return out;
+// Stable-sorts the log's moves and commits by time within the slots they
+// hold; every other record keeps its slot, so the trace records stay in
+// run order. Stepwise runs append moves and commits in time order; analytic
+// runs log arrivals at launch and degraded commits in planned order.
+void sort_moves_and_commits(std::vector<SimEvent>& log) {
+  std::vector<std::size_t> slots;
+  std::vector<SimEvent> timed;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    if (!log[i].chronological()) continue;
+    slots.push_back(i);
+    timed.push_back(log[i]);
+  }
+  const auto by_time = [](const SimEvent& a, const SimEvent& b) {
+    return a.time < b.time;
+  };
+  if (std::is_sorted(timed.begin(), timed.end(), by_time)) return;
+  std::stable_sort(timed.begin(), timed.end(), by_time);
+  for (std::size_t k = 0; k < slots.size(); ++k) log[slots[k]] = timed[k];
 }
 
 }  // namespace
@@ -73,10 +66,7 @@ void Engine::note_reroute() {
 
 void Engine::object_arrived(ObjectId o) {
   obj_in_transit_[o] = 0;
-  if (obj_span_[o] != 0) {
-    trace_->end_span(obj_span_[o], static_cast<double>(clock_));
-    obj_span_[o] = 0;
-  }
+  obj_arrival_[o] = clock_;
   const TxnId target = (*obj_order_[o])[obj_next_leg_[o]];
   // After a splice the object may have been flying toward a requester the
   // new schedule no longer serves next (in-flight legs complete first);
@@ -86,7 +76,6 @@ void Engine::object_arrived(ObjectId o) {
     return;
   }
   if (++present_[target] == inst_->objects(target).size()) {
-    if (!assembled_.empty()) assembled_[target] = clock_;
     enqueue_ready(target);
   }
 }
@@ -107,80 +96,46 @@ void Engine::account_queues(std::size_t total, std::size_t max_changed) {
   r_.max_queue_length = std::max(r_.max_queue_length, max_changed);
 }
 
-void Engine::trace_fault(const char* kind, std::int64_t object, NodeId u,
-                         NodeId v, Time t) {
-  if (trace_ == nullptr) return;
-  trace_->instant(TraceCat::kFault, link_track(u, v), kind,
-                  static_cast<double>(t),
-                  {{"object", object},
-                   {"u", static_cast<std::int64_t>(u)},
-                   {"v", static_cast<std::int64_t>(v)}});
+void Engine::log_leg(ObjectId o, std::size_t leg, NodeId from, NodeId to,
+                     Time depart, Time arrive, bool redirect) {
+  if (!opts_.record_events) return;
+  const std::vector<TxnId>& order = *obj_order_[o];
+  // A leg is released by its chain predecessor's commit (redirects keep
+  // the last committed requester, so the record stays attributable).
+  r_.events.push_back({.time = arrive,
+                       .kind = SimEvent::Kind::kLeg,
+                       .object = o,
+                       .txn = order[leg],
+                       .node = to,
+                       .from = from,
+                       .prev = leg > 0 ? order[leg - 1] : kInvalidTxn,
+                       .leg = static_cast<std::uint32_t>(leg),
+                       .redirect = redirect,
+                       .since = depart});
 }
 
-void Engine::trace_queue_wait(ObjectId o, std::size_t leg, NodeId u, NodeId v,
-                              Time queued_since, Time now) {
-  if (trace_ == nullptr || now <= queued_since) return;
-  std::string name = "o";
-  name += std::to_string(o);
-  name += " wait";
-  trace_->span(TraceCat::kQueue, link_track(u, v), std::move(name),
-               static_cast<double>(queued_since), static_cast<double>(now),
-               {{"leg", static_cast<std::int64_t>(leg)},
-                {"object", static_cast<std::int64_t>(o)}});
-}
-
-void Engine::trace_leg(ObjectId o, std::size_t leg, std::int64_t prev,
-                       NodeId from, NodeId to, Time depart, Time arrive) {
-  if (trace_ == nullptr) return;
-  // Zero-length handoffs are recorded too: the critical-path walk follows
-  // the chain of legs backwards and must not find a hole where an object
-  // changed owners without moving.
-  trace_->span(TraceCat::kLeg, link_track(from, to), leg_name(o, leg),
-               static_cast<double>(depart), static_cast<double>(arrive),
-               {{"from", static_cast<std::int64_t>(from)},
-                {"leg", static_cast<std::int64_t>(leg)},
-                {"object", static_cast<std::int64_t>(o)},
-                {"prev", prev},
-                {"to", static_cast<std::int64_t>(to)},
-                {"txn", static_cast<std::int64_t>((*obj_order_[o])[leg])}});
-}
-
-void Engine::trace_leg_begin(ObjectId o, std::size_t leg, std::int64_t prev,
-                             NodeId from, NodeId to, Time depart,
-                             bool redirect) {
-  if (trace_ == nullptr) return;
-  std::vector<TraceArg> args = {
-      {"from", static_cast<std::int64_t>(from)},
-      {"leg", static_cast<std::int64_t>(leg)},
-      {"object", static_cast<std::int64_t>(o)},
-      {"prev", prev},
-      {"to", static_cast<std::int64_t>(to)},
-      {"txn", static_cast<std::int64_t>((*obj_order_[o])[leg])}};
-  if (redirect) args.push_back({"redirect", 1});
-  obj_span_[o] = trace_->begin_span(TraceCat::kLeg, link_track(from, to),
-                                    leg_name(o, leg),
-                                    static_cast<double>(depart),
-                                    std::move(args));
-}
-
-void Engine::trace_commit(TxnId t, Time assembled, Time planned,
-                          Time realized) {
-  if (trace_ == nullptr) return;
+void Engine::log_commit(TxnId t, Time planned, Time realized) {
+  if (!opts_.record_events) return;
+  Time assembled = 0;
+  for (ObjectId o : inst_->objects(t)) {
+    assembled = std::max(assembled, obj_arrival_[o]);
+  }
   const NodeId home = inst_->home(t);
-  std::string name = "T";
-  name += std::to_string(t);
-  trace_->span(TraceCat::kTxn, node_track(home), std::move(name),
-               static_cast<double>(assembled), static_cast<double>(realized),
-               {{"planned", static_cast<std::int64_t>(planned)},
-                {"txn", static_cast<std::int64_t>(t)}});
+  r_.events.push_back({.time = realized,
+                       .kind = SimEvent::Kind::kCommit,
+                       .txn = t,
+                       .node = home,
+                       .since = assembled,
+                       .planned = planned});
   // kEarliest ignores the schedule, so a commit past its planned step is
   // business as usual there, not degradation.
   if (opts_.discipline != CommitDiscipline::kEarliest && realized > planned &&
       planned >= 1) {
-    trace_->instant(TraceCat::kFault, node_track(home), "degraded",
-                    static_cast<double>(realized),
-                    {{"stall", static_cast<std::int64_t>(realized - planned)},
-                     {"txn", static_cast<std::int64_t>(t)}});
+    r_.events.push_back({.time = realized,
+                         .kind = SimEvent::Kind::kDegraded,
+                         .txn = t,
+                         .node = home,
+                         .planned = planned});
   }
 }
 
@@ -237,8 +192,6 @@ bool Engine::init() {
     degraded_ = &degraded;
     inflation_ = &inflation;
   }
-  trace_ =
-      TraceRecorder::global().enabled() ? &TraceRecorder::global() : nullptr;
   stepwise_ = links_->stepwise();
   // Rescheduling needs the synchronous clock (stepwise) and planned times
   // that still mean something (kPlannedDegraded); anywhere else the hook
@@ -252,7 +205,6 @@ bool Engine::init() {
   obj_at_.resize(w);
   obj_in_transit_.assign(w, 0);
   obj_arrival_.assign(w, 0);
-  obj_span_.assign(w, 0);
   obj_leg_from_.assign(w, kInvalidNode);
   obj_leg_depart_.assign(w, 0);
   for (ObjectId o = 0; o < w; ++o) {
@@ -270,13 +222,12 @@ bool Engine::init_analytic() {
     if (obj_order_[o]->empty()) continue;
     const NodeId target = inst_->home(obj_order_[o]->front());
     if (target == obj_at_[o]) continue;
-    if (opts_.record_legs) r_.legs.push_back({o, 0, obj_at_[o], target, 0});
     obj_in_transit_[o] = 1;
     if (legs_moved_ != nullptr) legs_moved_->add();
     const NodeId from = obj_at_[o];
     obj_arrival_[o] = links_->realize(*this, o, 0, from, target, 0);
     obj_at_[o] = target;
-    trace_leg(o, 0, -1, from, target, 0, obj_arrival_[o]);
+    log_leg(o, 0, from, target, 0, obj_arrival_[o]);
   }
 
   // Commits are processed in (commit_time, id) order; between commits the
@@ -323,7 +274,6 @@ bool Engine::init_stepwise() {
   present_.assign(n, 0);
   committed_.assign(n, 0);
   commit_blocked_.assign(n, 0);
-  if (trace_ != nullptr) assembled_.assign(n, 0);
   commit_target_ = n;
   // Planned disciplines gate commits on scheduled times, which the
   // calendar indexes by step; kEarliest commits whatever assembled, which
@@ -360,12 +310,11 @@ bool Engine::init_stepwise() {
       object_arrived(o);
       continue;
     }
-    if (opts_.record_legs) r_.legs.push_back({o, 0, obj_at_[o], target, 0});
     obj_in_transit_[o] = 1;
     obj_leg_from_[o] = obj_at_[o];
     obj_leg_depart_[o] = 0;
     if (legs_moved_ != nullptr) legs_moved_->add();
-    trace_leg_begin(o, 0, -1, obj_at_[o], target, 0);
+    log_leg(o, 0, obj_at_[o], target, 0, 0);
     links_->launch(*this, o, 0, obj_at_[o], target, 0);
     obj_at_[o] = target;
   }
@@ -455,7 +404,6 @@ void Engine::process_planned_commit(TxnId t) {
   // folds late arrivals into the realized commit time instead.
   bool all_ok = true;
   Time ready = planned;
-  Time assembled = 0;
   for (ObjectId o : inst_->objects(t)) {
     const auto& order = *obj_order_[o];
     if (strict && obj_in_transit_[o] != 0 && obj_arrival_[o] <= planned) {
@@ -487,7 +435,6 @@ void Engine::process_planned_commit(TxnId t) {
     // release time still gates this commit. Never-launched first legs
     // leave arrival 0.
     if (!strict) ready = std::max(ready, obj_arrival_[o]);
-    assembled = std::max(assembled, obj_arrival_[o]);
   }
   if (!all_ok) return;
 
@@ -510,12 +457,8 @@ void Engine::process_planned_commit(TxnId t) {
       }
     }
   }
-  if (opts_.record_events) {
-    r_.events.push_back(
-        {realized, SimEvent::Kind::kCommit, kInvalidObject, t, home});
-  }
+  log_commit(t, planned, realized);
   if (commits_ != nullptr) commits_->add();
-  trace_commit(t, assembled, planned, realized);
   r_.planned_makespan = std::max(r_.planned_makespan, planned);
   r_.realized_makespan = std::max(r_.realized_makespan, realized);
 
@@ -557,13 +500,8 @@ void Engine::commit_stepwise(TxnId t, Time now) {
     }
     r_.planned_makespan = std::max(r_.planned_makespan, planned);
   }
-  if (opts_.record_events) {
-    r_.events.push_back({now, SimEvent::Kind::kCommit, kInvalidObject, t,
-                         inst_->home(t)});
-  }
+  log_commit(t, s_->commit_time[t], now);
   if (commits_ != nullptr) commits_->add();
-  trace_commit(t, assembled_.empty() ? 0 : assembled_[t], s_->commit_time[t],
-               now);
   r_.realized_makespan = std::max(r_.realized_makespan, now);
 
   for (ObjectId o : inst_->objects(t)) {
@@ -577,12 +515,6 @@ void Engine::launch_release_leg(ObjectId o, Time now) {
   const std::size_t leg = obj_next_leg_[o];
   const NodeId from = obj_at_[o];
   const NodeId target = inst_->home((*obj_order_[o])[leg]);
-  // The leg is released by the commit that just fired — its chain
-  // predecessor in the trace.
-  const auto prev = static_cast<std::int64_t>((*obj_order_[o])[leg - 1]);
-  if (opts_.record_legs) {
-    r_.legs.push_back({o, leg, from, target, now});
-  }
   if (stepwise_) {
     if (target == from) {
       // Instant handoff: the object is already at the next requester.
@@ -592,7 +524,7 @@ void Engine::launch_release_leg(ObjectId o, Time now) {
         r_.events.push_back(
             {now, SimEvent::Kind::kArrive, o, kInvalidTxn, target});
       }
-      trace_leg(o, leg, prev, from, target, now, now);
+      log_leg(o, leg, from, target, now, now);
       object_arrived(o);
       return;
     }
@@ -600,7 +532,7 @@ void Engine::launch_release_leg(ObjectId o, Time now) {
     obj_leg_from_[o] = from;
     obj_leg_depart_[o] = now;
     if (legs_moved_ != nullptr) legs_moved_->add();
-    trace_leg_begin(o, leg, prev, from, target, now);
+    log_leg(o, leg, from, target, now, now);
     links_->launch(*this, o, leg, from, target, now);
     obj_at_[o] = target;
     return;
@@ -609,7 +541,7 @@ void Engine::launch_release_leg(ObjectId o, Time now) {
   obj_arrival_[o] = links_->realize(*this, o, leg, from, target, now);
   obj_in_transit_[o] = static_cast<char>(target != from);
   obj_at_[o] = target;
-  trace_leg(o, leg, prev, from, target, now, obj_arrival_[o]);
+  log_leg(o, leg, from, target, now, obj_arrival_[o]);
 }
 
 void Engine::maybe_reschedule() {
@@ -700,11 +632,10 @@ void Engine::apply_splice(std::unique_ptr<Schedule> next, Time lag) {
   }
 
   ++resched_count_;
-  if (trace_ != nullptr) {
-    trace_->instant(TraceCat::kResched, "scheduler", "reschedule",
-                    static_cast<double>(clock_),
-                    {{"index", static_cast<std::int64_t>(resched_count_)},
-                     {"lag", static_cast<std::int64_t>(lag)}});
+  if (opts_.record_events) {
+    r_.events.push_back({.time = clock_,
+                         .kind = SimEvent::Kind::kReschedule,
+                         .since = clock_ - lag});
   }
   spliced_.push_back(std::move(next));
   s_ = spliced_.back().get();
@@ -742,9 +673,12 @@ void Engine::apply_splice(std::unique_ptr<Schedule> next, Time lag) {
   for (TxnId t = 0; t < n; ++t) {
     if (committed_[t] != 0) continue;
     if (present_[t] == inst_->objects(t).size()) {
-      // Keep the original assembly stamp for txns that stayed assembled;
-      // txns assembled by the splice itself date from now.
-      if (!assembled_.empty() && was_ready[t] == 0) assembled_[t] = clock_;
+      // Txns that stayed assembled keep their assembly step; txns
+      // assembled by the splice itself date from now (log_commit reads
+      // the assembly step off their objects' arrival stamps).
+      if (opts_.record_events && was_ready[t] == 0) {
+        for (ObjectId o : inst_->objects(t)) obj_arrival_[o] = clock_;
+      }
       enqueue_ready(t);
     }
   }
@@ -756,33 +690,39 @@ void Engine::launch_redirect_leg(ObjectId o, Time now) {
   const NodeId from = obj_at_[o];
   const NodeId target = inst_->home((*obj_order_[o])[leg]);
   DTM_ASSERT(target != from);
-  // Redirects are not released by a commit; `prev` still names the last
-  // committed requester so the record stays attributable, and the
-  // redirect:1 tag tells the critical-path walk to follow the object's
-  // own physical chain instead of a releasing commit.
-  const std::int64_t prev =
-      leg > 0 ? static_cast<std::int64_t>((*obj_order_[o])[leg - 1]) : -1;
-  if (opts_.record_legs) {
-    r_.legs.push_back({o, leg, from, target, now});
-  }
   obj_in_transit_[o] = 1;
   obj_leg_from_[o] = from;
   obj_leg_depart_[o] = now;
   if (legs_moved_ != nullptr) legs_moved_->add();
-  trace_leg_begin(o, leg, prev, from, target, now, /*redirect=*/true);
+  // Redirects are not released by a commit: the redirect flag tells the
+  // critical-path walk to follow the object's own physical chain instead.
+  log_leg(o, leg, from, target, now, now, /*redirect=*/true);
   links_->launch(*this, o, leg, from, target, now);
   obj_at_[o] = target;
 }
 
 void Engine::finish() {
   if (opts_.record_events) {
+    if (stepwise_) {
+      // A stepwise leg that moves is logged at launch; it ends at the
+      // object's next kArrive.
+      constexpr std::size_t kClosed = static_cast<std::size_t>(-1);
+      std::vector<std::size_t> open(num_objects(), kClosed);
+      for (std::size_t i = 0; i < r_.events.size(); ++i) {
+        const SimEvent& e = r_.events[i];
+        if (e.kind == SimEvent::Kind::kLeg && e.from != e.node) {
+          open[e.object] = i;
+        } else if (e.kind == SimEvent::Kind::kArrive &&
+                   open[e.object] != kClosed) {
+          r_.events[open[e.object]].time = e.time;
+          open[e.object] = kClosed;
+        }
+      }
+    }
+    sort_moves_and_commits(r_.events);
     if (opts_.telemetry) {
       metrics::count("sim.events_recorded", r_.events.size());
     }
-    std::stable_sort(r_.events.begin(), r_.events.end(),
-                     [](const SimEvent& a, const SimEvent& b) {
-                       return a.time < b.time;
-                     });
   }
   // On a strict run the realized execution is the planned one.
   if (opts_.discipline == CommitDiscipline::kPlannedStrict) {

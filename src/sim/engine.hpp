@@ -34,9 +34,11 @@
 //
 // simulate() (sim/simulator.hpp) is the one entry point over the engine:
 // it picks the LinkPolicy and discipline from SimOptions. The engine's
-// SimResult carries the SimEvent log (depart/hop/arrive/commit), the
-// per-leg trace, and fault/recovery tallies; telemetry counters go to the
-// global registry.
+// SimResult carries fault/recovery tallies and, when record_events is set,
+// the run's one log (SimResult::events): object moves, commits, legs,
+// queue waits, faults, degraded commits and splices (SimEvent says in
+// what order). Trace export and analysis read that log
+// (sim/trace_analysis.hpp); telemetry counters go to the global registry.
 #pragma once
 
 #include <cstdint>
@@ -53,23 +55,76 @@
 
 namespace dtm {
 
+/// One record of an engine run's log (SimResult::events). Records are
+/// fixed-size and hold no strings: track and span names are formatted at
+/// export (sim/trace_analysis.hpp). Fields per kind ("-" = unused):
+///
+///   kind         time        since            other fields
+///   kDepart      departure   -                object; node it leaves
+///   kHop         hop done    -                object; node reached
+///   kArrive      arrival     -                object; node = leg target
+///   kCommit      realized    assembly step    txn; node = its home; planned
+///   kLeg         arrival     departure        object, leg, from -> node,
+///                                             txn served, prev (releasing
+///                                             commit; kInvalidTxn on leg 0),
+///                                             redirect (launched by a splice)
+///   kQueueWait   admission   queued since     object, leg; link from-node
+///   kFault       the step    -                fault; link from-node; object
+///                                             (kInvalidObject when the fault
+///                                             is not one object's)
+///   kDegraded    realized    -                txn; node = its home; planned
+///   kReschedule  the splice  time - lag       (lag: steps behind the plan)
+///
+/// kDepart, kHop and kArrive are the moves; kHop is logged only with
+/// record_hops. Every launched leg, zero-distance handoffs included, has
+/// one kLeg record; a leg of object o is released by prev's commit.
+///
+/// Order: the moves and commits are non-decreasing in time across the log
+/// (stable: same-step records in run order). Each other record sits where
+/// the run appended it, which is the order the trace export writes.
 struct SimEvent {
   /// kNone is the explicit "empty" kind: a default-constructed event is
   /// inert and cannot masquerade as a commit in event-log consumers.
-  enum class Kind { kNone, kDepart, kHop, kArrive, kCommit };
+  enum class Kind : std::uint8_t {
+    kNone,
+    kDepart,
+    kHop,
+    kArrive,
+    kCommit,
+    kLeg,
+    kQueueWait,
+    kFault,
+    kDegraded,
+    kReschedule,
+  };
+  enum class Fault : std::uint8_t { kNone, kOutage, kReroute, kLoss, kSlowdown };
+
   Time time = 0;
   Kind kind = Kind::kNone;
-  ObjectId object = kInvalidObject;  // kInvalidObject for pure commits
-  TxnId txn = kInvalidTxn;           // kInvalidTxn for moves
-  NodeId node = kInvalidNode;        // position after the event
+  ObjectId object = kInvalidObject;
+  TxnId txn = kInvalidTxn;
+  NodeId node = kInvalidNode;
+  NodeId from = kInvalidNode;
+  TxnId prev = kInvalidTxn;
+  std::uint32_t leg = 0;
+  Fault fault = Fault::kNone;
+  bool redirect = false;
+  Time since = 0;
+  Time planned = 0;
+
+  /// Moves and commits: the records the log keeps in time order.
+  bool chronological() const {
+    return kind == Kind::kDepart || kind == Kind::kHop ||
+           kind == Kind::kArrive || kind == Kind::kCommit;
+  }
 
   friend bool operator==(const SimEvent&, const SimEvent&) = default;
 };
 
 /// One object-transfer leg: object `object` serves requester index `leg`
 /// of its visit chain, departing `from` at step `depart` toward `to`.
-/// Zero-distance handoffs (from == to) are included so the trace mirrors
-/// the engine's launches one-to-one; analyses skip them.
+/// Zero-distance handoffs (from == to) are included, one-to-one with the
+/// engine's kLeg records; analyses skip them.
 struct LegRecord {
   ObjectId object = kInvalidObject;
   std::size_t leg = 0;
@@ -85,13 +140,10 @@ enum class CommitDiscipline { kPlannedStrict, kPlannedDegraded, kEarliest };
 struct EngineConfig {
   CommitDiscipline discipline = CommitDiscipline::kPlannedStrict;
 
-  /// Record leg-level SimEvents (depart/arrive/commit); kHop events are
-  /// added too when `record_hops` is set (costly on weighted graphs).
+  /// Keep the run's log (SimResult::events); kHop moves are logged too
+  /// when `record_hops` is set (costly on weighted graphs).
   bool record_events = false;
   bool record_hops = false;
-
-  /// Emit a LegRecord per launched leg (the congestion analyzer's input).
-  bool record_legs = false;
 
   /// When false the run touches no telemetry counters at all — the
   /// earliest-commit re-execution historically reported nothing, and
@@ -137,9 +189,9 @@ struct SimResult {
   /// rerouting and slowdown surcharges count).
   Weight object_travel = 0;
 
+  /// The run's log when record_events is set (see SimEvent for its
+  /// order); deterministic for a seeded run.
   std::vector<SimEvent> events;
-  /// One LegRecord per launched leg when EngineConfig::record_legs is set.
-  std::vector<LegRecord> legs;
 
   /// Fault/recovery tallies; on a fault-free capacity run the degraded
   /// fields measure pure queueing inflation.
@@ -159,7 +211,6 @@ struct SimResult {
 class LinkPolicy;
 class SlackMonitor;
 class MetricCounter;
-class TraceRecorder;
 
 /// One engine run: single-use (construct, run(), read the result).
 ///
@@ -198,19 +249,32 @@ class Engine {
   /// it has not already folded grows past it, so unchanged channels need
   /// not be re-reported.
   void account_queues(std::size_t total, std::size_t max_changed);
-  /// True when this run feeds the global TraceRecorder; policies gate
-  /// their own emission on it (the engine resolves the recorder once at
-  /// init, so a disabled run costs nothing here).
-  bool tracing() const { return trace_ != nullptr; }
-  /// Fault instant marker on link {u, v} at step `t`; kind is one of
-  /// "outage", "reroute", "loss", "slowdown". `object` is -1 when the
-  /// fault is not attributable to a specific object (slowdown admission).
-  void trace_fault(const char* kind, std::int64_t object, NodeId u, NodeId v,
-                   Time t);
-  /// Queue-wait span on link {u, v}: object `o` (chain index `leg`) sat
-  /// queued from `queued_since` until admitted at `now`.
-  void trace_queue_wait(ObjectId o, std::size_t leg, NodeId u, NodeId v,
-                        Time queued_since, Time now);
+  /// Logs a fault on link {u, v} at step `t` (object kInvalidObject when
+  /// the fault is not one object's); no-op unless the run keeps a log.
+  void log_fault(SimEvent::Fault fault, ObjectId object, NodeId u, NodeId v,
+                 Time t) {
+    if (!opts_.record_events) return;
+    r_.events.push_back({.time = t,
+                         .kind = SimEvent::Kind::kFault,
+                         .object = object,
+                         .node = v,
+                         .from = u,
+                         .fault = fault});
+  }
+  /// Logs that object `o` (chain index `leg`) sat queued on link {u, v}
+  /// from `queued_since` until admitted at `now`; waits of zero steps are
+  /// not logged.
+  void log_queue_wait(ObjectId o, std::size_t leg, NodeId u, NodeId v,
+                      Time queued_since, Time now) {
+    if (!opts_.record_events || now <= queued_since) return;
+    r_.events.push_back({.time = now,
+                         .kind = SimEvent::Kind::kQueueWait,
+                         .object = o,
+                         .node = v,
+                         .from = u,
+                         .leg = static_cast<std::uint32_t>(leg),
+                         .since = queued_since});
+  }
 
  private:
   bool init();
@@ -249,17 +313,18 @@ class Engine {
   /// releasing commit (tagged redirect:1 in the trace).
   void launch_redirect_leg(ObjectId o, Time now);
 
-  /// Complete leg span (analytic mode and instant handoffs). `prev` is the
-  /// txn whose commit released the leg, -1 for first legs from home.
-  void trace_leg(ObjectId o, std::size_t leg, std::int64_t prev, NodeId from,
-                 NodeId to, Time depart, Time arrive);
-  /// Open leg span at launch (stepwise mode); closed in object_arrived().
-  void trace_leg_begin(ObjectId o, std::size_t leg, std::int64_t prev,
-                       NodeId from, NodeId to, Time depart,
-                       bool redirect = false);
-  /// Transaction lifetime span [assembled, realized] plus a degraded
-  /// instant when the commit stalled past its planned step.
-  void trace_commit(TxnId t, Time assembled, Time planned, Time realized);
+  /// Logs object o's leg `leg` from `from` to `to`, departing at `depart`.
+  /// Zero-length handoffs are logged too: the critical-path walk follows
+  /// the chain of legs backwards and must not find a hole where an object
+  /// changed owners without moving. Stepwise legs that move are logged at
+  /// launch with arrive == depart; finish() sets their arrival from the
+  /// object's next kArrive.
+  void log_leg(ObjectId o, std::size_t leg, NodeId from, NodeId to,
+               Time depart, Time arrive, bool redirect = false);
+  /// Logs t's commit at `realized` (and a kDegraded record when it
+  /// stalled past its planned step under a planned discipline). The
+  /// assembly step is the latest arrival stamp among t's objects.
+  void log_commit(TxnId t, Time planned, Time realized);
 
   const Instance* inst_;
   const Metric* metric_;
@@ -278,8 +343,11 @@ class Engine {
   std::vector<std::size_t> obj_next_leg_;
   std::vector<NodeId> obj_at_;
   std::vector<char> obj_in_transit_;
+  // Arrival step of the object's current leg (analytic: resolved at
+  // launch; stepwise: set when it lands). In a logged stepwise run a
+  // splice that assembles a transaction also moves its objects' stamps to
+  // the splice step: log_commit reads the assembly step from them.
   std::vector<Time> obj_arrival_;
-  std::vector<std::uint64_t> obj_span_;  // open stepwise leg span (0 = none)
   // Launch point of the current stepwise leg; feeds the conservative
   // arrival estimate handed to the reschedule hook for in-flight objects.
   std::vector<NodeId> obj_leg_from_;
@@ -307,7 +375,6 @@ class Engine {
   std::size_t commit_target_ = 0;
   std::vector<char> committed_;
   std::vector<char> commit_blocked_;  // scheduled before step 1 (violation)
-  std::vector<Time> assembled_;       // per-txn assembly step (tracing only)
 
   // Rescheduling (stepwise + kPlannedDegraded + reschedule_fn set; all of
   // this stays empty/zero otherwise so the baseline paths are untouched).
@@ -326,9 +393,6 @@ class Engine {
   MetricCounter* reroutes_ = nullptr;
   MetricCounter* degraded_ = nullptr;
   MetricCounter* inflation_ = nullptr;
-
-  // Global trace recorder when tracing is on for this run, else null.
-  TraceRecorder* trace_ = nullptr;
 };
 
 /// The schedule's *planned* leg trace: every transfer the §2.1 execution

@@ -165,7 +165,7 @@ void BoundedCapacityLinks::progress(Engine& eng, Time now) {
   std::vector<ObjectId> done = std::move(it->second);
   arrivals_.erase(it);
   // Drain in object-id order — the order the retired every-route scan
-  // processed completions, which fixes same-step event/trace emission and
+  // processed completions, which fixes the same-step log order and
   // the relative order of same-step requeues.
   std::sort(done.begin(), done.end());
   for (const ObjectId o : done) {
@@ -235,9 +235,7 @@ void BoundedCapacityLinks::admit(Engine& eng, Time now) {
       // steps out (one step for degenerate zero-cost entries).
       arrivals_[now + std::max<Weight>(cost, 1)].push_back(o);
       ++ch.in_transit;
-      if (eng.tracing()) {
-        eng.trace_queue_wait(o, rt.leg, u, v, rt.queued_since, now);
-      }
+      eng.log_queue_wait(o, rt.leg, u, v, rt.queued_since, now);
       if (eng.recording_events() && !rt.departed) {
         eng.push_event({now, SimEvent::Kind::kDepart, o, kInvalidTxn, u});
       }
@@ -294,9 +292,7 @@ Time FaultyLinks::lossy_depart(Engine& eng, ObjectId o, std::size_t leg,
     }
     eng.note_injected();
     eng.note_retry();
-    if (eng.tracing()) {
-      eng.trace_fault("loss", static_cast<std::int64_t>(o), from, to, start);
-    }
+    eng.log_fault(SimEvent::Fault::kLoss, o, from, to, start);
     start += detail::backoff_delay(recovery_, attempt);
   }
   if (!sent) {
@@ -334,10 +330,7 @@ Time FaultyLinks::realize(Engine& eng, ObjectId o, std::size_t leg,
     NodeId next = path[idx];
     if (model_->link_down(cur, next, now)) {
       eng.note_injected();
-      if (eng.tracing()) {
-        eng.trace_fault("outage", static_cast<std::int64_t>(o), cur, next,
-                        now);
-      }
+      eng.log_fault(SimEvent::Fault::kOutage, o, cur, next, now);
       bool rerouted = false;
       if (recovery_.reroute) {
         auto alt = detail::reroute_path(g, *model_, cur, to, now);
@@ -345,10 +338,7 @@ Time FaultyLinks::realize(Engine& eng, ObjectId o, std::size_t leg,
           path = std::move(alt);
           idx = 1;
           eng.note_reroute();
-          if (eng.tracing()) {
-            eng.trace_fault("reroute", static_cast<std::int64_t>(o), cur,
-                            next, now);
-          }
+          eng.log_fault(SimEvent::Fault::kReroute, o, cur, next, now);
           rerouted = true;
         }
       }
@@ -359,10 +349,7 @@ Time FaultyLinks::realize(Engine& eng, ObjectId o, std::size_t leg,
     const Weight cost = model_->hop_cost(cur, next, base, now);
     if (cost != base) {
       eng.note_injected();
-      if (eng.tracing()) {
-        eng.trace_fault("slowdown", static_cast<std::int64_t>(o), cur, next,
-                        now);
-      }
+      eng.log_fault(SimEvent::Fault::kSlowdown, o, cur, next, now);
     }
     eng.add_travel(cost);
     now += cost;
@@ -432,17 +419,13 @@ bool FaultyLinks::may_enter(ObjectId o, NodeId u, NodeId v, NodeId target,
   if (fresh || it->second != key) {
     it->second = key;
     eng_->note_injected();
-    if (eng_->tracing()) {
-      eng_->trace_fault("outage", static_cast<std::int64_t>(o), u, v, now);
-    }
+    eng_->log_fault(SimEvent::Fault::kOutage, o, u, v, now);
   }
   if (recovery_.reroute) {
     auto alt = detail::reroute_path(metric_->graph(), *model_, u, target, now);
     if (alt.size() >= 2) {
       eng_->note_reroute();
-      if (eng_->tracing()) {
-        eng_->trace_fault("reroute", static_cast<std::int64_t>(o), u, v, now);
-      }
+      eng_->log_fault(SimEvent::Fault::kReroute, o, u, v, now);
       blocked_on_.erase(o);
       *reroute = std::move(alt);
     }
@@ -456,7 +439,7 @@ Weight FaultyLinks::enter_cost(NodeId u, NodeId v, Weight base, Time now) {
     eng_->note_injected();
     // Slowdowns are decided per admission, not per object — the admitting
     // object id is not visible through the oracle seam.
-    if (eng_->tracing()) eng_->trace_fault("slowdown", -1, u, v, now);
+    eng_->log_fault(SimEvent::Fault::kSlowdown, kInvalidObject, u, v, now);
   }
   return cost;
 }

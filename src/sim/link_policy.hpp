@@ -140,7 +140,7 @@ class BoundedCapacityLinks final : public LinkPolicy, public AdmissionOracle {
     Time not_before = 0;
     /// Step the object entered its current queue (reroutes keep it: the
     /// object has been waiting at this node since then). Feeds the
-    /// queue-wait trace span emitted on admission.
+    /// kQueueWait record logged on admission.
     Time queued_since = 0;
   };
   struct Channel {
@@ -206,8 +206,8 @@ class FaultyLinks final : public LinkPolicy, public AdmissionOracle {
 
  private:
   /// Departure step of the send once transfer loss and retransmission
-  /// backoff are accounted for (tallies injected/retries and drops "loss"
-  /// trace markers on link {from, to}; reports loss exhaustion as a
+  /// backoff are accounted for (tallies injected/retries and logs kLoss
+  /// faults on link {from, to}; reports loss exhaustion as a
   /// violation while letting the final send through).
   Time lossy_depart(Engine& eng, ObjectId o, std::size_t leg, NodeId from,
                     NodeId to, Time depart);

@@ -51,8 +51,9 @@
 namespace dtm {
 
 struct SimOptions {
-  /// Record leg-level events (depart/arrive/commit). kHop events are added
-  /// too when `record_hops` is set (costly on weighted graphs).
+  /// Keep the run's log (SimResult::events, the one record of the run
+  /// that trace export and analysis read); kHop moves are logged too when
+  /// `record_hops` is set (costly on weighted graphs).
   bool record_events = false;
   bool record_hops = false;
 

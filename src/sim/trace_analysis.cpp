@@ -1,8 +1,11 @@
 #include "sim/trace_analysis.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "util/stats.hpp"
 
@@ -10,17 +13,156 @@ namespace dtm {
 
 namespace {
 
-std::int64_t arg_of(const TraceSpanRecord& rec, const char* key,
-                    std::int64_t fallback) {
-  for (const TraceArg& a : rec.args) {
-    if (a.key == key) return a.value;
-  }
-  return fallback;
+/// An id as the trace writes it: -1 for the invalid id.
+std::int64_t trace_id(std::uint32_t id) {
+  return id == static_cast<std::uint32_t>(-1) ? -1
+                                              : static_cast<std::int64_t>(id);
 }
 
-Time as_time(double t) { return static_cast<Time>(t); }
+std::string node_track(NodeId n) {
+  std::string out = "node ";
+  out += std::to_string(n);
+  return out;
+}
+
+// The track both directions of link {a, b} share: "link min-max".
+// (Concatenation is spelled with append — gcc 12 raises a bogus -Wrestrict
+// on `const char* + string&&`.)
+std::string link_track(NodeId a, NodeId b) {
+  if (a > b) std::swap(a, b);
+  std::string out = "link ";
+  out += std::to_string(a);
+  out += '-';
+  out += std::to_string(b);
+  return out;
+}
+
+// The exported name of each fault kind, indexed by SimEvent::Fault.
+constexpr const char* kFaultNames[] = {"", "outage", "reroute", "loss",
+                                       "slowdown"};
 
 }  // namespace
+
+std::vector<TraceSpanRecord> trace_records(const std::vector<SimEvent>& log) {
+  using Kind = SimEvent::Kind;
+  std::vector<TraceSpanRecord> out;
+  std::int64_t splices = 0;
+  for (const SimEvent& e : log) {
+    TraceSpanRecord r;
+    r.begin = static_cast<double>(e.since);
+    r.end = static_cast<double>(e.time);
+    const auto i64 = [](auto v) { return static_cast<std::int64_t>(v); };
+    switch (e.kind) {
+      case Kind::kLeg:
+        r.cat = "leg";
+        r.track = link_track(e.from, e.node);
+        r.name = "o";
+        r.name += std::to_string(e.object);
+        r.name += '#';
+        r.name += std::to_string(e.leg);
+        r.args = {{"from", i64(e.from)}, {"leg", i64(e.leg)},
+                  {"object", i64(e.object)}, {"prev", trace_id(e.prev)},
+                  {"to", i64(e.node)}, {"txn", i64(e.txn)}};
+        if (e.redirect) r.args.push_back({"redirect", 1});
+        break;
+      case Kind::kCommit:
+        r.cat = "txn";
+        r.track = node_track(e.node);
+        r.name = "T";
+        r.name += std::to_string(e.txn);
+        r.args = {{"planned", i64(e.planned)}, {"txn", i64(e.txn)}};
+        break;
+      case Kind::kDegraded:
+        r.cat = "fault";
+        r.instant = true;
+        r.begin = r.end;
+        r.track = node_track(e.node);
+        r.name = "degraded";
+        r.args = {{"stall", i64(e.time - e.planned)}, {"txn", i64(e.txn)}};
+        break;
+      case Kind::kQueueWait:
+        r.cat = "queue";
+        r.track = link_track(e.from, e.node);
+        r.name = "o";
+        r.name += std::to_string(e.object);
+        r.name += " wait";
+        r.args = {{"leg", i64(e.leg)}, {"object", i64(e.object)}};
+        break;
+      case Kind::kFault:
+        r.cat = "fault";
+        r.instant = true;
+        r.begin = r.end;
+        r.track = link_track(e.from, e.node);
+        r.name = kFaultNames[static_cast<int>(e.fault)];
+        r.args = {{"object", trace_id(e.object)},
+                  {"u", i64(e.from)},
+                  {"v", i64(e.node)}};
+        break;
+      case Kind::kReschedule:
+        r.cat = "resched";
+        r.instant = true;
+        r.begin = r.end;
+        r.track = "scheduler";
+        r.name = "reschedule";
+        r.args = {{"index", ++splices}, {"lag", i64(e.time - e.since)}};
+        break;
+      default:
+        continue;  // moves are not trace records
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+SimEvent log_record(const TraceSpanRecord& r) {
+  using Kind = SimEvent::Kind;
+  const auto arg = [&r](const char* key, std::int64_t fallback) {
+    for (const TraceArg& a : r.args) {
+      if (a.key == key) return a.value;
+    }
+    return fallback;
+  };
+  // An id the record does not carry reads back as the invalid id, the
+  // field's default. A queue wait's link and a commit's home are only in
+  // its track: "link a-b" or "node n".
+  unsigned a = kInvalidNode;
+  unsigned b = kInvalidNode;
+  if (std::sscanf(r.track.c_str(), "link %u-%u", &a, &b) != 2) {
+    std::sscanf(r.track.c_str(), "node %u", &b);
+  }
+  SimEvent e{.time = static_cast<Time>(r.end),
+             .object = static_cast<ObjectId>(arg("object", -1)),
+             .txn = static_cast<TxnId>(arg("txn", -1)),
+             .node = static_cast<NodeId>(arg("to", arg("v", b))),
+             .from = static_cast<NodeId>(arg("from", arg("u", a))),
+             .prev = static_cast<TxnId>(arg("prev", -1)),
+             .leg = static_cast<std::uint32_t>(arg("leg", 0)),
+             .redirect = arg("redirect", 0) == 1,
+             .since = r.instant ? 0 : static_cast<Time>(r.begin),
+             .planned = arg("planned", 0)};
+  const std::string_view cat = r.cat;
+  if (cat == "leg" && !r.instant) {
+    e.kind = Kind::kLeg;
+  } else if (cat == "txn" && !r.instant) {
+    e.kind = Kind::kCommit;
+  } else if (cat == "queue" && !r.instant) {
+    e.kind = Kind::kQueueWait;
+  } else if (cat == "fault" && r.instant && r.name == "degraded") {
+    e.kind = Kind::kDegraded;
+    e.planned = e.time - arg("stall", 0);
+  } else if (cat == "fault" && r.instant) {
+    e.kind = Kind::kFault;
+    for (std::size_t f = 1; f < std::size(kFaultNames); ++f) {
+      if (r.name == kFaultNames[f]) e.fault = static_cast<SimEvent::Fault>(f);
+    }
+  } else if (cat == "resched" && r.instant) {
+    e.kind = Kind::kReschedule;
+    e.since = e.time - arg("lag", 0);
+  } else {
+    return {};
+  }
+  return e;
+}
 
 void SlackMonitor::reset(const std::vector<Time>& planned,
                          const std::vector<char>& done) {
@@ -55,46 +197,46 @@ Time SlackMonitor::lag(Time now) {
   return l;
 }
 
-TraceSummary summarize_trace(const std::vector<TraceSpanRecord>& events,
+TraceSummary summarize_trace(const std::vector<SimEvent>& log,
                              std::size_t top_k) {
+  using Kind = SimEvent::Kind;
   TraceSummary out;
 
-  // Index the sim-domain events: commits by txn, legs by served txn and
-  // (for the redirect chains reschedules leave behind) by object.
-  std::map<std::int64_t, const TraceSpanRecord*> txn_spans;
-  std::map<std::int64_t, std::vector<const TraceSpanRecord*>> legs_by_txn;
-  std::map<std::int64_t, std::vector<const TraceSpanRecord*>> legs_by_object;
+  // Index the log: commits by txn, legs by served txn and (for the
+  // redirect chains reschedules leave behind) by object.
+  std::map<TxnId, const SimEvent*> commits;
+  std::map<TxnId, std::vector<const SimEvent*>> legs_by_txn;
+  std::map<ObjectId, std::vector<const SimEvent*>> legs_by_object;
   std::size_t total_legs = 0;
   std::map<std::string, LinkUtilization> links;
-  for (const TraceSpanRecord& e : events) {
-    if (e.wall) continue;
-    if (e.cat == TraceCat::kResched && e.instant) {
+  for (const SimEvent& e : log) {
+    if (e.kind == Kind::kReschedule) {
       out.reschedules += 1;
-    } else if (e.cat == TraceCat::kTxn && !e.instant) {
-      const std::int64_t t = arg_of(e, "txn", -1);
-      txn_spans[t] = &e;
+    } else if (e.kind == Kind::kCommit) {
+      commits[e.txn] = &e;
       TxnSlack s;
-      s.txn = t;
-      s.assembled = as_time(e.begin);
-      s.planned = static_cast<Time>(arg_of(e, "planned", 0));
-      s.realized = as_time(e.end);
+      s.txn = trace_id(e.txn);
+      s.assembled = e.since;
+      s.planned = e.planned;
+      s.realized = e.time;
       s.slack = s.realized - s.assembled;
       out.slack.push_back(s);
-    } else if (e.cat == TraceCat::kLeg && !e.instant) {
-      legs_by_txn[arg_of(e, "txn", -1)].push_back(&e);
-      legs_by_object[arg_of(e, "object", -1)].push_back(&e);
+    } else if (e.kind == Kind::kLeg) {
+      legs_by_txn[e.txn].push_back(&e);
+      legs_by_object[e.object].push_back(&e);
       total_legs += 1;
-      LinkUtilization& lu = links[e.track];
-      lu.track = e.track;
-      lu.busy += as_time(e.end) - as_time(e.begin);
+      const std::string track = link_track(e.from, e.node);
+      LinkUtilization& lu = links[track];
+      lu.track = track;
+      lu.busy += e.time - e.since;
       lu.legs += 1;
-    } else if (e.cat == TraceCat::kQueue && !e.instant) {
+    } else if (e.kind == Kind::kQueueWait) {
       QueueWaitEntry q;
-      q.track = e.track;
-      q.object = arg_of(e, "object", -1);
-      q.leg = arg_of(e, "leg", -1);
-      q.begin = as_time(e.begin);
-      q.end = as_time(e.end);
+      q.track = link_track(e.from, e.node);
+      q.object = trace_id(e.object);
+      q.leg = e.leg;
+      q.begin = e.since;
+      q.end = e.time;
       out.queue_waits.push_back(q);
     }
   }
@@ -116,7 +258,7 @@ TraceSummary summarize_trace(const std::vector<TraceSpanRecord>& events,
                                                : a.txn < b.txn;
                    });
 
-  // Arrival→commit latency distribution: batch traces have arrival step 0,
+  // Arrival→commit latency distribution: batch logs have arrival step 0,
   // so latency is the realized commit step itself.
   if (!out.slack.empty()) {
     std::vector<double> realized;
@@ -138,12 +280,12 @@ TraceSummary summarize_trace(const std::vector<TraceSpanRecord>& events,
   }
 
   // The makespan witness: the last realized commit.
-  const TraceSpanRecord* cur = nullptr;
-  for (const auto& [t, rec] : txn_spans) {
-    if (cur == nullptr || rec->end > cur->end) cur = rec;
+  const SimEvent* cur = nullptr;
+  for (const auto& [t, rec] : commits) {
+    if (cur == nullptr || rec->time > cur->time) cur = rec;
   }
   if (cur == nullptr) return out;  // no commits, nothing to walk
-  out.makespan = as_time(cur->end);
+  out.makespan = cur->time;
 
   // Walk backwards from that commit to time 0 (see header).
   const auto problem = [&out](const std::string& msg) {
@@ -152,152 +294,128 @@ TraceSummary summarize_trace(const std::vector<TraceSpanRecord>& events,
   // Redirect legs (launched by a mid-run reschedule) do not depart at a
   // releasing commit: the object was parked (or just landed) somewhere and
   // the splice sent it onward. Their chain predecessor is the object's own
-  // previous physical leg — the latest same-object leg span ending no
-  // later than the redirect departs (ties: latest begin, then recording
-  // order; zero-length handoffs make exact ties real).
-  const auto physical_pred = [&legs_by_object](const TraceSpanRecord* leg)
-      -> const TraceSpanRecord* {
-    const std::int64_t obj = arg_of(*leg, "object", -1);
-    const TraceSpanRecord* pred = nullptr;
-    for (const TraceSpanRecord* cand : legs_by_object[obj]) {
-      if (cand == leg || cand->end > leg->begin) continue;
-      if (pred == nullptr || cand->end > pred->end ||
-          (cand->end == pred->end && cand->begin >= pred->begin)) {
+  // previous physical leg — the latest same-object leg ending no later
+  // than the redirect departs (ties: latest departure, then log order;
+  // zero-length handoffs make exact ties real).
+  const auto physical_pred = [&legs_by_object](const SimEvent* leg)
+      -> const SimEvent* {
+    const SimEvent* pred = nullptr;
+    for (const SimEvent* cand : legs_by_object[leg->object]) {
+      if (cand == leg || cand->time > leg->since) continue;
+      if (pred == nullptr || cand->time > pred->time ||
+          (cand->time == pred->time && cand->since >= pred->since)) {
         pred = cand;
       }
     }
     return pred;
   };
-  const auto push_transfer = [&out](const TraceSpanRecord* leg) {
+  const auto push_transfer = [&out](const SimEvent* leg) {
     CriticalSegment tr;
     tr.kind = CriticalSegment::Kind::kTransfer;
-    tr.begin = as_time(leg->begin);
-    tr.end = as_time(leg->end);
-    tr.txn = arg_of(*leg, "txn", -1);
-    tr.object = arg_of(*leg, "object", -1);
-    tr.leg = arg_of(*leg, "leg", -1);
-    tr.from = arg_of(*leg, "from", -1);
-    tr.to = arg_of(*leg, "to", -1);
+    tr.begin = leg->since;
+    tr.end = leg->time;
+    tr.txn = trace_id(leg->txn);
+    tr.object = trace_id(leg->object);
+    tr.leg = leg->leg;
+    tr.from = trace_id(leg->from);
+    tr.to = trace_id(leg->node);
     out.critical_path.push_back(tr);
+  };
+  const auto push_wait = [&out](Time begin, Time end, TxnId txn) {
+    CriticalSegment w;
+    w.kind = CriticalSegment::Kind::kWait;
+    w.begin = begin;
+    w.end = end;
+    w.txn = trace_id(txn);
+    out.critical_path.push_back(w);
   };
 
   // Guard covers commit hops plus every physical leg a redirect chain can
   // traverse.
-  std::size_t guard = txn_spans.size() + total_legs + 1;
+  std::size_t guard = commits.size() + total_legs + 1;
   while (cur != nullptr) {
     if (guard-- == 0) {
       problem("critical-path walk exceeded the event count (cycle?)");
       break;
     }
-    const std::int64_t txn = arg_of(*cur, "txn", -1);
-    const Time commit = as_time(cur->end);
+    const TxnId txn = cur->txn;
+    const Time commit = cur->time;
 
     const auto legs_it = legs_by_txn.find(txn);
     if (legs_it == legs_by_txn.end() || legs_it->second.empty()) {
       // Every object was already in place (arrival step 0): the whole
       // interval up to the commit is commit-side wait.
-      if (commit > 0) {
-        CriticalSegment w;
-        w.kind = CriticalSegment::Kind::kWait;
-        w.begin = 0;
-        w.end = commit;
-        w.txn = txn;
-        out.critical_path.push_back(w);
-      }
+      if (commit > 0) push_wait(0, commit, txn);
       break;
     }
-    const TraceSpanRecord* gate = nullptr;
-    for (const TraceSpanRecord* leg : legs_it->second) {
-      if (gate == nullptr || leg->end > gate->end ||
-          (leg->end == gate->end &&
-           arg_of(*leg, "object", -1) < arg_of(*gate, "object", -1))) {
+    const SimEvent* gate = nullptr;
+    for (const SimEvent* leg : legs_it->second) {
+      if (gate == nullptr || leg->time > gate->time ||
+          (leg->time == gate->time && leg->object < gate->object)) {
         gate = leg;
       }
     }
-    const Time arrive = as_time(gate->end);
+    const Time arrive = gate->time;
     if (arrive > commit) {
       std::ostringstream os;
       os << "T" << txn << " committed at " << commit
          << " before its gating object arrived at " << arrive;
       problem(os.str());
     }
-    if (commit > arrive) {
-      CriticalSegment w;
-      w.kind = CriticalSegment::Kind::kWait;
-      w.begin = arrive;
-      w.end = commit;
-      w.txn = txn;
-      out.critical_path.push_back(w);
-    }
+    if (commit > arrive) push_wait(arrive, commit, txn);
     push_transfer(gate);
 
     // Follow redirect legs down the object's physical chain until a
     // commit-released (or home-departing) leg anchors the walk again.
-    const TraceSpanRecord* leg = gate;
+    const SimEvent* leg = gate;
     bool walk_done = false;
-    while (arg_of(*leg, "redirect", 0) == 1) {
+    while (leg->redirect) {
       if (guard-- == 0) {
         problem("critical-path walk exceeded the event count (cycle?)");
         walk_done = true;
         break;
       }
-      const TraceSpanRecord* pred = physical_pred(leg);
-      const Time park_end = as_time(leg->begin);
+      const SimEvent* pred = physical_pred(leg);
+      const Time park_end = leg->since;
       if (pred == nullptr) {
         // The object had never moved: it sat at home from step 0 until
         // the reschedule launched it.
-        if (park_end > 0) {
-          CriticalSegment w;
-          w.kind = CriticalSegment::Kind::kWait;
-          w.begin = 0;
-          w.end = park_end;
-          w.txn = arg_of(*leg, "txn", -1);
-          out.critical_path.push_back(w);
-        }
+        if (park_end > 0) push_wait(0, park_end, leg->txn);
         walk_done = true;
         break;
       }
-      if (as_time(pred->end) < park_end) {
+      if (pred->time < park_end) {
         // The object was parked (awaiting the splice) between legs.
-        CriticalSegment w;
-        w.kind = CriticalSegment::Kind::kWait;
-        w.begin = as_time(pred->end);
-        w.end = park_end;
-        w.txn = arg_of(*leg, "txn", -1);
-        out.critical_path.push_back(w);
+        push_wait(pred->time, park_end, leg->txn);
       }
       push_transfer(pred);
       leg = pred;
     }
     if (walk_done) break;
 
-    const std::int64_t leg_obj = arg_of(*leg, "object", -1);
-    const std::int64_t leg_idx = arg_of(*leg, "leg", -1);
-    const Time leg_depart = as_time(leg->begin);
-    const std::int64_t prev = arg_of(*leg, "prev", -1);
-    if (prev < 0) {
+    if (leg->prev == kInvalidTxn) {
       // First leg of the chain: departs from home at step 0.
-      if (leg_depart != 0) {
+      if (leg->since != 0) {
         std::ostringstream os;
-        os << "first leg of o" << leg_obj << " departs at " << leg_depart
+        os << "first leg of o" << leg->object << " departs at " << leg->since
            << " (expected 0)";
         problem(os.str());
       }
       break;
     }
-    const auto prev_it = txn_spans.find(prev);
-    if (prev_it == txn_spans.end()) {
+    const auto prev_it = commits.find(leg->prev);
+    if (prev_it == commits.end()) {
       std::ostringstream os;
-      os << "o" << leg_obj << "#" << leg_idx << " was released by T" << prev
-         << " which has no commit span";
+      os << "o" << leg->object << "#" << leg->leg << " was released by T"
+         << leg->prev << " which has no commit span";
       problem(os.str());
       break;
     }
-    if (as_time(prev_it->second->end) != leg_depart) {
+    if (prev_it->second->time != leg->since) {
       std::ostringstream os;
-      os << "o" << leg_obj << "#" << leg_idx << " departs at " << leg_depart
-         << " but T" << prev << " committed at "
-         << as_time(prev_it->second->end);
+      os << "o" << leg->object << "#" << leg->leg << " departs at "
+         << leg->since << " but T" << leg->prev << " committed at "
+         << prev_it->second->time;
       problem(os.str());
     }
     cur = prev_it->second;

@@ -1,7 +1,10 @@
-// Post-run analysis over a TraceRecorder event stream: critical-path
-// reconstruction, per-link utilization, top-k queue waits, and
-// per-transaction slack. Shared by tools/trace_summarize and the tests
-// that pin the critical-path invariant.
+// Post-run analysis and trace export over one engine run's log
+// (SimResult::events, sim/engine.hpp): the formatted trace records that
+// the Chrome and JSONL exports write, critical-path reconstruction,
+// per-link utilization, top-k queue waits, and per-transaction slack.
+// Shared by the tools that write traces (dtm_cli, bench_faults),
+// tools/trace_summarize (which reads a trace file back into a log with
+// log_record) and the tests that pin the critical-path invariant.
 //
 // The critical path is rebuilt backwards from the last-committing
 // transaction: each commit is gated by the latest-arriving of its object
@@ -11,7 +14,7 @@
 // included), and each released leg departs exactly at its predecessor
 // transaction's realized commit — so the segments tile [0, makespan]
 // exactly and their lengths sum to the realized makespan. Any violation
-// of that chain (missing spans, depart != predecessor commit) lands in
+// of that chain (missing records, depart != predecessor commit) lands in
 // `problems` instead of being silently bridged.
 #pragma once
 
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "core/types.hpp"
+#include "sim/engine.hpp"
 #include "util/trace.hpp"
 
 namespace dtm {
@@ -41,7 +45,7 @@ struct CriticalSegment {
 };
 
 struct LinkUtilization {
-  std::string track;
+  std::string track;  // link_track of the link
   Time busy = 0;  // summed leg-span lengths (queue time included)
   std::size_t legs = 0;
 };
@@ -67,7 +71,7 @@ struct TxnSlack {
 };
 
 /// Per-transaction arrival→commit latency distribution over the realized
-/// commit ends witnessed by the trace. Batch traces carry no arrival
+/// commits witnessed by the log. Batch traces carry no arrival
 /// steps, so arrival is step 0 and latency == realized commit step — the
 /// same quantity the streaming runtime records (with true arrivals) into
 /// the `stream.latency.arrival_to_commit` histogram, which makes the two
@@ -114,10 +118,10 @@ class SlackMonitor {
 };
 
 struct TraceSummary {
-  /// Realized makespan as witnessed by the trace (max commit-span end).
+  /// Realized makespan as witnessed by the log (latest realized commit).
   Time makespan = 0;
 
-  /// Reschedule instants found in the trace (mid-run schedule splices).
+  /// kReschedule records in the log (mid-run schedule splices).
   std::size_t reschedules = 0;
 
   /// Chronological critical path; segment lengths sum to `critical_total`.
@@ -129,7 +133,7 @@ struct TraceSummary {
   std::vector<TxnSlack> slack;                // sorted by slack desc
 
   /// Arrival→commit latency over every committed transaction (see
-  /// LatencySummary); count == number of txn spans in the trace.
+  /// LatencySummary); count == number of kCommit records in the log.
   LatencySummary latency;
 
   /// Chain violations found while walking (empty on a healthy trace; a
@@ -141,9 +145,32 @@ struct TraceSummary {
   }
 };
 
-/// Analyzes the sim-domain events of one engine run. Wall-domain (phase)
-/// events are ignored. `top_k` bounds the queue-wait list only.
-TraceSummary summarize_trace(const std::vector<TraceSpanRecord>& events,
+/// Analyzes one engine run's log. `top_k` bounds the queue-wait list only.
+TraceSummary summarize_trace(const std::vector<SimEvent>& log,
                              std::size_t top_k = 10);
+
+/// The log's trace records in log order, tracks and names formatted:
+///  * kLeg        — span "o<object>#<leg>" on the track "link <min>-<max>"
+///    (both directions share it), args from, leg, object, prev (-1 on leg
+///    0), to, txn, and redirect: 1 when a splice launched it;
+///  * kCommit     — span "T<txn>" [assembly, commit] on "node <home>",
+///    args planned, txn;
+///  * kDegraded   — "fault" instant "degraded" on "node <home>", args
+///    stall, txn;
+///  * kQueueWait  — span "o<object> wait" on the link's track, args leg,
+///    object;
+///  * kFault      — "fault" instant "outage", "reroute", "loss" or
+///    "slowdown" on the link's track, args object (-1 when not one
+///    object's), u, v;
+///  * kReschedule — "resched" instant "reschedule" on "scheduler", args
+///    index (1-based), lag.
+/// Moves (kDepart, kHop, kArrive) are not trace records.
+std::vector<TraceSpanRecord> trace_records(const std::vector<SimEvent>& log);
+
+/// The inverse of trace_records for one record, whose times are whole steps
+/// that a Time holds: the log record `r` was formatted from (a queue wait's
+/// link comes back as min -> max). A record no log record formats to, a
+/// wall-domain phase span among them, gives a kNone record.
+SimEvent log_record(const TraceSpanRecord& r);
 
 }  // namespace dtm

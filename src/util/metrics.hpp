@@ -358,7 +358,7 @@ class ScopedPhaseTimer {
     if (timer_ == nullptr && !traced_) return;
     const auto stop = std::chrono::steady_clock::now();
     if (traced_) {
-      TraceRecorder::global().wall_span(TraceCat::kPhase, name_, start_, stop);
+      TraceRecorder::global().wall_span(name_, start_, stop);
     }
     if (timer_ == nullptr) return;
     const auto ns =

@@ -1,7 +1,5 @@
 #include "util/provenance.hpp"
 
-#include "util/json_writer.hpp"
-
 #ifndef DTM_GIT_SHA
 #define DTM_GIT_SHA "unknown"
 #endif
@@ -20,14 +18,6 @@ std::map<std::string, std::string> build_provenance() {
       {"build_type", DTM_BUILD_TYPE},
       {"compiler", DTM_COMPILER},
   };
-}
-
-std::string provenance_json(const std::map<std::string, std::string>& fields) {
-  JsonWriter w;
-  w.begin_object();
-  for (const auto& [k, v] : fields) w.key(k).value(v);
-  w.end_object();
-  return w.str();
 }
 
 }  // namespace dtm

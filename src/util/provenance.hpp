@@ -14,7 +14,4 @@ namespace dtm {
 /// Build-identity fields: {"git_sha", "build_type", "compiler"}.
 std::map<std::string, std::string> build_provenance();
 
-/// Serializes `fields` to a compact JSON object with keys in map order.
-std::string provenance_json(const std::map<std::string, std::string>& fields);
-
 }  // namespace dtm

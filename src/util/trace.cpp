@@ -20,24 +20,6 @@ void append_time(std::string& out, double t) {
 
 }  // namespace
 
-const char* to_string(TraceCat cat) {
-  switch (cat) {
-    case TraceCat::kLeg:
-      return "leg";
-    case TraceCat::kTxn:
-      return "txn";
-    case TraceCat::kQueue:
-      return "queue";
-    case TraceCat::kFault:
-      return "fault";
-    case TraceCat::kPhase:
-      return "phase";
-    case TraceCat::kResched:
-      return "resched";
-  }
-  return "?";
-}
-
 TraceRecorder::TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {}
 
 TraceRecorder& TraceRecorder::global() {
@@ -49,72 +31,10 @@ void TraceRecorder::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
   provenance_.clear();
-  next_id_ = 1;
   epoch_ = std::chrono::steady_clock::now();
 }
 
-std::uint64_t TraceRecorder::begin_span(TraceCat cat, std::string track,
-                                        std::string name, double t,
-                                        std::vector<TraceArg> args) {
-  if (!enabled()) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  TraceSpanRecord rec;
-  rec.id = next_id_++;
-  rec.cat = cat;
-  rec.open = true;
-  rec.begin = t;
-  rec.end = t;
-  rec.track = std::move(track);
-  rec.name = std::move(name);
-  rec.args = std::move(args);
-  events_.push_back(std::move(rec));
-  return events_.back().id;
-}
-
-void TraceRecorder::end_span(std::uint64_t id, double t) {
-  if (id == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  // Ids are assigned densely from 1 in recording order, so the record for
-  // id lives at index id-1 even after later events were appended.
-  if (id > events_.size()) return;
-  TraceSpanRecord& rec = events_[id - 1];
-  rec.open = false;
-  rec.end = t;
-}
-
-void TraceRecorder::span(TraceCat cat, std::string track, std::string name,
-                         double begin, double end,
-                         std::vector<TraceArg> args) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  TraceSpanRecord rec;
-  rec.id = next_id_++;
-  rec.cat = cat;
-  rec.begin = begin;
-  rec.end = end;
-  rec.track = std::move(track);
-  rec.name = std::move(name);
-  rec.args = std::move(args);
-  events_.push_back(std::move(rec));
-}
-
-void TraceRecorder::instant(TraceCat cat, std::string track, std::string name,
-                            double t, std::vector<TraceArg> args) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  TraceSpanRecord rec;
-  rec.id = next_id_++;
-  rec.cat = cat;
-  rec.instant = true;
-  rec.begin = t;
-  rec.end = t;
-  rec.track = std::move(track);
-  rec.name = std::move(name);
-  rec.args = std::move(args);
-  events_.push_back(std::move(rec));
-}
-
-void TraceRecorder::wall_span(TraceCat cat, std::string name,
+void TraceRecorder::wall_span(std::string name,
                               std::chrono::steady_clock::time_point begin,
                               std::chrono::steady_clock::time_point end) {
   if (!enabled()) return;
@@ -125,9 +45,6 @@ void TraceRecorder::wall_span(TraceCat cat, std::string name,
             .count());
   };
   TraceSpanRecord rec;
-  rec.id = next_id_++;
-  rec.cat = cat;
-  rec.wall = true;
   rec.begin = us(begin);
   rec.end = us(end);
   rec.track = t_thread_track.empty() ? "main" : t_thread_track;
@@ -162,18 +79,18 @@ std::size_t TraceRecorder::size() const {
   return events_.size();
 }
 
-std::string TraceRecorder::to_chrome_json() const {
+std::string TraceRecorder::to_chrome_json(
+    const std::vector<TraceSpanRecord>& sim) const {
   const std::map<std::string, std::string> prov = provenance();
-  std::vector<TraceSpanRecord> evs = events();
+  const std::vector<TraceSpanRecord> wall = events();
 
   // Tracks become Chrome "threads": pid 0 carries the sim-step domain,
   // pid 1 the wall-clock phase domain. Tids are assigned by sorted track
   // name so a deterministic run exports deterministically.
   std::map<std::string, int> sim_tids;
   std::map<std::string, int> wall_tids;
-  for (const TraceSpanRecord& e : evs) {
-    (e.wall ? wall_tids : sim_tids).emplace(e.track, 0);
-  }
+  for (const TraceSpanRecord& e : sim) sim_tids.emplace(e.track, 0);
+  for (const TraceSpanRecord& e : wall) wall_tids.emplace(e.track, 0);
   int next = 0;
   for (auto& [track, tid] : sim_tids) tid = next++;
   next = 0;
@@ -208,14 +125,12 @@ std::string TraceRecorder::to_chrome_json() const {
     emit_meta(1, tid, "thread_name", track);
   }
 
-  for (const TraceSpanRecord& e : evs) {
-    const int pid = e.wall ? 1 : 0;
-    const int tid = e.wall ? wall_tids[e.track] : sim_tids[e.track];
+  const auto emit = [&w](const TraceSpanRecord& e, int pid, int tid) {
     w.begin_object()
         .key("name")
         .value(e.name)
         .key("cat")
-        .value(to_string(e.cat))
+        .value(e.cat)
         .key("ph")
         .value(e.instant ? "i" : "X")
         .key("ts")
@@ -235,7 +150,9 @@ std::string TraceRecorder::to_chrome_json() const {
       w.end_object();
     }
     w.end_object();
-  }
+  };
+  for (const TraceSpanRecord& e : sim) emit(e, 0, sim_tids[e.track]);
+  for (const TraceSpanRecord& e : wall) emit(e, 1, wall_tids[e.track]);
   w.end_array();
 
   w.key("otherData").begin_object();
@@ -248,9 +165,9 @@ std::string TraceRecorder::to_chrome_json() const {
   return w.str();
 }
 
-std::string TraceRecorder::to_jsonl() const {
+std::string TraceRecorder::to_jsonl(
+    const std::vector<TraceSpanRecord>& sim) const {
   const std::map<std::string, std::string> prov = provenance();
-  std::vector<TraceSpanRecord> evs = events();
 
   std::string out;
   {
@@ -264,15 +181,14 @@ std::string TraceRecorder::to_jsonl() const {
     out += '\n';
   }
 
-  for (const TraceSpanRecord& e : evs) {
-    if (e.wall) continue;  // wall times are nondeterministic; keep out
+  for (const TraceSpanRecord& e : sim) {
     std::vector<TraceArg> args = e.args;
     std::stable_sort(args.begin(), args.end(),
                      [](const TraceArg& a, const TraceArg& b) {
                        return a.key < b.key;
                      });
     out += "{\"cat\":\"";
-    out += to_string(e.cat);
+    out += e.cat;
     out += "\",\"kind\":\"";
     out += e.instant ? "instant" : "span";
     out += "\",\"track\":\"";

@@ -1,34 +1,31 @@
-// Structured execution tracing: spans and instant events over the
-// engine's simulated timeline plus wall-clock phase spans, collected in a
-// process-wide TraceRecorder and exported as Chrome trace-event JSON
-// (loadable in Perfetto / chrome://tracing) or as a compact deterministic
-// JSONL stream for diffing.
+// Structured execution tracing: Chrome trace-event JSON (loadable in
+// Perfetto / chrome://tracing) and a compact deterministic JSONL stream
+// for diffing.
 //
-// Two clock domains share one recorder:
+// A trace has two clock domains, recorded in two places:
 //  * sim domain  — timestamps are engine steps (the §2.1 synchronous
-//    clock). Per-object leg spans live on per-link tracks, transaction
-//    lifetime spans on per-node tracks, queue waits on the queued link's
-//    track, and fault/reroute/retry/degraded markers are instants. Sim
-//    events are recorded by the single-threaded engine in deterministic
-//    order, so the JSONL export of a seeded run is byte-identical across
-//    runs — that is the diffable artifact.
+//    clock). They come from one engine run's log (SimResult::events,
+//    sim/engine.hpp), formatted into TraceSpanRecords at export
+//    (sim/trace_analysis.hpp trace_records): per-object leg spans on
+//    per-link tracks, transaction lifetime spans on per-node tracks,
+//    queue waits on the queued link's track, and fault/reroute/retry/
+//    degraded markers as instants. The log is in the engine's own
+//    deterministic order, so the JSONL export of a seeded run is
+//    byte-identical across runs — that is the diffable artifact.
 //  * wall domain — timestamps are microseconds since the recorder epoch.
 //    Every ScopedPhaseTimer (schedulers, APSP, bounds, simulate) doubles
-//    as a phase span here, and ThreadPool workers tag their spans with a
-//    per-worker track. Wall times are not deterministic, so the JSONL
-//    export skips this domain; the Chrome export shows it as a second
-//    process ("host phases").
+//    as a phase span in the process-wide TraceRecorder, and ThreadPool
+//    workers tag their spans with a per-worker track. Wall times are not
+//    deterministic, so the JSONL export skips this domain; the Chrome
+//    export shows it as a second process ("host phases").
 //
 // Cost model (same discipline as metrics.hpp): enabled() is one relaxed
 // atomic load, and the recorder ships DISABLED — a run that never opts in
-// takes no mutex and allocates nothing. Instrumentation sites either check
-// enabled() or hold a pointer resolved once per run (the engine's
-// pattern). Recording takes the recorder mutex per event; the engine emits
-// O(legs + commits) events per run, far off any inner loop.
+// takes no mutex and allocates nothing. Recording a wall span takes the
+// recorder mutex.
 //
 // Thread-safety: all mutating calls are mutex-guarded; enabled is a
-// relaxed atomic. Span ids are assigned under the mutex, so begin/end
-// pairs match even when wall-domain spans from pool workers interleave.
+// relaxed atomic.
 #pragma once
 
 #include <atomic>
@@ -41,11 +38,6 @@
 
 namespace dtm {
 
-/// Event category; also the "cat" field of the exported events.
-enum class TraceCat { kLeg, kTxn, kQueue, kFault, kPhase, kResched };
-
-const char* to_string(TraceCat cat);
-
 /// One integer-valued annotation on an event (exported under "args").
 struct TraceArg {
   std::string key;
@@ -54,14 +46,13 @@ struct TraceArg {
   friend bool operator==(const TraceArg&, const TraceArg&) = default;
 };
 
-/// One recorded span or instant. `begin`/`end` are steps in the sim
+/// One exported span or instant. `begin`/`end` are steps in the sim
 /// domain and microseconds since the recorder epoch in the wall domain.
+/// `cat` is the "cat" field of the export: "leg", "txn", "queue",
+/// "fault" or "resched" in the sim domain, "phase" in the wall domain.
 struct TraceSpanRecord {
-  std::uint64_t id = 0;
-  TraceCat cat = TraceCat::kPhase;
+  const char* cat = "phase";
   bool instant = false;
-  bool wall = false;
-  bool open = false;  // begun but never ended (a recording bug)
   double begin = 0;
   double end = 0;
   std::string track;
@@ -69,6 +60,7 @@ struct TraceSpanRecord {
   std::vector<TraceArg> args;
 };
 
+/// The wall-domain recorder, plus the provenance stamped into exports.
 class TraceRecorder {
  public:
   TraceRecorder();
@@ -82,25 +74,13 @@ class TraceRecorder {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Drops every recorded event and provenance field and resets the span
-  /// id counter and wall epoch. Does not change the enabled flag.
+  /// Drops every recorded span and provenance field and resets the wall
+  /// epoch. Does not change the enabled flag.
   void clear();
 
-  /// Opens a sim-domain span; returns its id (0 when disabled — end_span
-  /// accepts and ignores id 0).
-  std::uint64_t begin_span(TraceCat cat, std::string track, std::string name,
-                           double t, std::vector<TraceArg> args = {});
-  void end_span(std::uint64_t id, double t);
-
-  /// Records a complete sim-domain span / instant in one call.
-  void span(TraceCat cat, std::string track, std::string name, double begin,
-            double end, std::vector<TraceArg> args = {});
-  void instant(TraceCat cat, std::string track, std::string name, double t,
-               std::vector<TraceArg> args = {});
-
-  /// Records a wall-domain span from steady_clock points; the track is the
+  /// Records a "phase" span from steady_clock points; the track is the
   /// calling thread's track (see set_thread_track), "main" by default.
-  void wall_span(TraceCat cat, std::string name,
+  void wall_span(std::string name,
                  std::chrono::steady_clock::time_point begin,
                  std::chrono::steady_clock::time_point end);
 
@@ -114,22 +94,23 @@ class TraceRecorder {
   /// The full manifest as exported: build info plus set_provenance fields.
   std::map<std::string, std::string> provenance() const;
 
-  /// Snapshot of every recorded event, in recording order.
+  /// Snapshot of every recorded wall span, in recording order.
   std::vector<TraceSpanRecord> events() const;
   std::size_t size() const;
 
   /// Chrome trace-event JSON: {"traceEvents": [...], "otherData":
-  /// {"schema": "dtm-trace-chrome-v1", "provenance": {...}}}. Sim steps map
-  /// to microseconds in the viewer (1 step = 1us); wall phases appear as a
-  /// second process. Track tids are assigned by sorted track name, so the
+  /// {"schema": "dtm-trace-chrome-v1", "provenance": {...}}}. The `sim`
+  /// records (one run's, in log order) are process 0, with sim steps as
+  /// microseconds in the viewer (1 step = 1us); this recorder's wall spans
+  /// are process 1. Track tids are assigned by sorted track name, so the
   /// export of a deterministic run is itself deterministic.
-  std::string to_chrome_json() const;
+  std::string to_chrome_json(const std::vector<TraceSpanRecord>& sim) const;
 
   /// Deterministic JSONL: line 1 is {"schema": "dtm-trace-jsonl-v1",
-  /// "provenance": {...}}, then one sim-domain event per line in recording
-  /// order with args sorted by key. Wall-domain events are skipped (their
-  /// timestamps are wall-clock and would break byte-identical diffing).
-  std::string to_jsonl() const;
+  /// "provenance": {...}}, then one `sim` record per line in order with
+  /// args sorted by key. Wall spans are left out (their timestamps are
+  /// wall-clock and would break byte-identical diffing).
+  std::string to_jsonl(const std::vector<TraceSpanRecord>& sim) const;
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -138,7 +119,6 @@ class TraceRecorder {
   mutable std::mutex mu_;
   std::vector<TraceSpanRecord> events_;
   std::map<std::string, std::string> provenance_;
-  std::uint64_t next_id_ = 1;
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> enabled_{false};
 };

@@ -111,6 +111,23 @@ TEST(ControlFlow, LocalAccessesAreFree) {
   EXPECT_EQ(r.communication, 0);
 }
 
+TEST(ControlFlow, RequesterOnTheHomeStillWaitsAStep) {
+  // T1 sits on o0's home, so its round trip is 0 steps; the object still
+  // serves one requester per step, so T1 commits a step after T0.
+  const Line line(4);
+  InstanceBuilder b(line.graph, 1);
+  b.add_transaction(3, {0});
+  b.add_transaction(2, {0});
+  b.set_object_home(0, 2);
+  const Instance inst = b.build();
+  const DenseMetric m(line.graph);
+  ControlFlowResult r = schedule_control_flow(inst, m);
+  EXPECT_EQ(r.commit_time, (std::vector<Time>{2, 3}));
+  EXPECT_EQ(check_control_flow(inst, m, r), "");
+  r.commit_time[1] = 2;  // same step as T0
+  EXPECT_NE(check_control_flow(inst, m, r), "");
+}
+
 TEST(ControlFlow, CheckerCatchesViolations) {
   const Line line(7);
   InstanceBuilder b(line.graph, 1);

@@ -142,9 +142,9 @@ TEST(DependencyGraphCsr, MatchesNaiveOnSharedHomes) {
   }
 }
 
-TEST(DependencyGraphCsr, WeighingOnceBuildsTheSameGraph) {
-  // kOnce copies each edge's weight to its upper end instead of querying
-  // it again: the same CSR from half the distance queries.
+TEST(DependencyGraphCsr, EachEdgeIsWeighedOnce) {
+  // The upper end of each edge copies the weight its lower end queried:
+  // the naive graph from one distance query per edge.
   const Grid topo(6);
   const DenseMetric metric(topo.graph);
   MetricCounter& queries = metrics::counter("metric.distance_queries");
@@ -159,21 +159,12 @@ TEST(DependencyGraphCsr, WeighingOnceBuildsTheSameGraph) {
     const auto home = [&](TxnId t) { return inst.home(t); };
     const auto objects = [&](TxnId t) { return inst.objects(t); };
     const std::uint64_t q0 = queries.value();
-    const DependencyGraph both = build_dependency_graph(
-        metric, subset, home, objects, EdgeWeighing::kFromBothEnds);
+    const DependencyGraph h =
+        build_dependency_graph(metric, subset, home, objects);
     const std::uint64_t q1 = queries.value();
-    const DependencyGraph once = build_dependency_graph(
-        metric, subset, home, objects, EdgeWeighing::kOnce);
-    const std::uint64_t q2 = queries.value();
-    expect_matches_naive(inst, metric, once, subset);
-    ASSERT_EQ(once.offsets, both.offsets);
-    for (std::size_t i = 0; i < once.edges.size(); ++i) {
-      EXPECT_EQ(once.edges[i].neighbor, both.edges[i].neighbor);
-      EXPECT_EQ(once.edges[i].weight, both.edges[i].weight);
-    }
-    ASSERT_GT(both.edges.size(), 0u);
-    EXPECT_EQ(q1 - q0, both.edges.size());
-    EXPECT_EQ(q2 - q1, once.edges.size() / 2);
+    expect_matches_naive(inst, metric, h, subset);
+    ASSERT_GT(h.edges.size(), 0u);
+    EXPECT_EQ(q1 - q0, h.edges.size() / 2);
   }
 }
 
@@ -228,36 +219,29 @@ class FixedMetric final : public Metric {
 
 /// Two transactions on nodes 0 and 1 sharing object 0, weighed by
 /// `metric`.
-DependencyGraph one_conflict(const Metric& metric, EdgeWeighing weighing) {
+DependencyGraph one_conflict(const Metric& metric) {
   static constexpr ObjectId kObject = 0;
   const std::vector<TxnId> txns{0, 1};
   return build_dependency_graph(
       metric, txns, [](TxnId t) { return static_cast<NodeId>(t); },
-      [](TxnId) { return std::span<const ObjectId>(&kObject, 1); },
-      weighing);
+      [](TxnId) { return std::span<const ObjectId>(&kObject, 1); });
 }
 
 TEST(DependencyGraphCsr, HopWeightOf32BitsReadsBackExactly) {
   const Clique topo(2);
   constexpr Weight kMax = (Weight{1} << 32) - 1;
   const FixedMetric metric(topo.graph, kMax);
-  for (EdgeWeighing weighing :
-       {EdgeWeighing::kFromBothEnds, EdgeWeighing::kOnce}) {
-    const DependencyGraph h = one_conflict(metric, weighing);
-    ASSERT_EQ(h.edges.size(), 2u);
-    EXPECT_EQ(h.edges[0].weight, 0xFFFFFFFFu);
-    EXPECT_EQ(h.edges[1].weight, 0xFFFFFFFFu);
-    EXPECT_EQ(h.max_edge_weight, kMax);
-  }
+  const DependencyGraph h = one_conflict(metric);
+  ASSERT_EQ(h.edges.size(), 2u);
+  EXPECT_EQ(h.edges[0].weight, 0xFFFFFFFFu);
+  EXPECT_EQ(h.edges[1].weight, 0xFFFFFFFFu);
+  EXPECT_EQ(h.max_edge_weight, kMax);
 }
 
 TEST(DependencyGraphCsr, HopWeightPast32BitsThrows) {
   const Clique topo(2);
   const FixedMetric metric(topo.graph, Weight{1} << 32);
-  for (EdgeWeighing weighing :
-       {EdgeWeighing::kFromBothEnds, EdgeWeighing::kOnce}) {
-    EXPECT_THROW(one_conflict(metric, weighing), Error);
-  }
+  EXPECT_THROW(one_conflict(metric), Error);
 }
 
 TEST(DependencyGraphCsr, RawArcCountPast32BitsThrowsBeforeEmitting) {
@@ -273,8 +257,7 @@ TEST(DependencyGraphCsr, RawArcCountPast32BitsThrowsBeforeEmitting) {
   EXPECT_THROW(
       build_dependency_graph(
           metric, txns, [](TxnId) { return NodeId{0}; },
-          [](TxnId) { return std::span<const ObjectId>(&kObject, 1); },
-          EdgeWeighing::kOnce),
+          [](TxnId) { return std::span<const ObjectId>(&kObject, 1); }),
       Error);
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
   // The assembler's own check (the read/write builder's guard) sits at the

@@ -4,9 +4,10 @@
 //  * Pre-engine golden pinning: simulate() with capacity = 0 and no fault
 //    model reproduces the exact aggregates the pre-refactor simulator
 //    produced on the faults_test topology fixtures (planned/realized
-//    makespan, travel, event count) — the refactor's bit-identity anchor.
-//  * Trace equivalence: the engine's executed leg trace on a feasible
-//    reliable run equals planned_leg_trace(), and analyze_congestion()
+//    makespan, travel, count of move and commit records) — the
+//    refactor's bit-identity anchor.
+//  * Trace equivalence: the leg records of the engine's log on a feasible
+//    reliable run equal planned_leg_trace(), and analyze_congestion()
 //    matches an independent interval-overlap accumulator over that trace.
 //  * Faults × capacity: the composition the engine unlocked — bounded
 //    FIFO links and a fault model in one run — against hand-computed
@@ -37,7 +38,6 @@
 #include "sim/simulator.hpp"
 #include "sim/trace_analysis.hpp"
 #include "util/rng.hpp"
-#include "util/trace.hpp"
 
 namespace dtm {
 namespace {
@@ -115,8 +115,14 @@ struct GoldenRow {
   Time planned;
   Time realized;
   Weight travel;
-  std::size_t events;
+  std::size_t events;  // move (depart/hop/arrive) and commit records
 };
+
+std::size_t moves_and_commits(const std::vector<SimEvent>& log) {
+  return static_cast<std::size_t>(
+      std::count_if(log.begin(), log.end(),
+                    [](const SimEvent& e) { return e.chronological(); }));
+}
 
 constexpr GoldenRow kGolden[7] = {
     /*clique*/ {7, 7, 19, 48},      /*line*/ {27, 27, 97, 145},
@@ -143,7 +149,7 @@ TEST_P(EngineGolden, ReliableSimulateMatchesPreEngineCapture) {
   EXPECT_EQ(r.planned_makespan, g.planned) << topo.name;
   EXPECT_EQ(r.realized_makespan, g.realized) << topo.name;
   EXPECT_EQ(r.object_travel, g.travel) << topo.name;
-  EXPECT_EQ(r.events.size(), g.events) << topo.name;
+  EXPECT_EQ(moves_and_commits(r.events), g.events) << topo.name;
   EXPECT_TRUE(r.faults == FaultStats{}) << topo.name;
   EXPECT_EQ(r.total_queue_wait, 0) << topo.name;
 }
@@ -161,12 +167,24 @@ std::vector<LegRecord> sorted_by_object_leg(std::vector<LegRecord> legs) {
   return legs;
 }
 
+/// The kLeg records of a run's log, as LegRecords.
+std::vector<LegRecord> logged_legs(const std::vector<SimEvent>& log) {
+  std::vector<LegRecord> legs;
+  for (const SimEvent& e : log) {
+    if (e.kind == SimEvent::Kind::kLeg) {
+      legs.push_back({e.object, e.leg, e.from, e.node, e.since});
+    }
+  }
+  return legs;
+}
+
 class TraceEquivalence : public ::testing::TestWithParam<int> {};
 
 // On a feasible reliable run the engine launches exactly the legs the
 // planner promised: same objects, same legs, same endpoints, same depart
-// steps. (The engine records launches in timeline order, planned_leg_trace
-// object-major — compare canonicalized.)
+// steps, and each leg arrives its distance after it departs. (The log
+// holds launches in timeline order, planned_leg_trace object-major —
+// compare canonicalized.)
 TEST_P(TraceEquivalence, ExecutedLegsEqualPlannedTrace) {
   const int which = GetParam();
   const Fixture topo = make_fixture(which);
@@ -177,14 +195,18 @@ TEST_P(TraceEquivalence, ExecutedLegsEqualPlannedTrace) {
   UnboundedLinks links(metric);
   EngineConfig opts;
   opts.discipline = CommitDiscipline::kPlannedStrict;
-  opts.record_legs = true;
+  opts.record_events = true;
   Engine eng(inst, metric, s, links, opts);
   const SimResult r = eng.run();
   ASSERT_TRUE(r.ok) << topo.name;
 
-  EXPECT_EQ(sorted_by_object_leg(r.legs),
+  EXPECT_EQ(sorted_by_object_leg(logged_legs(r.events)),
             sorted_by_object_leg(planned_leg_trace(inst, s)))
       << topo.name;
+  for (const SimEvent& e : r.events) {
+    if (e.kind != SimEvent::Kind::kLeg) continue;
+    EXPECT_EQ(e.time, e.since + metric.distance(e.from, e.node)) << topo.name;
+  }
 }
 
 // Independent congestion oracle: walk every nonzero leg of the planned
@@ -382,15 +404,11 @@ TEST(CriticalPath, HandComputedDiamondChain) {
   const Instance inst = ib.build();
   const Schedule s = Schedule::from_commit_times(inst, {1, 3});
 
-  TraceRecorder& rec = TraceRecorder::global();
-  rec.clear();
-  rec.set_enabled(true);
-  const SimResult r = simulate(inst, m, s);
-  rec.set_enabled(false);
+  const SimResult r = simulate(inst, m, s, {.record_events = true});
   ASSERT_TRUE(r.ok) << r.summary();
   ASSERT_EQ(r.realized_makespan, 3);
 
-  const TraceSummary sum = summarize_trace(rec.events());
+  const TraceSummary sum = summarize_trace(r.events);
   EXPECT_TRUE(sum.problems.empty())
       << "first problem: " << sum.problems.front();
   EXPECT_EQ(sum.makespan, 3);

@@ -19,8 +19,8 @@
 //  * Cross-check against the tracing spine: on every topology fixture an
 //    all-arrive-at-0 stream's `stream.latency.arrival_to_commit`
 //    histogram agrees (count/sum/min/max and bucketed percentiles) with
-//    the arrival->commit latency trace_summarize reconstructs from the
-//    engine replay of the same schedule.
+//    the arrival->commit latency summarize_trace reconstructs from the
+//    log of an engine replay of the same schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,7 +49,6 @@
 #include "util/error.hpp"
 #include "util/json_reader.hpp"
 #include "util/metrics.hpp"
-#include "util/trace.hpp"
 
 namespace dtm {
 namespace {
@@ -743,23 +742,18 @@ TEST_F(StreamMetricsTest, TraceLatencyAgreesWithHistogramOnAllFixtures) {
             .histograms.at("stream.latency.arrival_to_commit");
     ASSERT_EQ(hist.count, 40u) << f.name;
 
-    // Replay the materialized schedule through the traced engine.
-    TraceRecorder& rec = TraceRecorder::global();
-    rec.clear();
-    rec.set_enabled(true);
+    // Replay the materialized schedule through the engine, keeping its log.
     const Instance inst = rt.materialize();
     const Schedule s = rt.schedule();
     EngineConfig eo;
     eo.discipline = CommitDiscipline::kPlannedDegraded;
+    eo.record_events = true;
     eo.telemetry = false;
     BoundedCapacityLinks links(m, 0);
     const SimResult r = Engine(inst, m, s, links, eo).run();
-    const auto events = rec.events();
-    rec.set_enabled(false);
-    rec.clear();
     ASSERT_TRUE(r.ok) << f.name;
 
-    const TraceSummary sum = summarize_trace(events);
+    const TraceSummary sum = summarize_trace(r.events);
     EXPECT_TRUE(sum.consistent()) << f.name;
     ASSERT_EQ(sum.latency.count, hist.count) << f.name;
     EXPECT_EQ(static_cast<std::uint64_t>(sum.latency.sum), hist.sum)

@@ -9,12 +9,16 @@
 //    the verdict.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/generators.hpp"
 #include "core/metrics.hpp"
 #include "core/precedence.hpp"
+#include "core/rw.hpp"
 #include "core/validate.hpp"
 #include "graph/metric.hpp"
 #include "graph/topologies/butterfly.hpp"
@@ -25,6 +29,7 @@
 #include "graph/topologies/line.hpp"
 #include "graph/topologies/star.hpp"
 #include "lb/bounds.hpp"
+#include "sched/control_flow.hpp"
 #include "sched/registry.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -202,6 +207,54 @@ TEST_P(MutationFuzz, ValidatorAndSimulatorAlwaysAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MutationFuzz, ::testing::Range(0, 8));
+
+// The three models check their schedules separately (validate, check_rw,
+// check_control_flow), but they share the rule that one object serves one
+// commit per step. T0 and T1 both sit on o0's home, so every distance is 0
+// and only that rule keeps them apart.
+TEST(CrossModel, EveryCheckerRejectsTwoCommitsOfOneObjectInOneStep) {
+  const Line line(3);
+  InstanceBuilder b(line.graph, 1);
+  b.allow_shared_homes();
+  b.set_object_home(0, 1);
+  b.add_transaction(1, {0});
+  b.add_transaction(1, {0});
+  const Instance inst = b.build();
+  const DenseMetric metric(line.graph);
+  const WriteSets every_access_writes = {{0}, {0}};
+
+  // Each checker returns "" when it accepts commit times `t` with o0
+  // serving T0 first.
+  using Checker = std::function<std::string(const std::vector<Time>&)>;
+  const std::vector<std::pair<std::string, Checker>> checkers = {
+      {"validate",
+       [&](const std::vector<Time>& t) {
+         const ValidationResult vr =
+             validate(inst, metric, Schedule::from_commit_times(inst, t));
+         return vr.ok ? std::string() : vr.summary();
+       }},
+      {"check_rw",
+       [&](const std::vector<Time>& t) {
+         RwSchedule s;
+         s.commit_time = t;
+         s.writer_order = {{0, 1}};
+         s.reader_source.resize(1);
+         return check_rw(inst, every_access_writes, metric, s,
+                         RwPolicy::kSingleVersion);
+       }},
+      {"check_control_flow",
+       [&](const std::vector<Time>& t) {
+         ControlFlowResult r;
+         r.commit_time = t;
+         r.object_order = {{0, 1}};
+         return check_control_flow(inst, metric, r);
+       }},
+  };
+  for (const auto& [name, check] : checkers) {
+    EXPECT_NE(check({1, 1}), "") << name << " accepts two commits in step 1";
+    EXPECT_EQ(check({1, 2}), "") << name;
+  }
+}
 
 }  // namespace
 }  // namespace dtm

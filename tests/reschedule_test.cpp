@@ -28,7 +28,6 @@
 #include "sim/simulator.hpp"
 #include "sim/trace_analysis.hpp"
 #include "util/rng.hpp"
-#include "util/trace.hpp"
 
 namespace {
 
@@ -138,6 +137,7 @@ ActiveRun run_active(const Instance& inst, const Metric& metric,
   ActiveRun out;
   out.splices = std::make_shared<std::vector<Schedule>>();
   SimOptions opts;
+  opts.record_events = true;
   opts.faults = &model;
   opts.reschedule =
       capturing(make_rescheduler(inst, metric, "greedy-ff"), out.splices);
@@ -148,14 +148,7 @@ ActiveRun run_active(const Instance& inst, const Metric& metric,
 
 // ----------------------------------------------------------- determinism
 
-class RescheduleFixtures : public ::testing::TestWithParam<int> {
- protected:
-  void SetUp() override {
-    TraceRecorder::global().set_enabled(false);
-    TraceRecorder::global().clear();
-  }
-  void TearDown() override { TraceRecorder::global().set_enabled(false); }
-};
+class RescheduleFixtures : public ::testing::TestWithParam<int> {};
 
 // Same seed, same fixture: two active runs must agree on every aggregate
 // and produce identical spliced schedules.
@@ -176,6 +169,7 @@ TEST_P(RescheduleFixtures, DeterministicAcrossRuns) {
   EXPECT_EQ(a.sim.object_travel, b.sim.object_travel) << topo.name;
   EXPECT_EQ(a.sim.reschedules, b.sim.reschedules) << topo.name;
   EXPECT_EQ(a.sim.reschedules, a.splices->size()) << topo.name;
+  EXPECT_TRUE(a.sim.events == b.sim.events) << topo.name;
 
   ASSERT_EQ(a.splices->size(), b.splices->size()) << topo.name;
   for (std::size_t i = 0; i < a.splices->size(); ++i) {
@@ -198,10 +192,7 @@ TEST_P(RescheduleFixtures, SplicesValidateAndPathTilesMakespan) {
   const Schedule s = make_scheduler("greedy-ff")->run(inst, metric);
   const FaultModel model(fixture_faults(which));
 
-  TraceRecorder& rec = TraceRecorder::global();
-  rec.set_enabled(true);
   const ActiveRun a = run_active(inst, metric, s, model);
-  rec.set_enabled(false);
   ASSERT_TRUE(a.sim.ok) << topo.name << ": " << a.sim.summary();
 
   for (std::size_t i = 0; i < a.splices->size(); ++i) {
@@ -210,7 +201,7 @@ TEST_P(RescheduleFixtures, SplicesValidateAndPathTilesMakespan) {
                        << vr.summary();
   }
 
-  const TraceSummary sum = summarize_trace(rec.events());
+  const TraceSummary sum = summarize_trace(a.sim.events);
   EXPECT_TRUE(sum.problems.empty())
       << topo.name << ": " << sum.problems.front();
   EXPECT_EQ(sum.makespan, a.sim.realized_makespan) << topo.name;
@@ -329,21 +320,64 @@ TEST(RescheduleDiamond, SpliceIsVisibleInTraceAndPathTiles) {
     return next;
   };
 
-  TraceRecorder& rec = TraceRecorder::global();
-  rec.set_enabled(false);
-  rec.clear();
-  rec.set_enabled(true);
+  active.record_events = true;
   const SimResult a = simulate(inst, m, s, active);
-  rec.set_enabled(false);
   ASSERT_TRUE(a.ok) << a.summary();
   ASSERT_EQ(a.realized_makespan, 21);
 
-  const TraceSummary sum = summarize_trace(rec.events());
+  const TraceSummary sum = summarize_trace(a.events);
   EXPECT_EQ(sum.reschedules, 1u);
   EXPECT_TRUE(sum.problems.empty()) << sum.problems.front();
   EXPECT_EQ(sum.makespan, 21);
   EXPECT_EQ(sum.critical_total, 21);
   EXPECT_TRUE(sum.consistent());
+}
+
+// A splice can assemble a transaction without moving anything: T1 shares
+// node 0 with T0 and o0's home, and o0 waits there for T0, whose o1 is
+// held up by an outage. Serving T1 first makes it ready at the splice, so
+// its logged assembly step is the splice's step, not o0's arrival at 0.
+TEST(RescheduleLog, SpliceAssembledCommitDatesFromTheSplice) {
+  const Line line(3);
+  InstanceBuilder ib(line.graph, 2);
+  ib.allow_shared_homes();
+  ib.set_object_home(0, 0);
+  ib.set_object_home(1, 2);
+  ib.add_transaction(0, {0, 1});
+  ib.add_transaction(0, {0});
+  const Instance inst = ib.build();
+  const DenseMetric m(line.graph);
+  const Schedule s = Schedule::from_commit_times(inst, {2, 3});
+
+  FaultConfig cfg;
+  cfg.scheduled.push_back({1, 2, 0, 20});
+  const FaultModel model(cfg);
+  SimOptions active;
+  active.record_events = true;
+  active.faults = &model;
+  active.recovery.reroute = false;
+  active.reschedule_policy.slack_threshold = 4;
+  active.reschedule_policy.max_reschedules = 1;
+  active.reschedule = [](const PartialExecution& px) {
+    auto next = std::make_unique<Schedule>();
+    next->object_order = {{1, 0}, {0}};
+    next->commit_time = {px.now + 30, px.now + 1};
+    return next;
+  };
+  const SimResult a = simulate(inst, m, s, active);
+  ASSERT_TRUE(a.ok) << a.summary();
+  ASSERT_EQ(a.reschedules, 1u);
+
+  Time splice = -1;
+  const SimEvent* t1 = nullptr;
+  for (const SimEvent& e : a.events) {
+    if (e.kind == SimEvent::Kind::kReschedule) splice = e.time;
+    if (e.kind == SimEvent::Kind::kCommit && e.txn == 1) t1 = &e;
+  }
+  ASSERT_GT(splice, 0);
+  ASSERT_NE(t1, nullptr);
+  EXPECT_EQ(t1->since, splice);
+  EXPECT_EQ(t1->time, splice + 1);
 }
 
 // --------------------------------------------------- reschedule_from unit

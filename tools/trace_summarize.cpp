@@ -3,14 +3,16 @@
 //
 //   trace_summarize FILE [--json] [--validate] [--top N]
 //
-// Default output: provenance, the realized-makespan critical path (the
-// dependency chain of transfers and waits whose lengths sum to the
-// makespan), per-link utilization, top-k queue waits, and top
-// per-transaction slack — as ASCII tables. --json emits the same summary
-// as one JSON document. --validate runs a structural schema check plus
-// the critical-path consistency check (segment sum == makespan, no chain
-// violations) and exits 1 when either fails — CI gates the smoke trace
-// on it.
+// The file's sim-domain events are read back into an engine log
+// (SimEvent records, sim/engine.hpp) with log_record and summarized by
+// summarize_trace; wall-domain phase spans are skipped. Default output:
+// provenance, the realized-makespan critical path (the dependency chain of
+// transfers and waits whose lengths sum to the makespan), per-link
+// utilization, top-k queue waits, and top per-transaction slack — as
+// ASCII tables. --json emits the same summary as one JSON document.
+// --validate runs a structural schema check plus the critical-path
+// consistency check (segment sum == makespan, no chain violations) and
+// exits 1 when either fails — CI gates the smoke trace on it.
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -18,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/engine.hpp"
 #include "sim/trace_analysis.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -31,36 +34,78 @@ namespace {
 using dtm::Error;
 using dtm::JsonReader;
 using dtm::JsonValue;
-using dtm::TraceCat;
-using dtm::TraceSpanRecord;
+using dtm::SimEvent;
 
 struct ParsedTrace {
   std::string schema;
   std::map<std::string, std::string> provenance;
-  std::vector<TraceSpanRecord> events;
+  /// The sim-domain events as an engine log.
+  std::vector<SimEvent> log;
+  bool has_span = false;
+  /// Structural findings made while parsing (reported by --validate).
+  std::vector<std::string> malformed;
 };
 
-bool cat_from_string(const std::string& s, TraceCat* out) {
-  if (s == "leg") *out = TraceCat::kLeg;
-  else if (s == "txn") *out = TraceCat::kTxn;
-  else if (s == "queue") *out = TraceCat::kQueue;
-  else if (s == "fault") *out = TraceCat::kFault;
-  else if (s == "phase") *out = TraceCat::kPhase;
-  else if (s == "resched") *out = TraceCat::kResched;
-  else return false;
-  return true;
-}
+/// One exported sim- or wall-domain event, as read from the file.
+struct FileEvent {
+  std::string cat;
+  bool instant = false;
+  bool wall = false;
+  double begin = 0;
+  double end = 0;
+  std::string track;
+  std::string name;
+  const JsonValue* args = nullptr;
+};
 
-std::vector<dtm::TraceArg> args_of(const JsonValue& ev) {
-  std::vector<dtm::TraceArg> out;
-  if (const JsonValue* args = ev.find("args")) {
-    for (const auto& [k, v] : args->obj) {
-      if (v.kind == JsonValue::Kind::kNumber) {
-        out.push_back({k, static_cast<std::int64_t>(v.number)});
+/// Appends one file event to the parsed log (sim/trace_analysis.hpp
+/// log_record reads it back). Wall-domain phase spans carry no engine
+/// record; any other event that is not one is an error.
+void add_event(ParsedTrace& out, const FileEvent& ev, std::size_t index) {
+  // Timestamps and arguments are whole numbers that a Time or an int64
+  // holds exactly; one outside [0, 2^53] (or NaN) has nothing to convert
+  // to.
+  constexpr double kMaxTime = 9007199254740992.0;
+  if (!(ev.begin >= 0 && ev.end >= 0 && ev.begin <= kMaxTime &&
+        ev.end <= kMaxTime)) {
+    out.malformed.push_back("event " + std::to_string(index) + " ('" +
+                            ev.name + "') has a timestamp outside [0, 2^53]");
+    return;
+  }
+  if (ev.end < ev.begin) {
+    out.malformed.push_back("event " + std::to_string(index) + " ('" +
+                            ev.name + "') ends before it begins");
+  }
+  if (ev.name.empty() || ev.track.empty()) {
+    out.malformed.push_back("event " + std::to_string(index) +
+                            " has an empty name or track");
+  }
+  if (ev.wall || ev.cat == "phase") return;
+  if (!ev.instant) out.has_span = true;
+  dtm::TraceSpanRecord rec;
+  rec.cat = ev.cat.c_str();
+  rec.instant = ev.instant;
+  rec.begin = ev.begin;
+  rec.end = ev.end;
+  rec.track = ev.track;
+  rec.name = ev.name;
+  if (ev.args != nullptr) {
+    for (const auto& [key, v] : ev.args->obj) {
+      if (v.kind != JsonValue::Kind::kNumber) continue;
+      if (!(v.number >= -kMaxTime && v.number <= kMaxTime)) {
+        out.malformed.push_back("event " + std::to_string(index) + " ('" +
+                                ev.name + "') has an argument outside "
+                                "[-2^53, 2^53]");
+        return;
       }
+      rec.args.push_back({key, static_cast<std::int64_t>(v.number)});
     }
   }
-  return out;
+  const SimEvent e = dtm::log_record(rec);
+  DTM_REQUIRE(e.kind != SimEvent::Kind::kNone,
+              "trace: event " << index << " ('" << ev.name << "', category '"
+                              << ev.cat << "') is no engine log record");
+  out.log.push_back(e);
 }
 
 ParsedTrace parse_chrome(const JsonValue& doc) {
@@ -91,6 +136,7 @@ ParsedTrace parse_chrome(const JsonValue& doc) {
           track->str;
     }
   }
+  std::size_t index = 0;
   for (const JsonValue& ev : evs->arr) {
     const JsonValue* ph = ev.find("ph");
     if (ph == nullptr || (ph->str != "X" && ph->str != "i")) continue;
@@ -102,24 +148,23 @@ ParsedTrace parse_chrome(const JsonValue& doc) {
     DTM_REQUIRE(name != nullptr && cat != nullptr && ts != nullptr &&
                     pid != nullptr && tid != nullptr,
                 "chrome trace: event missing name/cat/ts/pid/tid");
-    TraceSpanRecord rec;
-    DTM_REQUIRE(cat_from_string(cat->str, &rec.cat),
-                "chrome trace: unknown category '" << cat->str << "'");
-    rec.instant = ph->str == "i";
-    rec.wall = static_cast<int>(pid->number) != 0;
-    rec.begin = ts->number;
-    rec.end = ts->number;
-    if (!rec.instant) {
+    FileEvent fe;
+    fe.cat = cat->str;
+    fe.instant = ph->str == "i";
+    fe.wall = static_cast<int>(pid->number) != 0;
+    fe.begin = ts->number;
+    fe.end = ts->number;
+    if (!fe.instant) {
       if (const JsonValue* dur = ev.find("dur")) {
-        rec.end = ts->number + dur->number;
+        fe.end = ts->number + dur->number;
       }
     }
     const auto tr = tracks.find(
         {static_cast<int>(pid->number), static_cast<int>(tid->number)});
-    rec.track = tr != tracks.end() ? tr->second : "?";
-    rec.name = name->str;
-    rec.args = args_of(ev);
-    out.events.push_back(std::move(rec));
+    fe.track = tr != tracks.end() ? tr->second : "?";
+    fe.name = name->str;
+    fe.args = ev.find("args");
+    add_event(out, fe, index++);
   }
   return out;
 }
@@ -130,6 +175,7 @@ ParsedTrace parse_jsonl(const std::string& text) {
   std::string line;
   bool first = true;
   std::size_t lineno = 0;
+  std::size_t index = 0;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
@@ -153,16 +199,15 @@ ParsedTrace parse_jsonl(const std::string& text) {
     DTM_REQUIRE(cat != nullptr && kind != nullptr && track != nullptr &&
                     name != nullptr && begin != nullptr && end != nullptr,
                 "jsonl trace: line " << lineno << " missing a required key");
-    TraceSpanRecord rec;
-    DTM_REQUIRE(cat_from_string(cat->str, &rec.cat),
-                "jsonl trace: unknown category '" << cat->str << "'");
-    rec.instant = kind->str == "instant";
-    rec.track = track->str;
-    rec.name = name->str;
-    rec.begin = begin->number;
-    rec.end = end->number;
-    rec.args = args_of(v);
-    out.events.push_back(std::move(rec));
+    FileEvent fe;
+    fe.cat = cat->str;
+    fe.instant = kind->str == "instant";
+    fe.track = track->str;
+    fe.name = name->str;
+    fe.begin = begin->number;
+    fe.end = end->number;
+    fe.args = v.find("args");
+    add_event(out, fe, index++);
   }
   DTM_REQUIRE(!first, "jsonl trace: empty file");
   return out;
@@ -198,32 +243,15 @@ void validate_structure(const ParsedTrace& trace,
       issues.push_back(std::string("provenance is missing '") + key + "'");
     }
   }
-  if (trace.events.empty()) issues.push_back("trace contains no events");
+  if (trace.log.empty()) issues.push_back("trace contains no events");
   // A trace with instants but no duration spans has makespan 0, which
   // makes the tiling invariant pass vacuously — reject it outright.
-  bool has_span = false;
-  for (const TraceSpanRecord& e : trace.events) {
-    if (!e.instant) {
-      has_span = true;
-      break;
-    }
-  }
-  if (!trace.events.empty() && !has_span) {
+  if (!trace.log.empty() && !trace.has_span) {
     issues.push_back(
         "trace contains no duration spans (nothing executed); the "
         "critical-path check would pass vacuously");
   }
-  for (std::size_t i = 0; i < trace.events.size(); ++i) {
-    const TraceSpanRecord& e = trace.events[i];
-    if (e.end < e.begin) {
-      issues.push_back("event " + std::to_string(i) + " ('" + e.name +
-                       "') ends before it begins");
-    }
-    if (e.name.empty() || e.track.empty()) {
-      issues.push_back("event " + std::to_string(i) +
-                       " has an empty name or track");
-    }
-  }
+  issues.insert(issues.end(), trace.malformed.begin(), trace.malformed.end());
 }
 
 const char* kind_name(dtm::CriticalSegment::Kind k) {
@@ -410,7 +438,7 @@ int main(int argc, char** argv) {
       return files.size() == 1 ? 0 : 2;
     }
     const ParsedTrace trace = parse_trace_file(files[0]);
-    const dtm::TraceSummary sum = dtm::summarize_trace(trace.events, top_k);
+    const dtm::TraceSummary sum = dtm::summarize_trace(trace.log, top_k);
 
     if (validate) {
       std::vector<std::string> issues;
@@ -429,7 +457,7 @@ int main(int argc, char** argv) {
         for (const std::string& i : issues) std::cout << "  " << i << '\n';
         return 1;
       }
-      std::cout << files[0] << ": ok (" << trace.events.size()
+      std::cout << files[0] << ": ok (" << trace.log.size()
                 << " events, makespan " << sum.makespan << ")\n";
       return 0;
     }
