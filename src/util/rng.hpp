@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -18,16 +19,22 @@ namespace dtm {
 /// Thin wrapper over std::mt19937_64 with convenience draws and a `split()`
 /// operation that derives an independent child stream (useful when handing
 /// sub-seeds to parallel workers without sharing state).
+///
+/// The engine is seeded on the first draw, not at construction: seeding a
+/// Mersenne Twister is a 312-step serial recurrence, and many owners (the
+/// Cluster scheduler's greedy approach, the Star scheduler's deterministic
+/// paths) never draw at all. Every stream, copies and `split()` included,
+/// is the one `std::mt19937_64(seed)` would give.
 class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) : seed_(seed) {}
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) {
     DTM_REQUIRE(lo <= hi, "Rng::uniform: lo > hi");
-    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
+    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine());
   }
 
   /// Uniform index in [0, n). Requires n > 0.
@@ -37,7 +44,7 @@ class Rng {
   }
 
   /// Uniform real in [0, 1).
-  double real() { return std::uniform_real_distribution<double>(0.0, 1.0)(engine_); }
+  double real() { return std::uniform_real_distribution<double>(0.0, 1.0)(engine()); }
 
   /// Bernoulli draw with success probability p in [0, 1].
   bool chance(double p) { return real() < p; }
@@ -56,17 +63,22 @@ class Rng {
 
   /// Derive an independent child generator. The child's stream does not
   /// overlap this one's for any practical draw count.
-  Rng split() { return Rng(engine_() ^ 0xD1B54A32D192ED03ULL); }
+  Rng split() { return Rng(engine()() ^ 0xD1B54A32D192ED03ULL); }
 
   /// Raw 64-bit draw (satisfies UniformRandomBitGenerator).
-  std::uint64_t operator()() { return engine_(); }
+  std::uint64_t operator()() { return engine()(); }
   static constexpr std::uint64_t min() { return std::mt19937_64::min(); }
   static constexpr std::uint64_t max() { return std::mt19937_64::max(); }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  // Every draw goes through here.
+  std::mt19937_64& engine() {
+    if (!engine_) engine_.emplace(seed_);
+    return *engine_;
+  }
+
+  std::uint64_t seed_;
+  std::optional<std::mt19937_64> engine_;
 };
 
 inline std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {

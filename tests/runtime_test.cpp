@@ -537,6 +537,25 @@ TEST(StreamingRuntime, BackpressureDefersAndEventuallyDrains) {
   EXPECT_TRUE(vr.ok) << vr.summary();
 }
 
+TEST(StreamingRuntime, ConstructorRejectsBadWindowAndHomes) {
+  const Grid g(4);
+  const DenseMetric m(g.graph);
+  const std::vector<NodeId> homes = StreamingRuntime::spread_homes(g.graph, 4);
+  for (const Time window : {Time{0}, Time{-3}}) {
+    StreamingRuntimeOptions opts;
+    opts.window = window;
+    EXPECT_THROW(StreamingRuntime(g.graph, m, homes, opts), Error) << window;
+  }
+  for (const NodeId home : {NodeId{16}, NodeId{17}}) {  // Grid(4) has 16 nodes
+    std::vector<NodeId> bad = homes;
+    bad[2] = home;
+    EXPECT_THROW(StreamingRuntime(g.graph, m, bad), Error) << home;
+  }
+  std::vector<NodeId> edge = homes;
+  edge[2] = 15;
+  EXPECT_NO_THROW(StreamingRuntime(g.graph, m, edge));
+}
+
 TEST(StreamingRuntime, RejectsOutOfOrderAndLateIngest) {
   const Grid g(4);
   const DenseMetric m(g.graph);

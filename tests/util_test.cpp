@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <numeric>
+#include <random>
 #include <set>
 #include <span>
 #include <sstream>
@@ -159,6 +161,81 @@ TEST(Rng, ChanceEdgeCases) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(r.chance(0.0));
     EXPECT_TRUE(r.chance(1.0));
+  }
+}
+
+// The engine is seeded on the first draw; these pin every stream to the one
+// a std::mt19937_64 seeded up front gives, fresh, copied or split.
+TEST(Rng, RawDrawsMatchTheMersenneTwister) {
+  for (const std::uint64_t seed : {0ULL, 1ULL, 42ULL, 0x9E3779B97F4A7C15ULL}) {
+    Rng r(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(r(), ref()) << seed << " draw " << i;
+  }
+  Rng def;
+  std::mt19937_64 def_ref(0x9E3779B97F4A7C15ULL);
+  EXPECT_EQ(def(), def_ref());
+  // The standard fixes the 10000th draw of mt19937_64 seeded with 5489.
+  Rng std_seed(5489);
+  for (int i = 1; i < 10000; ++i) std_seed();
+  EXPECT_EQ(std_seed(), 9981545732273789042ULL);
+}
+
+TEST(Rng, CopiesAndSplitsBeforeTheFirstDrawKeepTheStream) {
+  for (const std::uint64_t seed : {3ULL, 77ULL}) {
+    Rng fresh(seed);
+    Rng copy = fresh;  // taken before any draw
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 100; ++i) {
+      const std::uint64_t want = ref();
+      EXPECT_EQ(fresh(), want);
+      EXPECT_EQ(copy(), want);
+    }
+    Rng late = fresh;  // taken after draws: continues where fresh stands
+    EXPECT_EQ(late(), ref());
+
+    Rng parent(seed);
+    Rng child = parent.split();  // the first draw of parent seeds the child
+    std::mt19937_64 parent_ref(seed);
+    std::mt19937_64 child_ref(parent_ref() ^ 0xD1B54A32D192ED03ULL);
+    Rng grandchild = child.split();
+    std::mt19937_64 grandchild_ref(child_ref() ^ 0xD1B54A32D192ED03ULL);
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_EQ(parent(), parent_ref());
+      EXPECT_EQ(child(), child_ref());
+      EXPECT_EQ(grandchild(), grandchild_ref());
+    }
+  }
+}
+
+TEST(Rng, ConvenienceDrawsMatchTheMersenneTwister) {
+  for (const std::uint64_t seed : {5ULL, 1234ULL}) {
+    Rng r(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 50; ++i) {
+      EXPECT_EQ(r.uniform(3, 1000), std::uniform_int_distribution<std::uint64_t>(3, 1000)(ref));
+      EXPECT_EQ(r.real(), std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+    }
+
+    std::vector<int> v(20);
+    std::iota(v.begin(), v.end(), 0);
+    std::vector<int> want = v;
+    for (std::size_t i = want.size(); i > 1; --i) {
+      std::swap(want[i - 1], want[std::uniform_int_distribution<std::uint64_t>(0, i - 1)(ref)]);
+    }
+    r.shuffle(v);
+    EXPECT_EQ(v, want);
+
+    // Floyd's algorithm over the reference engine.
+    const std::size_t n = 30, k = 7;
+    std::vector<std::size_t> floyd;
+    for (std::size_t j = n - k; j < n; ++j) {
+      const std::size_t t = std::uniform_int_distribution<std::uint64_t>(0, j)(ref);
+      floyd.push_back(std::find(floyd.begin(), floyd.end(), t) == floyd.end() ? t : j);
+    }
+    std::sort(floyd.begin(), floyd.end());
+    EXPECT_EQ(r.sample_indices(n, k), floyd);
+    EXPECT_EQ(r(), ref());  // both streams stand at the same point
   }
 }
 
